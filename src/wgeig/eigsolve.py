@@ -238,12 +238,14 @@ def smallest_eigs(forms: AssembledForms, m: int, tol: float = 1e-10,
 
 def solve_shifted(forms: AssembledForms, shift: float, rhs: np.ndarray,
                   tol: float = 1e-10) -> np.ndarray:
-    """Solve (A - shift B) x = rhs by sparse LU with partial pivoting.
+    """Solve (A - shift B) x = rhs by a symmetric-ordered threshold-pivoting LU.
 
-    The shifted matrix is symmetric indefinite; iterative refinement certifies
-    the residual even when the shift sits very close to the fine spectrum (the
-    intended amplification regime).  A numerically singular shift raises
-    NearSingularError instead of returning garbage.
+    The shifted matrix is symmetric indefinite.  It is factored with the same
+    symmetric ordering as the SPD systems, preferring diagonal pivots and
+    swapping rows only where a diagonal entry collapses; iterative refinement
+    certifies the residual even when the shift sits very close to the fine
+    spectrum (the intended amplification regime).  A numerically singular
+    shift raises NearSingularError instead of returning garbage.
     """
     M = (forms.A - shift * forms.B).tocsc()
     lu, pivot_ratio = linalg.factor_indefinite(M, shift=shift)

@@ -1,9 +1,13 @@
 """Sparse factorization helpers with residual certification.
 
-Direct solves go through SuperLU.  SPD systems use symmetric mode without row
-pivoting, so the U diagonal exposes the pivots and a nonpositive pivot flags
-an indefinite matrix.  Indefinite shifted systems use default partial
-pivoting; a collapsed pivot flags a shift that collided with the spectrum.
+Every system here is symmetric, so every direct solve goes through SuperLU
+with the symmetric minimum-degree ordering on the pattern of ``A + Aᵀ`` in
+symmetric mode.  SPD systems take no row pivoting, so the U diagonal exposes
+the pivots and a nonpositive pivot flags an indefinite matrix.  Indefinite
+shifted systems keep a small diagonal pivot threshold: diagonal pivots are
+preferred, preserving the symmetric ordering's low fill, but a row is still
+swapped in when a diagonal entry collapses.  A collapsed pivot ratio flags a
+shift that collided with the spectrum.
 """
 
 from __future__ import annotations
@@ -17,17 +21,23 @@ from .errors import FactorizationFailureError, NearSingularError
 PIVOT_RATIO_FLOOR = 1e-14
 
 
-def factor_spd(A: sp.spmatrix):
-    """Factor a symmetric positive definite matrix; raise if it is not SPD."""
+def _symmetric_splu(M: sp.spmatrix, diag_pivot_thresh: float, on_failure):
+    """SuperLU with the symmetric ordering; ``on_failure`` builds the error."""
     try:
-        lu = splu(
-            A.tocsc(),
+        return splu(
+            M.tocsc(),
             permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
+            diag_pivot_thresh=diag_pivot_thresh,
             options={"SymmetricMode": True},
         )
     except RuntimeError as exc:
-        raise FactorizationFailureError(f"sparse factorization failed: {exc}") from exc
+        raise on_failure(exc) from exc
+
+
+def factor_spd(A: sp.spmatrix):
+    """Factor a symmetric positive definite matrix; raise if it is not SPD."""
+    lu = _symmetric_splu(A, 0.0, lambda exc: FactorizationFailureError(
+        f"sparse factorization failed: {exc}"))
     diag = lu.U.diagonal()
     if diag.size and (np.min(diag) <= 0.0 or not np.all(np.isfinite(diag))):
         raise FactorizationFailureError(
@@ -37,18 +47,16 @@ def factor_spd(A: sp.spmatrix):
 
 
 def factor_indefinite(M: sp.spmatrix, shift: float = 0.0):
-    """Partial-pivoting LU of a (possibly indefinite) matrix.
+    """Threshold-pivoting LU of a symmetric, possibly indefinite, matrix.
 
     Returns (lu, pivot_ratio); raises NearSingularError only when the matrix
     is so singular the factorization itself fails.  Callers decide what a
     collapsed pivot ratio means for them.
     """
     scale = np.max(np.abs(M.data)) if M.nnz else 0.0
-    try:
-        # COLAMD ordering; partial pivoting needs column-based fill control.
-        lu = splu(M.tocsc())
-    except RuntimeError as exc:
-        raise NearSingularError(shift, pivot_ratio=0.0) from exc
+    # A threshold of 0.01 keeps a diagonal pivot unless it is below 1/100 of
+    # the largest entry in its column.
+    lu = _symmetric_splu(M, 0.01, lambda exc: NearSingularError(shift, pivot_ratio=0.0))
     diag = np.abs(lu.U.diagonal())
     pivot_ratio = float(np.min(diag) / scale) if diag.size and scale > 0 else 1.0
     return lu, pivot_ratio

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigsolve import EigenCluster, rayleigh_quotient, smallest_eigs, solve_shifted
+from .eigsolve import (EigenCluster, _fix_sign, rayleigh_quotient, smallest_eigs,
+                       solve_shifted)
 from .errors import ConfigError, NearSingularError
 from .mesh import build_uniform, containment_map
 from .polyspace import pk_exponents
@@ -174,11 +175,7 @@ def run_sipg(config: SipgConfig,
             # direction; report its Rayleigh value alongside the warning.
             x = exc.solution
         lam = rayleigh_quotient(fine_forms, x)
-        xb = np.sqrt(x @ (B @ x))
-        xbar = x / xb
-        lead = int(np.argmax(np.abs(xbar[: fine_forms.n_interior])))
-        if xbar[lead] < 0.0:
-            xbar = -xbar
+        xbar = _fix_sign(x / np.sqrt(x @ (B @ x)), fine_forms.n_interior)
         targets.append(SipgTarget(
             index=j, coarse_value=pair.value, coarse_vector=pair.vector,
             raw_fine=x, rayleigh=float(lam), normalized=xbar,
