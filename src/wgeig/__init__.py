@@ -26,7 +26,7 @@ _EXPORTS = {
         "solve_shifted",
     ),
     "mesh": ("MeshLevel", "build_uniform", "containment_map"),
-    "twogrid": ("SipgConfig", "SipgResult", "cross_mass_rhs", "run_direct", "run_sipg"),
+    "twogrid": ("SipgConfig", "SipgResult", "cross_mass_rhs", "run_sipg"),
     "wg_core": (
         "BIHARMONIC", "LAPLACIAN", "AssembledForms", "WgFunction", "WgSpace",
         "assemble", "local_interpolant", "norm1_matrix", "qh_project",

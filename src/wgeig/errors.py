@@ -26,11 +26,14 @@ class FactorizationFailureError(WgeigError):
 
 
 class NoConvergenceError(WgeigError):
-    """Eigensolver ran out of iterations before reaching the tolerance."""
+    """Eigensolver did not reach the tolerance.
+
+    ``iterations`` counts the operator applications made before stopping.
+    """
 
     def __init__(self, iterations: int, worst_residual: float):
         super().__init__(
-            f"eigensolver did not converge within {iterations} iterations "
+            f"eigensolver did not converge within {iterations} operator applications "
             f"(worst relative residual {worst_residual:.3e})"
         )
         self.iterations = iterations

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigsolve import (EigenCluster, _fix_sign, rayleigh_quotient, smallest_eigs,
-                       solve_shifted)
+from .eigsolve import _fix_sign, rayleigh_quotient, smallest_eigs, solve_shifted
 from .errors import ConfigError, NearSingularError
 from .mesh import build_uniform, containment_map
 from .polyspace import pk_exponents
@@ -109,15 +108,6 @@ def cross_mass_rhs(u_coarse: WgFunction, fine_space: WgSpace) -> np.ndarray:
     rhs = np.zeros(fine_space.ndof)
     rhs[: fine_space.n_interior_dofs] = out.ravel()
     return rhs
-
-
-def run_direct(kind: str, degree: int, epsilon: float, level: int, num_eigs: int,
-               tol: float = 1e-10, cluster_tol: float = 1e-6) -> EigenCluster:
-    """Assemble and solve the eigenproblem directly on one mesh level."""
-    space = WgSpace(build_uniform(level), degree, kind=kind, epsilon=epsilon)
-    forms = assemble(space)
-    pairs = smallest_eigs(forms, num_eigs, tol=tol)
-    return EigenCluster(pairs=pairs, cluster_tol=cluster_tol)
 
 
 def run_sipg(config: SipgConfig,

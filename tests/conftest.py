@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import wgeig as wg
+
+# Fixed examples and no example database: every run draws the same cases,
+# so the suite stays bitwise repeatable and its time bounded.
+settings.register_profile("deterministic", derandomize=True, max_examples=40,
+                          deadline=None, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

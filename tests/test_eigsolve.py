@@ -1,6 +1,9 @@
+from functools import cache
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, strategies as st
 
 import wgeig as wg
 from wgeig.eigsolve import EigenCluster, rayleigh_quotient, smallest_eigs, solve_shifted
@@ -86,6 +89,57 @@ def test_orthonormality_and_residuals(lap_L3_k1):
     assert np.abs(gram_a - np.diag(lam)).max() < 1e-8 * lam.max()
     assert all(p.residual <= 1e-10 for p in pairs)
     assert np.all(np.diff(lam) > -1e-12 * lam.max())
+
+
+@pytest.mark.parametrize("level", [3, 4])
+def test_laplacian_k3_splits_double_pair(level):
+    # m = 2 takes one vector of the double eigenvalue lambda_2 = lambda_3.
+    space = wg.WgSpace(build_uniform(level), 3, kind="laplacian", epsilon=0.1)
+    forms = wg.assemble(space)
+    pairs = smallest_eigs(forms, 2)
+    assert all(p.residual <= 1e-10 for p in pairs)
+    got = np.array([p.value for p in pairs])
+    want = dense_pencil_eigs(forms, 2)
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@cache
+def _small_forms(kind, degree, level):
+    return wg.assemble(wg.WgSpace(build_uniform(level), degree, kind=kind, epsilon=0.1))
+
+
+@st.composite
+def _small_requests(draw):
+    kind, degree = draw(st.sampled_from(
+        [("laplacian", 1), ("laplacian", 2), ("laplacian", 3),
+         ("biharmonic", 2), ("biharmonic", 3)]))
+    level = draw(st.integers(1, 2))
+    forms = _small_forms(kind, degree, level)
+    m = draw(st.integers(1, min(6, forms.n_interior - 2)))
+    return forms, m
+
+
+@given(_small_requests())
+def test_sweep_matches_dense_oracle(case):
+    # The first six Laplacian values hold the double pairs lambda_2 = lambda_3
+    # and lambda_5 = lambda_6: a start vector that missed an eigenspace would
+    # return the next value in place of the second copy.
+    forms, m = case
+    got = np.array([p.value for p in smallest_eigs(forms, m)])
+    want = dense_pencil_eigs(forms, m)
+    assert np.all(np.abs(got - want) <= 1e-10 * want)
+
+
+@pytest.mark.parametrize("extra", [1, 0])
+def test_dense_path_near_full_rank(extra):
+    # m >= n_interior - 1 is beyond ARPACK; the reduced operator is formed.
+    forms = _small_forms("laplacian", 1, 1)
+    m = forms.n_interior - extra
+    pairs = smallest_eigs(forms, m)
+    got = np.array([p.value for p in pairs])
+    want = dense_pencil_eigs(forms, m)
+    assert np.abs(got - want).max() <= 1e-10 * want.max()
+    assert all(p.residual <= 1e-10 for p in pairs)
 
 
 def test_deterministic_bitwise(lap_L2_k1):

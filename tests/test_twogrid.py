@@ -5,10 +5,16 @@ import wgeig as wg
 from wgeig.errors import ConfigError, LevelOrderError, NearSingularError
 from wgeig.mesh import build_uniform
 from wgeig.polyspace import gauss_rule
-from wgeig.twogrid import SipgConfig, cross_mass_rhs, run_direct, run_sipg
-from wgeig.eigsolve import rayleigh_quotient, smallest_eigs, solve_shifted
+from wgeig.twogrid import SipgConfig, cross_mass_rhs, run_sipg
+from wgeig.eigsolve import EigenCluster, rayleigh_quotient, smallest_eigs, solve_shifted
 
 EXACT6 = np.array([2, 5, 5, 8, 10, 10]) * np.pi**2
+
+
+def run_direct(kind, degree, epsilon, level, num_eigs):
+    """Assemble and solve the eigenproblem directly on one mesh level."""
+    space = wg.WgSpace(build_uniform(level), degree, kind=kind, epsilon=epsilon)
+    return EigenCluster(pairs=smallest_eigs(wg.assemble(space), num_eigs))
 
 
 def test_config_validation():
