@@ -29,7 +29,7 @@ _EXPORTS = {
     "twogrid": ("SipgConfig", "SipgResult", "cross_mass_rhs", "run_sipg"),
     "wg_core": (
         "BIHARMONIC", "LAPLACIAN", "AssembledForms", "WgFunction", "WgSpace",
-        "assemble", "local_interpolant", "norm1_matrix", "qh_project",
+        "assemble", "norm1_matrix", "qh_project",
         "solve_source", "stabilizer_matrix", "weak_gradient_local",
         "weak_laplacian_local",
     ),

@@ -22,13 +22,12 @@ from .errors import (
 from .mesh import build_uniform
 from .polyspace import DEFAULT_FIELD_QUAD
 from .twogrid import SipgConfig, run_sipg
-from .wg_core import BIHARMONIC, LAPLACIAN, AssembledForms, WgFunction, WgSpace, assemble, qh_project
+from .wg_core import (_ELEMENT_CHUNK, BIHARMONIC, LAPLACIAN, AssembledForms, WgFunction,
+                      WgSpace, assemble, qh_project)
 from scipy.linalg import cho_factor, cho_solve
 
 # First clamped-plate eigenvalue on the unit square (literature reference).
 BIHARMONIC_LAMBDA1 = 1294.9339598
-
-_CHUNK = 1 << 15
 
 
 # -- exact spectra -------------------------------------------------------------
@@ -173,8 +172,8 @@ def l2_error(u_h: WgFunction, f, npts: int = DEFAULT_FIELD_QUAD) -> float:
     C = u_h.interior_matrix()
     x0, y0 = space.mesh.element_origins()
     total = 0.0
-    for start in range(0, x0.size, _CHUNK):
-        sl = slice(start, start + _CHUNK)
+    for start in range(0, x0.size, _ELEMENT_CHUNK):
+        sl = slice(start, start + _ELEMENT_CHUNK)
         X = x0[sl][:, None] + ox[None, :]
         Y = y0[sl][:, None] + oy[None, :]
         diff = np.asarray(f(X, Y), dtype=float) - C[sl] @ phi_ref.T
@@ -202,8 +201,8 @@ def vnorm_error(u_h: WgFunction, u, grad_u, lap_u,
     lap_ref = kit.phi.eval(ox, oy, dx=2) + kit.phi.eval(ox, oy, dy=2)
     x0, y0 = mesh.element_origins()
     total = 0.0
-    for start in range(0, x0.size, _CHUNK):
-        sl = slice(start, start + _CHUNK)
+    for start in range(0, x0.size, _ELEMENT_CHUNK):
+        sl = slice(start, start + _ELEMENT_CHUNK)
         X = x0[sl][:, None] + ox[None, :]
         Y = y0[sl][:, None] + oy[None, :]
         diff = np.asarray(lap_u(X, Y), dtype=float) - C[sl] @ lap_ref.T
@@ -288,8 +287,7 @@ def _exact_values(kind: str, num_eigs: int):
 
 
 def direct_study(kind: str, degree: int, epsilon: float, levels, num_eigs: int,
-                 tol: float = 1e-10, cluster_tol: float = 1e-6,
-                 with_energy: bool = True) -> StudyResult:
+                 tol: float = 1e-10, with_energy: bool = True) -> StudyResult:
     """Direct eigensolves over a sweep of levels, with fitted convergence orders."""
     levels = list(levels)
     exact = _exact_values(kind, num_eigs)
@@ -337,7 +335,7 @@ def direct_study(kind: str, degree: int, epsilon: float, levels, num_eigs: int,
 
 def sipg_study(kind: str, degree: int, epsilon: float, coarse_levels, fine_level: int,
                num_eigs: int, include_direct: bool = False, tol: float = 1e-10,
-               cluster_tol: float = 1e-6, with_energy: bool = True) -> StudyResult:
+               with_energy: bool = True) -> StudyResult:
     """Two-grid sweep over coarse levels at a fixed fine level.
 
     The fine assembly is shared across the sweep.  With include_direct, the
@@ -356,7 +354,7 @@ def sipg_study(kind: str, degree: int, epsilon: float, coarse_levels, fine_level
         cfg = SipgConfig(
             kind=kind, degree=degree, epsilon=epsilon,
             coarse_level=coarse_level, fine_level=fine_level,
-            num_eigs=num_eigs, tol=tol, cluster_tol=cluster_tol,
+            num_eigs=num_eigs, tol=tol,
         )
         res = run_sipg(cfg, fine=(fine_space, fine_forms))
         warnings.extend(res.warnings)

@@ -24,7 +24,6 @@ _DEFAULTS = {
     "epsilon": 0.1,
     "num_eigs": 6,
     "tol": 1e-10,
-    "cluster_tol": 1e-6,
     "output": "human",
 }
 
@@ -194,7 +193,6 @@ def _common_meta(args, command: str) -> dict:
         "epsilon": float(_merged(args, "epsilon", float)),
         "num_eigs": int(_merged(args, "num_eigs", int)),
         "tol": float(_merged(args, "tol", float)),
-        "cluster_tol": float(_merged(args, "cluster_tol", float)),
         "output": _merged(args, "output", str),
     }
     if meta["output"] not in ("human", "csv", "json"):
@@ -237,7 +235,7 @@ def _cmd_solve(args) -> int:
     _maybe_dump(args, meta)
     result = direct_study(
         meta["problem"], meta["degree"], meta["epsilon"], [level],
-        meta["num_eigs"], tol=meta["tol"], cluster_tol=meta["cluster_tol"],
+        meta["num_eigs"], tol=meta["tol"],
     )
     del meta["__dump_level"]
     _emit(result, args, meta)
@@ -256,7 +254,7 @@ def _cmd_study(args) -> int:
     _maybe_dump(args, meta)
     result = direct_study(
         meta["problem"], meta["degree"], meta["epsilon"], levels,
-        meta["num_eigs"], tol=meta["tol"], cluster_tol=meta["cluster_tol"],
+        meta["num_eigs"], tol=meta["tol"],
     )
     del meta["__dump_level"]
     _emit(result, args, meta)
@@ -280,7 +278,6 @@ def _cmd_sipg(args) -> int:
     result = sipg_study(
         meta["problem"], meta["degree"], meta["epsilon"], [coarse], fine,
         meta["num_eigs"], include_direct=True, tol=meta["tol"],
-        cluster_tol=meta["cluster_tol"],
     )
     del meta["__dump_level"]
     for w in result.warnings:
@@ -317,7 +314,6 @@ def _cmd_table(args) -> int:
         part = sipg_study(
             meta["problem"], meta["degree"], meta["epsilon"], coarse_levels, fl,
             meta["num_eigs"], include_direct=include_direct, tol=meta["tol"],
-            cluster_tol=meta["cluster_tol"],
         )
         rows.extend(part.rows)
         warnings.extend(part.warnings)
@@ -334,8 +330,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="wgeig",
         description="Weak Galerkin eigenvalue studies on the unit square "
                     "(direct and two-grid shifted-inverse-power).",
-        epilog=f"Defaults: epsilon = 0.1, tol = 1e-10, cluster tol = 1e-6, "
-               f"num-eigs = 6.  {THREADS_ENV} pins the BLAS/OpenMP thread count.",
+        epilog=f"Defaults: epsilon = 0.1, tol = 1e-10, num-eigs = 6.  "
+               f"{THREADS_ENV} pins the BLAS/OpenMP thread count.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -349,8 +345,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--num-eigs", dest="num_eigs", type=int,
                        help="number of eigenpairs (default 6)")
         p.add_argument("--tol", type=float, help="solver tolerance (default 1e-10)")
-        p.add_argument("--cluster-tol", dest="cluster_tol", type=float,
-                       help="relative gap for grouping multiple eigenvalues")
         p.add_argument("--output", choices=("human", "csv", "json"),
                        help="output format (default human)")
         p.add_argument("--out-file", dest="out_file", help="write output to a file")

@@ -18,9 +18,7 @@ from .eigsolve import _fix_sign, rayleigh_quotient, smallest_eigs, solve_shifted
 from .errors import ConfigError, NearSingularError
 from .mesh import build_uniform, containment_map
 from .polyspace import pk_exponents
-from .wg_core import AssembledForms, WgFunction, WgSpace, assemble
-
-_CHUNK = 1 << 15
+from .wg_core import _ELEMENT_CHUNK, AssembledForms, WgFunction, WgSpace, assemble
 
 
 @dataclass
@@ -34,7 +32,6 @@ class SipgConfig:
     fine_level: int = 4
     num_eigs: int = 1
     tol: float = 1e-10
-    cluster_tol: float = 1e-6
 
     def validate(self) -> None:
         if self.fine_level <= self.coarse_level:
@@ -96,8 +93,8 @@ def cross_mass_rhs(u_coarse: WgFunction, fine_space: WgSpace) -> np.ndarray:
     cc = u_coarse.interior_matrix()
     exponents = pk_exponents(k)
     out = np.empty((fine_space.mesh.num_elements, fine_space.dim_interior))
-    for start in range(0, fx0.size, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, fx0.size))
+    for start in range(0, fx0.size, _ELEMENT_CHUNK):
+        sl = slice(start, min(start + _ELEMENT_CHUNK, fx0.size))
         cm = cmap[sl]
         X = (fx0[sl][:, None] + ox[None, :] - ccx[cm][:, None]) / H
         Y = (fy0[sl][:, None] + oy[None, :] - ccy[cm][:, None]) / H

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import settings
 
 import wgeig as wg
+from wgeig.polyspace import (DEFAULT_FIELD_QUAD, Segment, Square, l2_project_edge,
+                             l2_project_element)
 
 # Fixed examples and no example database: every run draws the same cases,
 # so the suite stays bitwise repeatable and its time bounded.
@@ -48,3 +50,32 @@ def dense_pencil_eigs(forms, m):
     AEE = A[ni:, ni:]
     S = AII - AIE @ np.linalg.solve(AEE, AIE.T)
     return sla.eigh(S, B[:ni, :ni], eigvals_only=True)[:m]
+
+
+def local_interpolant(space, element, f, grad=None, npts=DEFAULT_FIELD_QUAD):
+    """Independent oracle: unconstrained componentwise interpolant of f on one
+    element, from per-element and per-edge L2 projections.
+
+    Unlike qh_project, the trace and normal blocks of boundary edges are kept,
+    so the element-local commutation identities of the weak operators hold for
+    fields that do not vanish on the domain boundary.
+    """
+    if space.kind == wg.BIHARMONIC and grad is None:
+        raise ValueError("the fourth-order interpolant needs the gradient of f")
+    h = space.mesh.h
+    x0 = space.mesh.elem_ix[element] * h
+    y0 = space.mesh.elem_iy[element] * h
+    segments = (
+        Segment(x0, y0, x0, y0 + h),
+        Segment(x0 + h, y0, x0 + h, y0 + h),
+        Segment(x0, y0, x0 + h, y0),
+        Segment(x0, y0 + h, x0 + h, y0 + h),
+    )
+    parts = [l2_project_element(f, Square(x0, y0, h), space.degree, npts=npts)]
+    for seg in segments:
+        parts.append(l2_project_edge(f, seg, space.degree - 1, npts=npts))
+    if space.kind == wg.BIHARMONIC:
+        for p, seg in enumerate(segments):
+            comp = (lambda x, y: grad(x, y)[0]) if p < 2 else (lambda x, y: grad(x, y)[1])
+            parts.append(l2_project_edge(comp, seg, space.degree - 1, npts=npts))
+    return np.concatenate(parts)

@@ -220,7 +220,7 @@ def test_vnorm_error_reduces_to_boundary_terms_for_polynomial():
     grad = lambda x, y: (2 * x * y, x**2 * np.ones_like(y))
     lap = lambda x, y: 2 * y
 
-    from wgeig.wg_core import local_interpolant
+    from conftest import local_interpolant
 
     coeffs = np.zeros(space.ndof)
     gmap = space.local_dof_map()

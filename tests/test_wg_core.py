@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 import wgeig as wg
+from conftest import local_interpolant
 from wgeig.errors import DegreeTooLowError
 from wgeig.mesh import build_uniform
-from wgeig.polyspace import Square, dim_pk, gauss_rule, l2_project_element
+from wgeig.polyspace import (Square, dim_pk, element_mass_matrix, gauss_rule, l2_project_element,
+                             pk_exponents)
 from wgeig.wg_core import (
-    local_interpolant,
     norm1_matrix,
     stabilizer_matrix,
     weak_gradient_local,
@@ -315,6 +316,19 @@ def test_mass_matrix_lives_on_interior_only(lap_L3_k1):
     coo = forms.B.tocoo()
     ni = forms.n_interior
     assert coo.row.max() < ni and coo.col.max() < ni
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_gram_block_matches_quadrature_oracle(k):
+    space = wg.WgSpace(build_uniform(3), k, kind="laplacian", epsilon=0.1)
+    h = space.mesh.h
+    Gk = space.kit().Gk
+    want = element_mass_matrix(Square(0.0, 0.0, h), k)
+    assert np.abs(Gk - want).max() <= 1e-14 * np.diag(want).max()
+    # Odd moments of a centred monomial vanish exactly, not to rounding.
+    a, b = np.array(pk_exponents(k)).T
+    odd = ((a[:, None] + a[None, :]) % 2 == 1) | ((b[:, None] + b[None, :]) % 2 == 1)
+    assert np.all(Gk[odd] == 0.0)
 
 
 def test_stabilizer_decays_under_refinement():
