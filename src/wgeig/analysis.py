@@ -37,6 +37,8 @@ def _sine_mode(m: int, n: int) -> Callable:
     def u(x, y):
         return 2.0 * np.sin(m * np.pi * x) * np.sin(n * np.pi * y)
 
+    # u(x, y) = fx(x) * fy(y); qh_project projects through these 1D factors.
+    u.factors = (lambda x: 2.0 * np.sin(m * np.pi * x), lambda y: np.sin(n * np.pi * y))
     return u
 
 
@@ -93,12 +95,14 @@ def _span_distance(basis: np.ndarray, w: np.ndarray, M) -> float:
     MB = M @ basis
     gram = basis.T @ MB
     r = MB.T @ w
-    ww = float(w @ (M @ w))
     try:
         sol = cho_solve(cho_factor(gram), r)
     except np.linalg.LinAlgError:
         sol = np.linalg.lstsq(gram, r, rcond=None)[0]
-    return float(np.sqrt(max(ww - r @ sol, 0.0)))
+    # The residual's own norm, not ww - r.sol: that difference cancels about
+    # log10(ww / distance^2) digits when w lies close to the span.
+    d = w - basis @ sol
+    return float(np.sqrt(max(d @ (M @ d), 0.0)))
 
 
 def energy_error(space: WgSpace, forms: AssembledForms, u_bar: np.ndarray,
@@ -302,16 +306,12 @@ def direct_study(kind: str, degree: int, epsilon: float, levels, num_eigs: int,
         pairs = smallest_eigs(forms, num_eigs, tol=tol)
         dt = time.perf_counter() - t0
         hs.append(space.mesh.h)
-        gen_cache: dict[int, object] = {}
         for j, pair in enumerate(pairs, start=1):
             lam_ex, cluster = exact[j - 1]
             err = None if lam_ex is None else lam_ex - pair.value
             energy = None
             if with_energy and kind == LAPLACIAN and cluster is not None:
-                key = id(cluster)
-                if key not in gen_cache:
-                    gen_cache[key] = cluster.generators
-                energy = energy_error(space, forms, pair.vector, gen_cache[key])
+                energy = energy_error(space, forms, pair.vector, cluster.generators)
                 energies[j].append(energy)
             if err is not None:
                 errs[j].append(err)

@@ -16,6 +16,9 @@ import json
 import os
 import sys
 
+from .errors import (CapacityError, ConfigError, DegreeTooLowError, FactorizationFailureError,
+                     LevelOrderError, NearSingularError, NoConvergenceError, SolverFailureError)
+
 THREADS_ENV = "WGEIG_THREADS"
 
 _DEFAULTS = {
@@ -49,7 +52,8 @@ def _parse_levels(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _load_config_file(path: str) -> dict[str, str]:
+def _load_config_file(path: str, known) -> dict[str, str]:
+    """Parse `key = value` lines; a key outside `known` is a ConfigError."""
     values: dict[str, str] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -59,7 +63,10 @@ def _load_config_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, val = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = val.strip()
+            key = key.strip().replace("-", "_")
+            if key not in known:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            values[key] = val.strip()
     return values
 
 
@@ -390,22 +397,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    # The options the subcommand's parser defines are the keys a file may set.
+    known = set(vars(args)) - {"command", "handler", "config"}
     try:
-        args._file_values = _load_config_file(args.config) if args.config else {}
-    except (OSError, ValueError) as exc:
+        args._file_values = _load_config_file(args.config, known) if args.config else {}
+    except (OSError, ValueError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    from .errors import (
-        CapacityError,
-        ConfigError,
-        DegreeTooLowError,
-        FactorizationFailureError,
-        LevelOrderError,
-        NearSingularError,
-        NoConvergenceError,
-        SolverFailureError,
-    )
 
     try:
         return args.handler(args)

@@ -16,6 +16,10 @@ odd degree in x or y vanish exactly, so Gk stores no rounding noise as
 structure and the pattern of B lies inside the pattern of A.  Every shifted
 system A - sigma B therefore has exactly the pattern of A, and the
 fill-reducing ordering of its factorization is that of A.
+
+qh_project evaluates a field at the tensor Gauss points of every element,
+unless it names factors fx, fy with f = fx(x) * fy(y), as the exact Laplacian
+eigenfunctions do: the same rule then runs through 1D moments per grid line.
 """
 
 from __future__ import annotations
@@ -107,22 +111,6 @@ class WgSpace:
     @property
     def n_local(self) -> int:
         return self.dim_interior + 4 * self.dim_trace * self.num_edge_components
-
-    def trace_dofs(self, interior_edge_pos: int) -> np.ndarray:
-        k = self.dim_trace
-        off = self.n_interior_dofs + interior_edge_pos * k
-        return np.arange(off, off + k)
-
-    def normal_dofs(self, interior_edge_pos: int) -> np.ndarray:
-        if self.kind != BIHARMONIC:
-            raise ValueError("normal components exist only for the fourth-order space")
-        k = self.dim_trace
-        off = (
-            self.n_interior_dofs
-            + self.mesh.num_interior_edges * k
-            + interior_edge_pos * k
-        )
-        return np.arange(off, off + k)
 
     def local_dof_map(self) -> np.ndarray:
         """(Ne, n_local) global indices in local order; -1 marks boundary blocks."""
@@ -517,22 +505,54 @@ def _edge_projections(space: WgSpace, values_fn, npts: int) -> np.ndarray:
     return cho_solve(kit.Ge_cho, rhs.T).T
 
 
+def _separable_projection(space: WgSpace, fx, fy, npts: int):
+    """Interior moments and trace coefficients of f(x, y) = fx(x) * fy(y).
+
+    On the tensor rule of _interior_moments, the moment against t^a s^b on
+    element (i, j) is Mx[i, a] * My[j, b]; an edge moment is a factor's value
+    on the edge line times a 1D moment.  N * npts evaluations, not (N * npts)^2.
+    """
+    n, h, kt = space.mesh.n, space.mesh.h, space.dim_trace
+    off, w, _ = space.kit().edge_quad(npts)
+    P = ((off / h - 0.5)[:, None] ** np.arange(space.degree + 1)) * w[:, None]
+    nodes = np.arange(n + 1) * h
+    cells = nodes[:n, None] + off[None, :]
+    Mx = np.asarray(fx(cells), dtype=float) @ P
+    My = np.asarray(fy(cells), dtype=float) @ P
+    a, b = np.array(pk_exponents(space.degree)).T
+    # Elements are ordered by (iy, ix); interior vertical edges by (j, i) at
+    # x = i*h, then horizontal ones by (j, i) at y = j*h.
+    moments = (My[:, None, b] * Mx[None, :, a]).reshape(-1, a.size)
+    vertical = np.asarray(fx(nodes[1:n]), dtype=float)[None, :, None] * My[:, None, :kt]
+    horizontal = np.asarray(fy(nodes[1:n]), dtype=float)[:, None, None] * Mx[None, :, :kt]
+    rhs = np.concatenate([vertical.reshape(-1, kt), horizontal.reshape(-1, kt)])
+    return moments, cho_solve(space.kit().Ge_cho, rhs.T).T
+
+
 def qh_project(space: WgSpace, f, grad=None, npts: int = DEFAULT_FIELD_QUAD) -> WgFunction:
     """Componentwise projection of a smooth field into the WG space.
 
     f(x, y) must accept arrays; grad(x, y) -> (fx, fy) is required for the
     fourth-order space, whose edge normal component interpolates the normal
     derivative along the fixed edge normal.
+
+    If f carries `factors = (fx, fy)` with f(x, y) = fx(x) * fy(y), its interior
+    and trace moments come from 1D moments on the same Gauss rule, which agree
+    with the 2D evaluation to rounding.
     """
     if space.kind == BIHARMONIC and grad is None:
         raise ValueError("the fourth-order projection needs the gradient of f")
     kit = space.kit()
     coeffs = np.zeros(space.ndof)
 
-    moments = _interior_moments(space, f, npts)
+    factors = getattr(f, "factors", None)
+    if factors is None:
+        moments = _interior_moments(space, f, npts)
+        trace = _edge_projections(space, lambda X, Y, vert: f(X, Y), npts)
+    else:
+        moments, trace = _separable_projection(space, *factors, npts)
     coeffs[: space.n_interior_dofs] = cho_solve(kit.Gk_cho, moments.T).T.ravel()
 
-    trace = _edge_projections(space, lambda X, Y, vert: f(X, Y), npts)
     k = space.dim_trace
     base = space.n_interior_dofs
     coeffs[base : base + trace.size] = trace.ravel()

@@ -121,6 +121,26 @@ def test_energy_error_matches_angle_sweep_oracle(lap_L3_k1):
         assert abs(got - best) < 1e-6
 
 
+def test_energy_error_exact_for_small_a_orthogonal_offsets():
+    """w = q + delta with delta A-orthogonal to the projected generator q: the
+    distance is ||delta||_A, however small it is against ||q||_A.  Subtracting
+    r.sol from ||w||_A^2 would lose about log10(||q||_A^2 / ||delta||_A^2)
+    digits here."""
+    space = wg.WgSpace(build_uniform(4), 3, kind="laplacian", epsilon=0.1)
+    forms = wg.assemble(space)
+    A = forms.A
+    spec = exact_laplacian_spectrum(2)
+    gen = spec[0].generators[0]
+    q = wg.qh_project(space, gen).coeffs
+    delta = wg.qh_project(space, spec[1].generators[0]).coeffs
+    delta -= (q @ (A @ delta)) / (q @ (A @ q)) * q
+    for scale in (1e-3, 1e-4, 1e-5, 1e-6):
+        w = q + scale * np.sqrt((q @ (A @ q)) / (delta @ (A @ delta))) * delta
+        d = w - q
+        want = np.sqrt(d @ (A @ d))
+        assert abs(energy_error(space, forms, w, [gen]) - want) <= 1e-9 * want
+
+
 def test_energy_error_empty_cluster(lap_L2_k1):
     space, forms = lap_L2_k1
     with pytest.raises(EmptyClusterError):

@@ -3,6 +3,7 @@ import io
 import json
 
 import numpy as np
+import pytest
 import scipy.io as sio
 
 from wgeig.analysis import ROW_FIELDS
@@ -115,6 +116,16 @@ def test_config_file_and_flag_precedence(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "solve", "--config", str(cfg), "--num-eigs", "2")
     assert code == 0
     assert len(parse_csv(out)) == 2
+
+
+@pytest.mark.parametrize("line", ["num_eig = 2", "cluster_tol = 1e-6"])
+def test_config_file_unknown_key(capsys, tmp_path, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"level = 2\n{line}\n")
+    code, out, err = run_cli(capsys, "solve", "--config", str(cfg))
+    key = line.split(" ")[0]
+    assert code == 2 and out == ""
+    assert f"run.cfg:2: unknown key '{key}'" in err
 
 
 def test_out_file(capsys, tmp_path):
