@@ -22,8 +22,8 @@ from .errors import (
 from .mesh import build_uniform
 from .polyspace import DEFAULT_FIELD_QUAD
 from .twogrid import SipgConfig, run_sipg
-from .wg_core import (_ELEMENT_CHUNK, BIHARMONIC, LAPLACIAN, AssembledForms, WgFunction,
-                      WgSpace, assemble, qh_project)
+from .wg_core import (BIHARMONIC, LAPLACIAN, AssembledForms, WgFunction, WgSpace,
+                      _element_points, assemble, qh_project)
 from scipy.linalg import cho_factor, cho_solve
 
 # First clamped-plate eigenvalue on the unit square (literature reference).
@@ -174,12 +174,8 @@ def l2_error(u_h: WgFunction, f, npts: int = DEFAULT_FIELD_QUAD) -> float:
     kit = space.kit()
     ox, oy, w, phi_ref = kit.element_quad(npts)
     C = u_h.interior_matrix()
-    x0, y0 = space.mesh.element_origins()
     total = 0.0
-    for start in range(0, x0.size, _ELEMENT_CHUNK):
-        sl = slice(start, start + _ELEMENT_CHUNK)
-        X = x0[sl][:, None] + ox[None, :]
-        Y = y0[sl][:, None] + oy[None, :]
+    for sl, X, Y in _element_points(space, ox, oy):
         diff = np.asarray(f(X, Y), dtype=float) - C[sl] @ phi_ref.T
         total += float(((diff**2) * w[None, :]).sum())
     return float(np.sqrt(total))
@@ -203,12 +199,8 @@ def vnorm_error(u_h: WgFunction, u, grad_u, lap_u,
 
     ox, oy, w2, _ = kit.element_quad(npts)
     lap_ref = kit.phi.eval(ox, oy, dx=2) + kit.phi.eval(ox, oy, dy=2)
-    x0, y0 = mesh.element_origins()
     total = 0.0
-    for start in range(0, x0.size, _ELEMENT_CHUNK):
-        sl = slice(start, start + _ELEMENT_CHUNK)
-        X = x0[sl][:, None] + ox[None, :]
-        Y = y0[sl][:, None] + oy[None, :]
+    for sl, X, Y in _element_points(space, ox, oy):
         diff = np.asarray(lap_u(X, Y), dtype=float) - C[sl] @ lap_ref.T
         total += float(((diff**2) * w2[None, :]).sum())
 
@@ -282,6 +274,27 @@ class StudyResult:
     warnings: list[str] = field(default_factory=list)
 
 
+def _study_row(kind: str, degree: int, epsilon: float, H_level: int, h_level: int,
+               index: int, lam_ex: float | None, lam_h: float | None,
+               lam_tilde: float | None, energy: float | None, seconds: float) -> StudyRow:
+    """One row with its signed errors lambda_exact - lambda.
+
+    The lower-bound verdict judges the two-grid value on a two-grid row
+    (H_level < h_level) and the direct value on a direct row.
+    """
+    def signed(lam):
+        return None if lam_ex is None or lam is None else lam_ex - lam
+
+    err_direct, err_sipg = signed(lam_h), signed(lam_tilde)
+    judged = err_sipg if H_level < h_level else err_direct
+    return StudyRow(
+        problem=kind, k=degree, epsilon=epsilon, H_level=H_level, h_level=h_level,
+        index=index, lambda_exact=lam_ex, lambda_h=lam_h, lambda_tilde=lam_tilde,
+        err_direct=err_direct, err_sipg=err_sipg, energy_err=energy,
+        lower_bound=None if judged is None else bool(judged >= 0.0), seconds=seconds,
+    )
+
+
 def _exact_values(kind: str, num_eigs: int):
     if kind == LAPLACIAN:
         return laplacian_eigenvalues(num_eigs)
@@ -308,21 +321,15 @@ def direct_study(kind: str, degree: int, epsilon: float, levels, num_eigs: int,
         hs.append(space.mesh.h)
         for j, pair in enumerate(pairs, start=1):
             lam_ex, cluster = exact[j - 1]
-            err = None if lam_ex is None else lam_ex - pair.value
             energy = None
             if with_energy and kind == LAPLACIAN and cluster is not None:
                 energy = energy_error(space, forms, pair.vector, cluster.generators)
                 energies[j].append(energy)
-            if err is not None:
-                errs[j].append(err)
-            rows.append(StudyRow(
-                problem=kind, k=degree, epsilon=epsilon,
-                H_level=level, h_level=level, index=j,
-                lambda_exact=lam_ex, lambda_h=pair.value, lambda_tilde=None,
-                err_direct=err, err_sipg=None, energy_err=energy,
-                lower_bound=None if err is None else bool(err >= 0.0),
-                seconds=dt,
-            ))
+            row = _study_row(kind, degree, epsilon, level, level, j, lam_ex, pair.value,
+                             None, energy, dt)
+            if row.err_direct is not None:
+                errs[j].append(row.err_direct)
+            rows.append(row)
     orders: dict[str, float] = {}
     if len(levels) >= 2:
         for j in range(1, num_eigs + 1):
@@ -361,26 +368,13 @@ def sipg_study(kind: str, degree: int, epsilon: float, coarse_levels, fine_level
         for t in res.targets:
             j = t.index
             lam_ex, cluster = exact[j - 1]
-            err_sipg = None
-            if lam_ex is not None and np.isfinite(t.rayleigh):
-                err_sipg = lam_ex - t.rayleigh
-            lam_h = err_dir = None
-            if direct_pairs is not None:
-                lam_h = direct_pairs[j - 1].value
-                if lam_ex is not None:
-                    err_dir = lam_ex - lam_h
+            lam_h = None if direct_pairs is None else direct_pairs[j - 1].value
             energy = None
             if (with_energy and kind == LAPLACIAN and cluster is not None
                     and t.normalized is not None):
                 energy = energy_error(fine_space, fine_forms, t.normalized,
                                       cluster.generators)
-            rows.append(StudyRow(
-                problem=kind, k=degree, epsilon=epsilon,
-                H_level=coarse_level, h_level=fine_level, index=j,
-                lambda_exact=lam_ex, lambda_h=lam_h,
-                lambda_tilde=t.rayleigh if np.isfinite(t.rayleigh) else None,
-                err_direct=err_dir, err_sipg=err_sipg, energy_err=energy,
-                lower_bound=None if err_sipg is None else bool(err_sipg >= 0.0),
-                seconds=t.seconds,
-            ))
+            lam_tilde = t.rayleigh if np.isfinite(t.rayleigh) else None
+            rows.append(_study_row(kind, degree, epsilon, coarse_level, fine_level, j,
+                                   lam_ex, lam_h, lam_tilde, energy, t.seconds))
     return StudyResult(rows=rows, orders={}, warnings=warnings)

@@ -1,10 +1,16 @@
 """Command-line front end: batch eigenvalue studies and table emission.
 
-Subcommands: solve (direct eigensolve on one level), sipg (two-grid run),
-study (direct sweep over levels with fitted orders), table (coarse-level
-sweep at fixed fine level, the reporting layout of the convergence tables).
-Flags override an optional key = value config file; outputs are deterministic
-apart from the timing column.
+Subcommands: solve (direct eigensolve on one level), study (direct sweep over
+levels with fitted orders), sipg (two-grid run), table (coarse-level sweep at
+fixed fine level, the reporting layout of the convergence tables).
+
+Every option is an argparse option with its default and type.  An optional
+`key = value` config file becomes the subcommand's defaults before the flags
+are parsed again, so flags override the file and a file key acts exactly as
+its flag.  The file's values are checked when it is read: a flag key takes
+`true` or `false`, a choice must be one of its choices, and any other bad or
+unknown key is a configuration error naming the file and line.  Outputs are
+deterministic apart from the timing column.
 
 Exit status: 0 success, 2 configuration error, 3 solver failure.
 """
@@ -21,15 +27,6 @@ from .errors import (CapacityError, ConfigError, DegreeTooLowError, Factorizatio
 
 THREADS_ENV = "WGEIG_THREADS"
 
-_DEFAULTS = {
-    "problem": "laplacian",
-    "degree": 1,
-    "epsilon": 0.1,
-    "num_eigs": 6,
-    "tol": 1e-10,
-    "output": "human",
-}
-
 
 def _pin_threads() -> None:
     count = os.environ.get(THREADS_ENV)
@@ -42,50 +39,54 @@ def _pin_threads() -> None:
 
 def _parse_levels(text: str) -> list[int]:
     """Accept '3:6' (inclusive range) or '3,4,5' (explicit list)."""
-    text = text.strip()
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ValueError(f"empty level range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        if ":" in text:
+            lo, hi = (int(tok) for tok in text.split(":", 1))
+            levels = list(range(lo, hi + 1))
+        else:
+            levels = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected levels like 3:6 or 3,4,5, got {text!r}") from None
+    if not levels:
+        raise argparse.ArgumentTypeError(f"empty level range {text!r}")
+    return levels
 
 
-def _load_config_file(path: str, known) -> dict[str, str]:
-    """Parse `key = value` lines; a key outside `known` is a ConfigError."""
-    values: dict[str, str] = {}
+def _config_value(action: argparse.Action, text: str):
+    if action.nargs == 0:  # a store_true flag
+        if text not in ("true", "false"):
+            raise ValueError(f"expected true or false, got {text!r}")
+        return text == "true"
+    value = action.type(text) if action.type else text
+    if action.choices and value not in action.choices:
+        raise ValueError(f"{value!r} is not one of {', '.join(action.choices)}")
+    return value
+
+
+def _load_config_file(path: str, options: dict[str, argparse.Action]) -> dict:
+    """Parse `key = value` lines into typed values of the subcommand's options."""
+    values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, val = line.split("=", 1)
-            key = key.strip().replace("-", "_")
-            if key not in known:
+                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            key, text = (part.strip() for part in line.split("=", 1))
+            key = key.replace("-", "_")
+            if key not in options:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = val.strip()
+            try:
+                values[key] = _config_value(options[key], text)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
-def _merged(args: argparse.Namespace, key: str, cast, required: bool = False):
-    cli_val = getattr(args, key, None)
-    if cli_val is not None:
-        return cli_val
-    file_vals = getattr(args, "_file_values", {})
-    if key in file_vals:
-        return cast(file_vals[key])
-    if key in _DEFAULTS:
-        return _DEFAULTS[key]
-    if required:
-        raise ValueError(f"missing required option --{key.replace('_', '-')}")
-    return None
-
-
-def _round10(v: float) -> float:
-    return float(f"{v:.10g}")
+def _json_value(v):
+    return float(f"{v:.10g}") if isinstance(v, float) else v
 
 
 def _cell(v) -> str:
@@ -106,17 +107,11 @@ def _write_rows(result, fmt: str, stream, meta: dict) -> None:
         for row in result.rows:
             stream.write(",".join(_cell(getattr(row, f)) for f in ROW_FIELDS) + "\n")
     elif fmt == "json":
-        rows = []
-        for row in result.rows:
-            entry = {}
-            for f in ROW_FIELDS:
-                v = getattr(row, f)
-                entry[f] = _round10(v) if isinstance(v, float) else v
-            rows.append(entry)
+        rows = [{f: _json_value(getattr(row, f)) for f in ROW_FIELDS} for row in result.rows]
         doc = {
             "meta": meta,
             "rows": rows,
-            "orders": {k: _round10(v) for k, v in result.orders.items()},
+            "orders": {k: _json_value(v) for k, v in result.orders.items()},
             "warnings": list(result.warnings),
         }
         json.dump(doc, stream, indent=2, sort_keys=True)
@@ -170,9 +165,8 @@ def _write_table_grid(result, stream) -> None:
             cells = [str(idx)]
             for hl in h_cols:
                 row = indices[idx].get(hl)
-                val = row.err_sipg if row is not None else None
-                if val is None and row is not None:
-                    val = row.lambda_tilde
+                val = None if row is None else (
+                    row.lambda_tilde if row.err_sipg is None else row.err_sipg)
                 cells.append("-" if val is None else f"{val:.4e}")
             grid.append(cells)
         widths = [max(len(r[i]) for r in grid) for i in range(len(header))]
@@ -180,7 +174,7 @@ def _write_table_grid(result, stream) -> None:
             stream.write("  ".join(c.rjust(w) for c, w in zip(r, widths)) + "\n")
 
 
-def _emit(result, args, meta: dict) -> None:
+def _emit(result, meta: dict) -> None:
     fmt = meta["output"]
     out_file = meta.get("out_file")
     if out_file:
@@ -192,216 +186,160 @@ def _emit(result, args, meta: dict) -> None:
             _write_table_grid(result, sys.stdout)
 
 
-def _common_meta(args, command: str) -> dict:
-    meta = {
-        "command": command,
-        "problem": _merged(args, "problem", str),
-        "degree": int(_merged(args, "degree", int)),
-        "epsilon": float(_merged(args, "epsilon", float)),
-        "num_eigs": int(_merged(args, "num_eigs", int)),
-        "tol": float(_merged(args, "tol", float)),
-        "output": _merged(args, "output", str),
-    }
-    if meta["output"] not in ("human", "csv", "json"):
-        raise ValueError(f"unknown output format {meta['output']!r}")
-    out_file = _merged(args, "out_file", str)
-    if out_file:
-        meta["out_file"] = out_file
+def _required(args, key: str):
+    value = getattr(args, key)
+    if value is None:
+        raise ValueError(f"missing required option --{key.replace('_', '-')}")
+    return value
+
+
+def _common_meta(args) -> dict:
+    meta = {key: getattr(args, key) for key in
+            ("command", "problem", "degree", "epsilon", "num_eigs", "tol", "output")}
+    if args.out_file:
+        meta["out_file"] = args.out_file
     return meta
 
 
-def _maybe_dump(args, meta) -> None:
-    dump_mesh = getattr(args, "dump_mesh", None)
-    dump_dir = getattr(args, "dump_matrices", None)
-    if not dump_mesh and not dump_dir:
+def _maybe_dump(args, meta: dict, level: int) -> None:
+    if not args.dump_mesh and not args.dump_matrices:
         return
     from .mesh import build_uniform
     from .wg_core import WgSpace, assemble
 
-    level = meta["__dump_level"]
     mesh = build_uniform(level)
-    if dump_mesh:
-        mesh.dump_json(dump_mesh)
-    if dump_dir:
+    if args.dump_mesh:
+        mesh.dump_json(args.dump_mesh)
+    if args.dump_matrices:
         import scipy.io as sio
 
         space = WgSpace(mesh, meta["degree"], kind=meta["problem"], epsilon=meta["epsilon"])
         forms = assemble(space)
-        os.makedirs(dump_dir, exist_ok=True)
-        sio.mmwrite(os.path.join(dump_dir, "stiffness.mtx"), forms.A)
-        sio.mmwrite(os.path.join(dump_dir, "mass.mtx"), forms.B)
+        os.makedirs(args.dump_matrices, exist_ok=True)
+        sio.mmwrite(os.path.join(args.dump_matrices, "stiffness.mtx"), forms.A)
+        sio.mmwrite(os.path.join(args.dump_matrices, "mass.mtx"), forms.B)
 
 
-def _cmd_solve(args) -> int:
+def _cmd_direct(args) -> int:
+    """solve (one level) and study (a level sweep): direct eigensolves."""
     from .analysis import direct_study
 
-    meta = _common_meta(args, "solve")
-    level = _merged(args, "level", int, required=True)
-    meta["level"] = level = int(level)
-    meta["__dump_level"] = level
-    _maybe_dump(args, meta)
-    result = direct_study(
-        meta["problem"], meta["degree"], meta["epsilon"], [level],
-        meta["num_eigs"], tol=meta["tol"],
-    )
-    del meta["__dump_level"]
-    _emit(result, args, meta)
-    return 0
-
-
-def _cmd_study(args) -> int:
-    from .analysis import direct_study
-
-    meta = _common_meta(args, "study")
-    levels = _merged(args, "levels", _parse_levels, required=True)
-    if isinstance(levels, str):
-        levels = _parse_levels(levels)
-    meta["levels"] = ",".join(map(str, levels))
-    meta["__dump_level"] = max(levels)
-    _maybe_dump(args, meta)
+    meta = _common_meta(args)
+    if args.command == "solve":
+        meta["level"] = _required(args, "level")
+        levels = [meta["level"]]
+    else:
+        levels = _required(args, "levels")
+        meta["levels"] = ",".join(map(str, levels))
+    _maybe_dump(args, meta, max(levels))
     result = direct_study(
         meta["problem"], meta["degree"], meta["epsilon"], levels,
         meta["num_eigs"], tol=meta["tol"],
     )
-    del meta["__dump_level"]
-    _emit(result, args, meta)
+    _emit(result, meta)
     return 0
 
 
-def _cmd_sipg(args) -> int:
-    from .analysis import sipg_study
-
-    meta = _common_meta(args, "sipg")
-    coarse = int(_merged(args, "coarse_level", int, required=True))
-    fine = int(_merged(args, "fine_level", int, required=True))
-    if fine <= coarse:
-        raise ValueError(
-            f"--fine-level ({fine}) must exceed --coarse-level ({coarse})"
-        )
-    meta["coarse_level"] = coarse
-    meta["fine_level"] = fine
-    meta["__dump_level"] = fine
-    _maybe_dump(args, meta)
-    result = sipg_study(
-        meta["problem"], meta["degree"], meta["epsilon"], [coarse], fine,
-        meta["num_eigs"], include_direct=True, tol=meta["tol"],
-    )
-    del meta["__dump_level"]
-    for w in result.warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    _emit(result, args, meta)
-    return 0
-
-
-def _cmd_table(args) -> int:
+def _cmd_twogrid(args) -> int:
+    """sipg (one level pair, with the direct fine solve) and table (sweeps)."""
     from .analysis import StudyResult, sipg_study
 
-    meta = _common_meta(args, "table")
-    coarse_levels = _merged(args, "coarse_levels", _parse_levels, required=True)
-    if isinstance(coarse_levels, str):
-        coarse_levels = _parse_levels(coarse_levels)
-    fine_spec = _merged(args, "fine_levels", _parse_levels)
-    if fine_spec is None:
-        fine_level = _merged(args, "fine_level", int, required=True)
-        fine_levels = [int(fine_level)]
+    meta = _common_meta(args)
+    if args.command == "sipg":
+        coarse_levels = [_required(args, "coarse_level")]
+        fine_levels = [_required(args, "fine_level")]
+        meta["coarse_level"], meta["fine_level"] = coarse_levels[0], fine_levels[0]
+        include_direct = True
     else:
-        fine_levels = _parse_levels(fine_spec) if isinstance(fine_spec, str) else fine_spec
+        coarse_levels = _required(args, "coarse_levels")
+        fine_levels = args.fine_levels or [_required(args, "fine_level")]
+        meta["coarse_levels"] = ",".join(map(str, coarse_levels))
+        meta["fine_levels"] = ",".join(map(str, fine_levels))
+        include_direct = args.with_direct
     for fl in fine_levels:
         if fl <= max(coarse_levels):
-            raise ValueError(
-                f"fine level {fl} must exceed every coarse level {coarse_levels}"
-            )
-    meta["coarse_levels"] = ",".join(map(str, coarse_levels))
-    meta["fine_levels"] = ",".join(map(str, fine_levels))
-    include_direct = bool(getattr(args, "with_direct", False))
-    meta["__dump_level"] = max(fine_levels)
-    _maybe_dump(args, meta)
-    rows, warnings = [], []
+            raise ValueError(f"fine level {fl} must exceed every coarse level {coarse_levels}")
+    _maybe_dump(args, meta, max(fine_levels))
+    result = StudyResult(rows=[])
     for fl in fine_levels:
         part = sipg_study(
             meta["problem"], meta["degree"], meta["epsilon"], coarse_levels, fl,
             meta["num_eigs"], include_direct=include_direct, tol=meta["tol"],
         )
-        rows.extend(part.rows)
-        warnings.extend(part.warnings)
-    result = StudyResult(rows=rows, orders={}, warnings=warnings)
-    del meta["__dump_level"]
+        result.rows.extend(part.rows)
+        result.warnings.extend(part.warnings)
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    _emit(result, args, meta)
+    _emit(result, meta)
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The parser and, per subcommand, its parser and its file-settable options."""
     parser = argparse.ArgumentParser(
         prog="wgeig",
         description="Weak Galerkin eigenvalue studies on the unit square "
                     "(direct and two-grid shifted-inverse-power).",
-        epilog=f"Defaults: epsilon = 0.1, tol = 1e-10, num-eigs = 6.  "
-               f"{THREADS_ENV} pins the BLAS/OpenMP thread count.",
+        epilog=f"{THREADS_ENV} pins the BLAS/OpenMP thread count.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands: dict[str, tuple[argparse.ArgumentParser, dict]] = {}
 
-    def add_common(p):
-        p.add_argument("--problem", choices=("laplacian", "biharmonic"),
-                       help="model problem (default laplacian)")
-        p.add_argument("--degree", type=int, help="polynomial degree k "
-                       "(>= 1 laplacian, >= 2 biharmonic; default 1)")
-        p.add_argument("--epsilon", type=float,
-                       help="stabilizer weakening exponent in (0,1); default 0.1")
-        p.add_argument("--num-eigs", dest="num_eigs", type=int,
-                       help="number of eigenpairs (default 6)")
-        p.add_argument("--tol", type=float, help="solver tolerance (default 1e-10)")
-        p.add_argument("--output", choices=("human", "csv", "json"),
-                       help="output format (default human)")
-        p.add_argument("--out-file", dest="out_file", help="write output to a file")
+    def command(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        options: dict[str, argparse.Action] = {}
+        commands[name] = (p, options)
+
+        def add(*flags, **kwargs):
+            action = p.add_argument(*flags, **kwargs)
+            options[action.dest] = action
+
+        add("--problem", choices=("laplacian", "biharmonic"), default="laplacian",
+            help="model problem (default %(default)s)")
+        add("--degree", type=int, default=1, help="polynomial degree k "
+            "(>= 1 laplacian, >= 2 biharmonic; default %(default)s)")
+        add("--epsilon", type=float, default=0.1,
+            help="stabilizer weakening exponent in (0,1); default %(default)s")
+        add("--num-eigs", type=int, default=6, help="number of eigenpairs (default %(default)s)")
+        add("--tol", type=float, default=1e-10, help="solver tolerance (default %(default)s)")
+        add("--output", choices=("human", "csv", "json"), default="human",
+            help="output format (default %(default)s)")
+        add("--out-file", help="write output to a file")
         p.add_argument("--config", help="key = value config file; flags override")
-        p.add_argument("--dump-mesh", dest="dump_mesh",
-                       help="write mesh entities as JSON (debug)")
-        p.add_argument("--dump-matrices", dest="dump_matrices",
-                       help="write assembled forms in MatrixMarket format (debug)")
-        p.add_argument("-v", "--verbose", action="store_true")
+        add("--dump-mesh", help="write mesh entities as JSON (debug)")
+        add("--dump-matrices", help="write assembled forms in MatrixMarket format (debug)")
+        add("-v", "--verbose", action="store_true")
+        return add
 
-    p = sub.add_parser("solve", help="direct eigensolve on one mesh level")
-    add_common(p)
-    p.add_argument("--level", type=int, help="mesh level L (h = 2^-L)")
-    p.set_defaults(handler=_cmd_solve)
-
-    p = sub.add_parser("sipg", help="two-grid shifted-inverse-power run")
-    add_common(p)
-    p.add_argument("--coarse-level", dest="coarse_level", type=int)
-    p.add_argument("--fine-level", dest="fine_level", type=int)
-    p.set_defaults(handler=_cmd_sipg)
-
-    p = sub.add_parser("study", help="direct sweep over levels with fitted orders")
-    add_common(p)
-    p.add_argument("--levels", help="level sweep, e.g. 3:6 or 3,4,5")
-    p.set_defaults(handler=_cmd_study)
-
-    p = sub.add_parser("table", help="coarse-level sweep at fixed fine level(s)")
-    add_common(p)
-    p.add_argument("--fine-level", dest="fine_level", type=int)
-    p.add_argument("--fine-levels", dest="fine_levels",
-                   help="several fine levels (two-block table shape)")
-    p.add_argument("--coarse-levels", dest="coarse_levels", help="e.g. 3,4,5 or 3:5")
-    p.add_argument("--with-direct", dest="with_direct", action="store_true",
-                   help="also run the direct fine solve for comparison columns")
-    p.set_defaults(handler=_cmd_table)
-    return parser
+    add = command("solve", _cmd_direct, "direct eigensolve on one mesh level")
+    add("--level", type=int, help="mesh level L (h = 2^-L)")
+    add = command("sipg", _cmd_twogrid, "two-grid shifted-inverse-power run")
+    add("--coarse-level", type=int)
+    add("--fine-level", type=int)
+    add = command("study", _cmd_direct, "direct sweep over levels with fitted orders")
+    add("--levels", type=_parse_levels, help="level sweep, e.g. 3:6 or 3,4,5")
+    add = command("table", _cmd_twogrid, "coarse-level sweep at fixed fine level(s)")
+    add("--fine-level", type=int)
+    add("--fine-levels", type=_parse_levels, help="several fine levels (two-block table shape)")
+    add("--coarse-levels", type=_parse_levels, help="e.g. 3,4,5 or 3:5")
+    add("--with-direct", action="store_true",
+        help="also run the direct fine solve for comparison columns")
+    return parser, commands
 
 
 def main(argv=None) -> int:
     _pin_threads()
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            subparser, options = commands[args.command]
+            subparser.set_defaults(**_load_config_file(args.config, options))
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    # The options the subcommand's parser defines are the keys a file may set.
-    known = set(vars(args)) - {"command", "handler", "config"}
-    try:
-        args._file_values = _load_config_file(args.config, known) if args.config else {}
-    except (OSError, ValueError, ConfigError) as exc:
+    except (OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,6 +22,7 @@ from scipy.sparse.linalg import splu
 from .errors import FactorizationFailureError, NearSingularError
 
 PIVOT_RATIO_FLOOR = 1e-14
+MAX_REFINE = 40
 
 
 def _symmetric_splu(M: sp.spmatrix, diag_pivot_thresh: float, on_failure):
@@ -65,8 +66,8 @@ def factor_indefinite(M: sp.spmatrix, shift: float = 0.0):
     return lu, pivot_ratio
 
 
-def refined_solve(lu, M: sp.spmatrix, rhs: np.ndarray, tol: float,
-                  max_refine: int = 40) -> tuple[np.ndarray, float]:
+def refined_solve(lu, M: sp.spmatrix, rhs: np.ndarray,
+                  tol: float) -> tuple[np.ndarray, float]:
     """Solve M x = rhs with iterative refinement on a fixed factorization.
 
     Returns (x, relative residual).  Refinement makes the 2-norm residual
@@ -81,7 +82,7 @@ def refined_solve(lu, M: sp.spmatrix, rhs: np.ndarray, tol: float,
     M = M.tocsr()
     best_x = x
     best_res = float(np.linalg.norm(rhs - M @ x)) / rhs_norm
-    for _ in range(max_refine):
+    for _ in range(MAX_REFINE):
         if best_res <= 0.5 * tol:
             break
         r = rhs - M @ best_x

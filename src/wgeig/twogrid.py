@@ -18,7 +18,7 @@ from .eigsolve import _fix_sign, rayleigh_quotient, smallest_eigs, solve_shifted
 from .errors import ConfigError, NearSingularError
 from .mesh import build_uniform, containment_map
 from .polyspace import pk_exponents
-from .wg_core import _ELEMENT_CHUNK, AssembledForms, WgFunction, WgSpace, assemble
+from .wg_core import AssembledForms, WgFunction, WgSpace, _element_points, assemble
 
 
 @dataclass
@@ -87,17 +87,15 @@ def cross_mass_rhs(u_coarse: WgFunction, fine_space: WgSpace) -> np.ndarray:
     kit = fine_space.kit()
     k = fine_space.degree
     ox, oy, w, phi_ref = kit.element_quad(k + 1)
-    fx0, fy0 = fine_space.mesh.element_origins()
     ccx, ccy = coarse_space.mesh.element_centers()
     H = coarse_space.mesh.h
     cc = u_coarse.interior_matrix()
     exponents = pk_exponents(k)
     out = np.empty((fine_space.mesh.num_elements, fine_space.dim_interior))
-    for start in range(0, fx0.size, _ELEMENT_CHUNK):
-        sl = slice(start, min(start + _ELEMENT_CHUNK, fx0.size))
+    for sl, X, Y in _element_points(fine_space, ox, oy):
         cm = cmap[sl]
-        X = (fx0[sl][:, None] + ox[None, :] - ccx[cm][:, None]) / H
-        Y = (fy0[sl][:, None] + oy[None, :] - ccy[cm][:, None]) / H
+        X = (X - ccx[cm][:, None]) / H
+        Y = (Y - ccy[cm][:, None]) / H
         vals = np.zeros_like(X)
         for col, (a, b) in enumerate(exponents):
             vals += cc[cm, col][:, None] * (X**a) * (Y**b)

@@ -467,16 +467,21 @@ def norm1_matrix(space: WgSpace) -> sp.csr_matrix:
 # -- interpolation and field integrals ----------------------------------------
 
 
-def _interior_moments(space: WgSpace, f, npts: int) -> np.ndarray:
-    """Per-element moments (f, phi_beta)_T, shape (Ne, dim_interior)."""
-    kit = space.kit()
-    ox, oy, w, phi_ref = kit.element_quad(npts)
+def _element_points(space: WgSpace, ox: np.ndarray, oy: np.ndarray):
+    """Yield (slice, X, Y) over chunks of elements: the quadrature points of
+    the sliced elements, X and Y of shape (chunk, npts), from the offsets
+    (ox, oy) of an element rule such as kit.element_quad."""
     x0, y0 = space.mesh.element_origins()
-    out = np.empty((space.mesh.num_elements, space.dim_interior))
     for start in range(0, x0.size, _ELEMENT_CHUNK):
         sl = slice(start, start + _ELEMENT_CHUNK)
-        X = x0[sl][:, None] + ox[None, :]
-        Y = y0[sl][:, None] + oy[None, :]
+        yield sl, x0[sl][:, None] + ox[None, :], y0[sl][:, None] + oy[None, :]
+
+
+def _interior_moments(space: WgSpace, f, npts: int) -> np.ndarray:
+    """Per-element moments (f, phi_beta)_T, shape (Ne, dim_interior)."""
+    ox, oy, w, phi_ref = space.kit().element_quad(npts)
+    out = np.empty((space.mesh.num_elements, space.dim_interior))
+    for sl, X, Y in _element_points(space, ox, oy):
         out[sl] = (np.asarray(f(X, Y), dtype=float) * w[None, :]) @ phi_ref
     return out
 

@@ -22,6 +22,10 @@ def parse_csv(text):
     return rows
 
 
+def without_seconds(text):
+    return [{k: v for k, v in row.items() if k != "seconds"} for row in parse_csv(text)]
+
+
 def test_solve_human(capsys):
     code, out, err = run_cli(
         capsys, "solve", "--problem", "laplacian", "--degree", "1",
@@ -60,6 +64,8 @@ def test_config_errors(capsys):
     assert code == 2 and "level" in err
     code, _, err = run_cli(capsys, "solve", "--level", "30", "--num-eigs", "1")
     assert code == 2
+    code, _, err = run_cli(capsys, "study", "--levels", "4:3")
+    assert code == 2 and "empty level range '4:3'" in err
 
 
 def test_csv_json_equivalence(capsys, tmp_path):
@@ -92,12 +98,7 @@ def test_determinism_excluding_timings(capsys):
     args = ["solve", "--level", "3", "--num-eigs", "4", "--output", "csv"]
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
-
-    def strip_seconds(text):
-        rows = parse_csv(text)
-        return [{k: v for k, v in r.items() if k != "seconds"} for r in rows]
-
-    assert strip_seconds(first) == strip_seconds(second)
+    assert without_seconds(first) == without_seconds(second)
 
 
 def test_config_file_and_flag_precedence(capsys, tmp_path):
@@ -192,3 +193,40 @@ def test_dumps(capsys, tmp_path):
     forms = wg.assemble(space)
     assert np.abs((A - forms.A)).max() < 1e-15
     assert np.abs((B - forms.B)).max() < 1e-15
+
+
+def test_config_with_direct_acts_like_its_flag(capsys, tmp_path):
+    table = ["table", "--fine-level", "3", "--coarse-levels", "2", "--num-eigs", "2",
+             "--output", "csv"]
+    code, by_flag, _ = run_cli(capsys, *table, "--with-direct")
+    assert code == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("with_direct = true\n")
+    code, by_file, _ = run_cli(capsys, *table, "--config", str(cfg))
+    assert code == 0
+    assert without_seconds(by_file) == without_seconds(by_flag)
+    assert all(row["lambda_h"] for row in without_seconds(by_file))
+
+
+def test_config_dumps_act_like_their_flags(capsys, tmp_path):
+    mesh_path = tmp_path / "mesh.json"
+    mat_dir = tmp_path / "mats"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"level = 2\nnum_eigs = 1\ndump_mesh = {mesh_path}\n"
+                   f"dump-matrices = {mat_dir}\n")
+    code, _, _ = run_cli(capsys, "solve", "--config", str(cfg))
+    assert code == 0
+    assert json.loads(mesh_path.read_text())["num_elements"] == 16
+    assert (mat_dir / "stiffness.mtx").is_file() and (mat_dir / "mass.mtx").is_file()
+
+
+@pytest.mark.parametrize("line", ["with_direct = maybe", "output = xml", "fine_level = two",
+                                  "coarse_levels = 3:2"])
+def test_config_bad_value(capsys, tmp_path, line):
+    key = line.split(" ")[0]
+    rest = [f"{k} = {v}" for k, v in (("fine_level", 3), ("coarse_levels", 2)) if k != key]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join([line, *rest]) + "\n")
+    code, out, err = run_cli(capsys, "table", "--config", str(cfg), "--num-eigs", "1")
+    assert code == 2 and out == ""
+    assert f"run.cfg:1: {key}: " in err

@@ -1,0 +1,58 @@
+"""Golden CSV output of a small command matrix.
+
+Every column except `seconds` must match the recorded file exactly. A change
+that moves a printed digit on purpose regenerates the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and lists the moved cells in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import csv
+import io
+from pathlib import Path
+
+import pytest
+
+from wgeig.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+COMMANDS = {
+    "lap-k1-solve-L3": ("solve", "--level", "3"),
+    "lap-k1-study-L2-3": ("study", "--levels", "2:3"),
+    "lap-k1-sipg-H2-h4": ("sipg", "--coarse-level", "2", "--fine-level", "4"),
+    "lap-k1-table-h4-H2-3-direct": ("table", "--fine-level", "4", "--coarse-levels", "2,3",
+                                    "--with-direct"),
+    "biharm-k2-sipg-H2-h3": ("sipg", "--problem", "biharmonic", "--degree", "2",
+                             "--coarse-level", "2", "--fine-level", "3"),
+    "lap-k3-solve-L4": ("solve", "--degree", "3", "--level", "4"),
+}
+
+
+def csv_without_seconds(argv) -> list[list[str]]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([*argv, "--output", "csv"])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out.getvalue())))
+    col = rows[0].index("seconds")
+    return [row[:col] + row[col + 1:] for row in rows]
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_csv_matches_golden(name):
+    with open(GOLDEN / f"{name}.csv", newline="") as fh:
+        expected = list(csv.reader(fh))
+    assert csv_without_seconds(COMMANDS[name]) == expected
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in COMMANDS.items():
+        with open(GOLDEN / f"{name}.csv", "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(csv_without_seconds(argv))
+        print(f"wrote {name}.csv")
