@@ -8,9 +8,9 @@ Every option is an argparse option with its default and type.  An optional
 `key = value` config file becomes the subcommand's defaults before the flags
 are parsed again, so flags override the file and a file key acts exactly as
 its flag.  The file's values are checked when it is read: a flag key takes
-`true` or `false`, a choice must be one of its choices, and any other bad or
-unknown key is a configuration error naming the file and line.  Outputs are
-deterministic apart from the timing column.
+`true` or `false`, a choice must be one of its choices, and any other bad,
+unknown or repeated key is a configuration error naming the file and line.
+Outputs are deterministic apart from the timing column.
 
 Exit status: 0 success, 2 configuration error, 3 solver failure.
 """
@@ -18,6 +18,7 @@ Exit status: 0 success, 2 configuration error, 3 solver failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -78,6 +79,8 @@ def _load_config_file(path: str, options: dict[str, argparse.Action]) -> dict:
             key = key.replace("-", "_")
             if key not in options:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in values:
+                raise ConfigError(f"{path}:{lineno}: repeated key {key!r}")
             try:
                 values[key] = _config_value(options[key], text)
             except (ValueError, argparse.ArgumentTypeError) as exc:
@@ -177,13 +180,10 @@ def _write_table_grid(result, stream) -> None:
 def _emit(result, meta: dict) -> None:
     fmt = meta["output"]
     out_file = meta.get("out_file")
-    if out_file:
-        with open(out_file, "w") as fh:
-            _write_rows(result, fmt, fh, meta)
-    else:
-        _write_rows(result, fmt, sys.stdout, meta)
+    with open(out_file, "w") if out_file else contextlib.nullcontext(sys.stdout) as stream:
+        _write_rows(result, fmt, stream, meta)
         if meta["command"] == "table" and fmt == "human":
-            _write_table_grid(result, sys.stdout)
+            _write_table_grid(result, stream)
 
 
 def _required(args, key: str):

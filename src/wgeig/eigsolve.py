@@ -85,7 +85,7 @@ def smallest_eigs(forms: AssembledForms, m: int, tol: float = 1e-10,
     if m > n_int:
         raise ValueError(f"requested {m} eigenpairs but the mass rank is {n_int}")
 
-    lu = linalg.factor_spd(A)
+    lu = linalg.factor_spd(A, forms.order)
     L = np.linalg.cholesky(forms.space.kit().Gk)
     nb = L.shape[0]
     applied = 0
@@ -141,11 +141,11 @@ def smallest_eigs(forms: AssembledForms, m: int, tol: float = 1e-10,
 
 def solve_shifted(forms: AssembledForms, shift: float, rhs: np.ndarray,
                   tol: float = 1e-10) -> np.ndarray:
-    """Solve (A - shift B) x = rhs by a symmetric-ordered threshold-pivoting LU.
+    """Solve (A - shift B) x = rhs by a nested-dissection threshold-pivoting LU.
 
-    The shifted matrix is symmetric indefinite.  It is factored with the same
-    symmetric ordering as the SPD systems, preferring diagonal pivots and
-    swapping rows only where a diagonal entry collapses; iterative refinement
+    The shifted matrix is symmetric indefinite with the pattern of A.  It is
+    factored in the nested-dissection order of A, preferring diagonal pivots
+    and swapping rows only where a diagonal entry collapses; iterative refinement
     certifies the residual even when the shift sits very close to the fine
     spectrum (the intended amplification regime).  A shift that hit the
     spectrum is caught by that residual gate, not by the pivot ratio, which
@@ -154,7 +154,7 @@ def solve_shifted(forms: AssembledForms, shift: float, rhs: np.ndarray,
     outright.  Either way NearSingularError is raised instead of garbage.
     """
     M = (forms.A - shift * forms.B).tocsc()
-    lu, pivot_ratio = linalg.factor_indefinite(M, shift=shift)
+    lu, pivot_ratio = linalg.factor_indefinite(M, forms.order, shift=shift)
     x, rel = linalg.refined_solve(lu, M, np.asarray(rhs, dtype=float), tol)
     if pivot_ratio < linalg.PIVOT_RATIO_FLOOR or rel > tol:
         sol = x if np.all(np.isfinite(x)) else None

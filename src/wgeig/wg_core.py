@@ -84,6 +84,7 @@ class WgSpace:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         self._kit = None
         self._dof_map = None
+        self._order = None
 
     @property
     def dim_interior(self) -> int:
@@ -135,6 +136,30 @@ class WgSpace:
         self._dof_map = np.concatenate(blocks, axis=1)
         return self._dof_map
 
+    def fill_reducing_order(self) -> np.ndarray:
+        """Nested-dissection order (position -> dof) read off the grid: dofs at
+        element centres and edge midpoints, boxes bisected along grid lines in
+        x and y by turns, each cut's edge dofs after both halves, 2 x 2 cell
+        boxes in dof order.  Sort key: 2 bits (left, right, cut) per cut."""
+        if self._order is not None:
+            return self._order
+        mesh, ids = self.mesh, self.mesh.interior_edges
+        vertical = mesh.edge_orient[ids] == 0
+        cells = np.repeat([2 * mesh.elem_ix + 1, 2 * mesh.elem_iy + 1], self.dim_interior, axis=1)
+        edges = np.repeat([2 * mesh.edge_i[ids] + ~vertical, 2 * mesh.edge_j[ids] + vertical],
+                          self.dim_trace, axis=1)
+        xy = np.concatenate([cells] + [edges] * self.num_edge_components, axis=1)
+        key = np.zeros(xy.shape[1], dtype=np.int64)
+        done = np.zeros(xy.shape[1], dtype=bool)
+        for depth in range(2 * mesh.level - 2):
+            half = mesh.n >> (depth // 2)  # half the box width, doubled units
+            r = xy[depth % 2] % (2 * half)
+            digit = np.where(done, 0, (r > half) + 2 * (r == half))
+            done |= digit == 2
+            key = (key << 2) | digit
+        self._order = np.argsort(key, kind="stable")
+        return self._order
+
     def kit(self) -> "_LocalKit":
         if self._kit is None:
             self._kit = _LocalKit(self)
@@ -173,12 +198,13 @@ class WgFunction:
 
 @dataclass
 class AssembledForms:
-    """Sparse stiffness and mass pair of the discrete eigenvalue pencil."""
+    """Stiffness and mass pair of the pencil, and the order that factors them."""
 
     space: WgSpace
     A: sp.csr_matrix
     B: sp.csr_matrix
     n_interior: int
+    order: np.ndarray
 
 
 def _centred_moment(p: np.ndarray) -> np.ndarray:
@@ -440,7 +466,8 @@ def assemble(space: WgSpace) -> AssembledForms:
     B = sp.coo_matrix(
         (Bint.data, (Bint.row, Bint.col)), shape=(space.ndof, space.ndof)
     ).tocsr()
-    return AssembledForms(space=space, A=A, B=B, n_interior=space.n_interior_dofs)
+    return AssembledForms(space=space, A=A, B=B, n_interior=space.n_interior_dofs,
+                          order=space.fill_reducing_order())
 
 
 _SPACE_EPSILON = object()
@@ -580,7 +607,7 @@ def solve_source(space: WgSpace, f, forms: AssembledForms | None = None,
         forms = assemble(space)
     rhs = np.zeros(space.ndof)
     rhs[: space.n_interior_dofs] = _interior_moments(space, f, DEFAULT_FIELD_QUAD).ravel()
-    lu = linalg.factor_spd(forms.A)
+    lu = linalg.factor_spd(forms.A, forms.order)
     x, rel = linalg.refined_solve(lu, forms.A, rhs, tol)
     if rel > tol:
         raise SolverFailureError(

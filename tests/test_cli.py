@@ -129,6 +129,15 @@ def test_config_file_unknown_key(capsys, tmp_path, line):
     assert f"run.cfg:2: unknown key '{key}'" in err
 
 
+@pytest.mark.parametrize("repeat", ["num_eigs = 3", "num-eigs = 3"])
+def test_config_file_repeated_key(capsys, tmp_path, repeat):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"level = 2\nnum_eigs = 1\n{repeat}\n")
+    code, out, err = run_cli(capsys, "solve", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "run.cfg:3: repeated key 'num_eigs'" in err
+
+
 def test_out_file(capsys, tmp_path):
     target = tmp_path / "result.csv"
     code, out, _ = run_cli(
@@ -138,6 +147,17 @@ def test_out_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert len(parse_csv(target.read_text())) == 1
+
+
+def test_table_grid_goes_to_out_file(capsys, tmp_path):
+    target = tmp_path / "table.txt"
+    code, out, _ = run_cli(
+        capsys, "table", "--fine-level", "3", "--coarse-levels", "2", "--num-eigs", "2",
+        "--out-file", str(target),
+    )
+    assert code == 0 and out == ""
+    text = target.read_text()
+    assert "h = 1/8\n" in text and "H=1/4" in text
 
 
 def test_study_orders(capsys):

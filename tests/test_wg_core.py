@@ -165,6 +165,24 @@ def test_biharmonic_dof_count(bih_L2_k2):
     assert forms.A.shape == (192, 192)
 
 
+@pytest.mark.parametrize("kind,degree", [("laplacian", 1), ("laplacian", 2), ("laplacian", 3),
+                                         ("biharmonic", 2), ("biharmonic", 3)])
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_fill_reducing_order_is_a_permutation(kind, degree, level):
+    space = wg.WgSpace(build_uniform(level), degree, kind=kind, epsilon=0.1)
+    order = space.fill_reducing_order()
+    assert np.array_equal(np.sort(order), np.arange(space.ndof))
+    assert np.array_equal(wg.assemble(space).order, order)
+    if level >= 2:
+        # The first cut runs along x = 1/2; its edge dofs come last, in dof order.
+        mesh, k = space.mesh, space.dim_trace
+        ii = mesh.interior_index[(mesh.edge_orient == 0) & (2 * mesh.edge_i == mesh.n)]
+        starts = space.n_interior_dofs + k * mesh.num_interior_edges * np.arange(
+            space.num_edge_components)
+        cut = (starts[:, None, None] + k * ii[None, :, None] + np.arange(k)).ravel()
+        assert np.array_equal(order[-cut.size:], cut)
+
+
 def test_degree_validation():
     mesh = build_uniform(1)
     with pytest.raises(DegreeTooLowError):
