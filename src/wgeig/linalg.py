@@ -1,21 +1,26 @@
-"""Sparse factorization helpers with residual certification.
+"""Sparse factorizations by static condensation, with residual certification.
 
-Every system here is symmetric.  Each is permuted symmetrically, once, by
-the geometric nested-dissection order of its space, then factored by SuperLU
-in that order in symmetric mode.  SPD systems take no row pivoting, so the U
-diagonal exposes the pivots and a nonpositive pivot flags an indefinite
-matrix.  Indefinite shifted systems keep a small diagonal pivot threshold:
-diagonal pivots are preferred, preserving the ordering's low fill, but a row
-is still swapped in when a diagonal entry collapses.  The pivot ratio only
-flags a factorization that collapsed outright: a shift placed exactly on an
-eigenvalue leaves it above the floor (2.0e-13 for the level 5 Laplacian at
-σ = λ₁,h), and such a collision shows only in the residual after refinement.
+Every system here is M = A − σB on a WG space (σ = 0 for the stiffness form).
+An interior unknown couples only within its element and every element shares
+one local matrix, so each has the interior block d(σ) = a_II − σ Gk, and the
+Schur complement on the edge skeleton is the scatter S(σ) of one small
+s(σ) = a_EE − a_EI d(σ)⁻¹ a_IE (Cockburn, Gopalakrishnan and Lazarov, SIAM J.
+Numer. Anal. 2009).  d(σ) gets one dense LU, and SuperLU factors S(σ) in
+symmetric mode in the edge dofs' own nested-dissection order.  SPD systems
+take no row pivoting, so U's diagonal holds S's pivots; A is SPD iff d(0) and
+S(0) are (Haynsworth).  Shifted systems keep a small diagonal pivot
+threshold, which swaps a row only where a diagonal entry collapses.  The pivot
+ratio, the least local or skeleton pivot over max|M|, only flags a collapse
+outright: a shift exactly on an eigenvalue leaves it above the floor (1.4e-11
+for the level 5 Laplacian at σ = λ₁,h); the residual after refinement shows it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import lu_solve
+from scipy.linalg.lapack import dgetrf
 from scipy.sparse.linalg import splu
 
 from .errors import FactorizationFailureError, NearSingularError
@@ -24,46 +29,60 @@ PIVOT_RATIO_FLOOR = 1e-14
 MAX_REFINE = 40
 
 
-class PermutedLU:
-    """SuperLU factor of M[order][:, order] that solves with M itself; L, U,
-    perm_r and perm_c are those of the permuted factor."""
+class CondensedLU:
+    """Factor of M = A − σB that solves with M itself: the LU of the shared
+    interior block d(σ), d(σ)⁻¹ a_IE, and the SuperLU factor of the skeleton
+    S(σ), whose L, U, perm_r and perm_c this object exposes."""
 
-    def __init__(self, lu, order: np.ndarray):
-        self._lu, self.order = lu, order
+    def __init__(self, forms, shift: float, diag_pivot_thresh: float, on_failure):
+        kit, nb = forms.space.kit(), forms.space.dim_interior
+        self.skeleton = forms.space.skeleton
+        self.interior = kit.a_local[:nb, :nb] - shift * kit.b_local
+        *self.local, info = dgetrf(self.interior)
+        if info > 0:
+            raise on_failure("the interior block is exactly singular")
+        self.a_ei = kit.a_local[nb:, :nb]
+        self.coupling = lu_solve(self.local, kit.a_local[:nb, nb:])
+        s = kit.a_local[nb:, nb:] - self.a_ei @ self.coupling
+        try:
+            self._lu = splu(self.skeleton.assemble(0.5 * (s + s.T)), "NATURAL",
+                            diag_pivot_thresh=diag_pivot_thresh, options={"SymmetricMode": True})
+        except RuntimeError as exc:
+            raise on_failure(exc) from exc
 
     def __getattr__(self, name):
         return getattr(self._lu, name)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x = np.empty(rhs.shape)
-        x[self.order] = self._lu.solve(rhs[self.order])
-        return x
+        sk, nb = self.skeleton, self.coupling.shape[0]
+        n_int = nb * sk.edge_map.shape[1]
+        F = np.asarray(rhs, dtype=float).reshape(len(rhs), -1)
+        c = F.shape[1]
+        # Local columns side by side, (nb, elements x c): one BLAS/LAPACK call each.
+        fi = F[:n_int].reshape(-1, nb, c).transpose(1, 0, 2).reshape(nb, -1)
+        y = lu_solve(self.local, fi, check_finite=False)
+        g = F[n_int:][sk.edge_order] - sk.scatter @ (self.a_ei @ y).reshape(-1, c)
+        xe = np.vstack([self._lu.solve(g), np.zeros((1, c))])
+        x = np.empty_like(F)
+        x[n_int:][sk.edge_order] = xe[:-1]
+        xi = y - self.coupling @ xe[sk.edge_map].reshape(len(sk.edge_map), -1)
+        x[:n_int] = xi.reshape(nb, -1, c).transpose(1, 0, 2).reshape(n_int, c)
+        return x.reshape(np.shape(rhs))
 
 
-def _symmetric_splu(M: sp.spmatrix, order: np.ndarray, diag_pivot_thresh: float, on_failure):
-    """SuperLU of M in the given order; ``on_failure`` builds the error."""
-    try:
-        lu = splu(M.tocsc()[order][:, order], permc_spec="NATURAL",
-                  diag_pivot_thresh=diag_pivot_thresh, options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        raise on_failure(exc) from exc
-    return PermutedLU(lu, order)
-
-
-def factor_spd(A: sp.spmatrix, order: np.ndarray) -> PermutedLU:
-    """Factor a symmetric positive definite matrix; raise if it is not SPD."""
-    lu = _symmetric_splu(A, order, 0.0, lambda exc: FactorizationFailureError(
+def factor_spd(forms) -> CondensedLU:
+    """Factor the stiffness matrix A of ``forms``; raise if it is not SPD."""
+    lu = CondensedLU(forms, 0.0, 0.0, lambda exc: FactorizationFailureError(
         f"sparse factorization failed: {exc}"))
-    diag = lu.U.diagonal()
-    if diag.size and (np.min(diag) <= 0.0 or not np.all(np.isfinite(diag))):
+    signs = np.concatenate([np.linalg.eigvalsh(lu.interior), lu.U.diagonal()])
+    if np.min(signs) <= 0.0 or not np.all(np.isfinite(signs)):
         raise FactorizationFailureError(
-            "matrix is not positive definite (nonpositive pivot encountered)"
-        )
+            "matrix is not positive definite (nonpositive pivot encountered)")
     return lu
 
 
-def factor_indefinite(M: sp.spmatrix, order: np.ndarray, shift: float = 0.0):
-    """Threshold-pivoting LU of a symmetric, possibly indefinite, matrix.
+def factor_indefinite(forms, shift: float, M: sp.spmatrix):
+    """Threshold-pivoting factor of the symmetric, maybe indefinite M = A − shift·B.
 
     Returns (lu, pivot_ratio); raises NearSingularError only when the matrix
     is so singular the factorization itself fails.  Callers decide what a
@@ -72,9 +91,9 @@ def factor_indefinite(M: sp.spmatrix, order: np.ndarray, shift: float = 0.0):
     scale = np.max(np.abs(M.data)) if M.nnz else 0.0
     # A threshold of 0.01 keeps a diagonal pivot unless it is below 1/100 of
     # the largest entry in its column.
-    lu = _symmetric_splu(M, order, 0.01, lambda exc: NearSingularError(shift, pivot_ratio=0.0))
-    diag = np.abs(lu.U.diagonal())
-    pivot_ratio = float(np.min(diag) / scale) if diag.size and scale > 0 else 1.0
+    lu = CondensedLU(forms, shift, 0.01, lambda exc: NearSingularError(shift, pivot_ratio=0.0))
+    pivots = np.abs(np.concatenate([np.diag(lu.local[0]), lu.U.diagonal()]))
+    pivot_ratio = float(np.min(pivots) / scale) if scale > 0 else 1.0
     return lu, pivot_ratio
 
 

@@ -8,14 +8,14 @@ symmetric positive definite and the mass form positive semidefinite.
 
 On a uniform square mesh with centered, h-scaled bases, every element shares
 one set of local matrices; assembly reduces to a deterministic vectorized
-scatter of that single pattern.
+scatter of that single pattern, and so does the edge-skeleton Schur
+complement that every factorization condenses onto (Skeleton, linalg).
 
 The interior Gram block Gk, which is the local mass matrix, is built from the
 exact moments of the centered monomials rather than by quadrature: moments of
 odd degree in x or y vanish exactly, so Gk stores no rounding noise as
 structure and the pattern of B lies inside the pattern of A.  Every shifted
-system A - sigma B therefore has exactly the pattern of A, and the
-fill-reducing ordering of its factorization is that of A.
+system A - sigma B has exactly the pattern of A and one skeleton pattern.
 
 qh_project evaluates a field at the tensor Gauss points of every element,
 unless it names factors fx, fy with f = fx(x) * fy(y), as the exact Laplacian
@@ -25,6 +25,7 @@ eigenfunctions do: the same rule then runs through 1D moments per grid line.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -160,6 +161,11 @@ class WgSpace:
         self._order = np.argsort(key, kind="stable")
         return self._order
 
+    @cached_property
+    def skeleton(self) -> "Skeleton":
+        """The edge skeleton of the condensed systems, built once per space."""
+        return Skeleton(self)
+
     def kit(self) -> "_LocalKit":
         if self._kit is None:
             self._kit = _LocalKit(self)
@@ -169,6 +175,40 @@ class WgSpace:
         if coeffs is None:
             coeffs = np.zeros(self.ndof)
         return WgFunction(self, np.asarray(coeffs, dtype=float))
+
+
+class Skeleton:
+    """Edge unknowns in their nested-dissection order: ``edge_order[p]`` is the
+    edge dof at position p, ``edge_map[a, e]`` the position of element e's
+    local edge dof a (n_edge on the boundary), and ``scatter`` sums values laid
+    out like ``edge_map`` into positions.  The scatter of one local edge block
+    has the pattern (indptr, indices); its valid pairs (``mask``) add into
+    data slots ``slot``."""
+
+    def __init__(self, space: WgSpace):
+        n_int, order = space.n_interior_dofs, space.fill_reducing_order()
+        self.edge_order = order[order >= n_int] - n_int
+        n_e = self.edge_order.size
+        position = np.append(np.argsort(self.edge_order), n_e)
+        local = space.local_dof_map()[:, space.dim_interior:]
+        emap = position[np.where(local >= 0, local - n_int, -1)]
+        self.edge_map, valid = emap.T, emap.T < n_e
+        self.scatter = sp.csr_matrix((np.ones(np.count_nonzero(valid)), (
+            self.edge_map[valid], np.flatnonzero(valid))), shape=(n_e, valid.size))
+        self.mask = (valid.T[:, :, None] & valid.T[:, None, :]).reshape(len(emap), -1)
+        key = (emap[:, :, None] * n_e + emap[:, None, :]).reshape(self.mask.shape)[self.mask]
+        pattern, slot = np.unique(key, return_inverse=True)
+        self.slot = slot.astype(np.int32)
+        self.indptr = np.searchsorted(pattern, np.arange(n_e + 1) * n_e).astype(np.int32)
+        self.indices = (pattern % n_e).astype(np.int32)
+
+    def assemble(self, local: np.ndarray) -> sp.csc_matrix:
+        """The scatter of one symmetric local edge block (symmetric, so its
+        CSR pattern serves as CSC)."""
+        n_e = self.edge_order.size
+        data = np.bincount(self.slot, np.broadcast_to(local.ravel(), self.mask.shape)[self.mask],
+                           minlength=self.indices.size)
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(n_e, n_e))
 
 
 @dataclass
@@ -198,13 +238,12 @@ class WgFunction:
 
 @dataclass
 class AssembledForms:
-    """Stiffness and mass pair of the pencil, and the order that factors them."""
+    """Stiffness and mass pair of the pencil."""
 
     space: WgSpace
     A: sp.csr_matrix
     B: sp.csr_matrix
     n_interior: int
-    order: np.ndarray
 
 
 def _centred_moment(p: np.ndarray) -> np.ndarray:
@@ -466,8 +505,7 @@ def assemble(space: WgSpace) -> AssembledForms:
     B = sp.coo_matrix(
         (Bint.data, (Bint.row, Bint.col)), shape=(space.ndof, space.ndof)
     ).tocsr()
-    return AssembledForms(space=space, A=A, B=B, n_interior=space.n_interior_dofs,
-                          order=space.fill_reducing_order())
+    return AssembledForms(space=space, A=A, B=B, n_interior=space.n_interior_dofs)
 
 
 _SPACE_EPSILON = object()
@@ -607,7 +645,7 @@ def solve_source(space: WgSpace, f, forms: AssembledForms | None = None,
         forms = assemble(space)
     rhs = np.zeros(space.ndof)
     rhs[: space.n_interior_dofs] = _interior_moments(space, f, DEFAULT_FIELD_QUAD).ravel()
-    lu = linalg.factor_spd(forms.A, forms.order)
+    lu = linalg.factor_spd(forms)
     x, rel = linalg.refined_solve(lu, forms.A, rhs, tol)
     if rel > tol:
         raise SolverFailureError(

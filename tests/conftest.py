@@ -52,6 +52,14 @@ def dense_pencil_eigs(forms, m):
     return sla.eigh(S, B[:ni, :ni], eigvals_only=True)[:m]
 
 
+def local_interior_eigs(space):
+    """Eigenvalues of the pencil (a_II, Gk) of the shared interior block."""
+    import scipy.linalg as sla
+
+    kit, nb = space.kit(), space.dim_interior
+    return sla.eigh(kit.a_local[:nb, :nb], kit.Gk, eigvals_only=True)
+
+
 def local_interpolant(space, element, f, grad=None, npts=DEFAULT_FIELD_QUAD):
     """Independent oracle: unconstrained componentwise interpolant of f on one
     element, from per-element and per-edge L2 projections.

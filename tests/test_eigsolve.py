@@ -2,7 +2,6 @@ from functools import cache
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
 import wgeig as wg
@@ -13,18 +12,22 @@ from wgeig.errors import (
     NoConvergenceError,
     ZeroMassError,
 )
+import wgeig.eigsolve as eigsolve
 from wgeig.mesh import build_uniform
-from wgeig.wg_core import AssembledForms
 from wgeig import linalg
 
-from conftest import dense_pencil_eigs
+from conftest import dense_pencil_eigs, local_interior_eigs
 
 EXACT6 = np.array([2, 5, 5, 8, 10, 10]) * np.pi**2
 
 
-def _fake_forms(A, B, n_interior):
-    return AssembledForms(space=None, A=sp.csr_matrix(A), B=sp.csr_matrix(B),
-                          n_interior=n_interior, order=np.arange(A.shape[0]))
+def _forms_with_local(local_of):
+    """Forms of a level 2 Laplacian k=1 space assembled from the shared local
+    stiffness matrix local_of(kit) instead of the space's own."""
+    space = wg.WgSpace(build_uniform(2), 1, kind="laplacian", epsilon=0.1)
+    kit = space.kit()
+    kit.a_local = local_of(kit)
+    return wg.assemble(space)
 
 
 def test_matches_dense_oracle_laplacian(lap_L2_k1):
@@ -167,11 +170,50 @@ def test_no_convergence_error(lap_L3_k1):
 
 
 def test_factorization_failure_on_indefinite():
-    n = 12
-    A = -sp.identity(n, format="csr")
-    B = sp.identity(n, format="csr")
+    forms = _forms_with_local(lambda kit: -kit.a_local)
     with pytest.raises(FactorizationFailureError):
-        smallest_eigs(_fake_forms(A, B, n), 2)
+        smallest_eigs(forms, 2)
+
+
+CUT_CLUSTER_CASES = [(kind, degree, level, m)
+                     for kind, degree in [("laplacian", 1), ("laplacian", 2), ("laplacian", 3),
+                                          ("biharmonic", 2), ("biharmonic", 3)]
+                     for level in (3, 4) for m in (2, 5)]
+
+
+@pytest.mark.parametrize("kind,degree,level,m", CUT_CLUSTER_CASES)
+def test_cut_clusters_pass_the_residual_gate(kind, degree, level, m):
+    # m = 2 cuts the double pair lambda_2 = lambda_3 of both problems, and
+    # m = 5 the Laplacian's lambda_5 = lambda_6 (the biharmonic lambda_5 is
+    # simple).
+    forms = _small_forms(kind, degree, level)
+    pairs = smallest_eigs(forms, m)
+    assert len(pairs) == m
+    assert all(p.residual <= 1e-10 for p in pairs)
+    values = [p.value for p in pairs]
+    assert values == sorted(values)
+
+
+def test_failed_residual_gate_widens_the_request_once(monkeypatch):
+    # A first ARPACK answer with an unconverged Ritz vector fails the residual
+    # gate; the solver asks once more, for one more pair.
+    requests = []
+
+    def unconverged_first(op, k, **kwargs):
+        requests.append(k)
+        theta, Z = arpack(op, k=k, **kwargs)
+        if len(requests) == 1:
+            Z[:, 0] += 1e-6 * np.random.default_rng(0).standard_normal(Z.shape[0])
+        return theta, Z
+
+    arpack = eigsolve.eigsh
+    monkeypatch.setattr(eigsolve, "eigsh", unconverged_first)
+    forms = _small_forms("biharmonic", 3, 3)
+    pairs = smallest_eigs(forms, 2)
+    assert requests == [2, 3]
+    assert all(p.residual <= 1e-10 for p in pairs)
+    want = dense_pencil_eigs(forms, 2)
+    assert np.allclose([p.value for p in pairs], want, rtol=1e-10, atol=0)
 
 
 def test_cluster_grouping():
@@ -191,7 +233,7 @@ def test_shift_zero_matches_spd_path(lap_L3_k1):
     rng = np.random.default_rng(5)
     rhs = rng.standard_normal(forms.A.shape[0])
     x = solve_shifted(forms, 0.0, rhs)
-    lu = linalg.factor_spd(forms.A, forms.order)
+    lu = linalg.factor_spd(forms)
     y, _ = linalg.refined_solve(lu, forms.A, rhs, 1e-12)
     assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
 
@@ -216,19 +258,25 @@ def test_shift_from_coarse_amplifies(lap_L3_k1):
 
 
 def test_near_singular_exactly_singular():
-    n = 8
-    forms = _fake_forms(sp.identity(n), sp.identity(n), n)
-    with pytest.raises(NearSingularError):
-        solve_shifted(forms, 1.0, np.ones(n))  # A - 1*B is the zero matrix
+    # With the interior block of the local stiffness equal to the Gram block,
+    # every interior block of A - 1*B is the zero matrix.
+    def interior_is_gram(kit):
+        local = kit.a_local.copy()
+        local[:kit.Gk.shape[0], :kit.Gk.shape[0]] = kit.Gk
+        return local
 
-
-def test_near_singular_pivot_collapse():
-    n = 6
-    d = np.ones(n)
-    d[-1] = 1e-20
-    forms = _fake_forms(sp.diags(d), sp.csr_matrix((n, n)), n)
+    forms = _forms_with_local(interior_is_gram)
     with pytest.raises(NearSingularError) as info:
-        solve_shifted(forms, 0.0, np.ones(n))
+        solve_shifted(forms, 1.0, np.ones(forms.A.shape[0]))
+    assert info.value.pivot_ratio == 0.0
+
+
+def test_near_singular_pivot_collapse(lap_L2_k1):
+    # A shift on an eigenvalue of (a_II, Gk) collapses the interior pivots.
+    space, forms = lap_L2_k1
+    sigma = local_interior_eigs(space)[0]
+    with pytest.raises(NearSingularError) as info:
+        solve_shifted(forms, sigma, np.ones(forms.A.shape[0]))
     assert info.value.pivot_ratio is not None
 
 

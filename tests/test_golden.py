@@ -5,7 +5,8 @@ that moves a printed digit on purpose regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and lists the moved cells in CHANGES.md.
+which prints every moved cell (file, row, column, old -> new) before it
+rewrites a file; the change lists those cells in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -50,9 +51,30 @@ def test_csv_matches_golden(name):
     assert csv_without_seconds(COMMANDS[name]) == expected
 
 
+def moved_cells(old: list[list[str]], new: list[list[str]]):
+    """(data row, column, old, new) of every cell that differs; a row or
+    column present on one side only reads as empty on the other."""
+    header = new[0] if new else old[0]
+    for i in range(1, max(len(old), len(new))):
+        a = old[i] if i < len(old) else []
+        b = new[i] if i < len(new) else []
+        for j in range(max(len(a), len(b))):
+            before = a[j] if j < len(a) else ""
+            after = b[j] if j < len(b) else ""
+            if before != after:
+                yield i, header[j] if j < len(header) else str(j), before, after
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in COMMANDS.items():
-        with open(GOLDEN / f"{name}.csv", "w", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(csv_without_seconds(argv))
+        path = GOLDEN / f"{name}.csv"
+        rows = csv_without_seconds(argv)
+        if path.exists():
+            with open(path, newline="") as fh:
+                old = list(csv.reader(fh))
+            for row, column, before, after in moved_cells(old, rows):
+                print(f"{name}.csv row {row} {column}: {before} -> {after}")
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
         print(f"wrote {name}.csv")

@@ -172,7 +172,8 @@ def test_fill_reducing_order_is_a_permutation(kind, degree, level):
     space = wg.WgSpace(build_uniform(level), degree, kind=kind, epsilon=0.1)
     order = space.fill_reducing_order()
     assert np.array_equal(np.sort(order), np.arange(space.ndof))
-    assert np.array_equal(wg.assemble(space).order, order)
+    n_int = space.n_interior_dofs
+    assert np.array_equal(space.skeleton.edge_order, order[order >= n_int] - n_int)
     if level >= 2:
         # The first cut runs along x = 1/2; its edge dofs come last, in dof order.
         mesh, k = space.mesh, space.dim_trace
@@ -509,3 +510,21 @@ def test_biharmonic_source_convergence():
         hs.append(space.mesh.h)
     order = wg.rate_fit(hs, errs)
     assert order >= 2 - 1 - 0.1 - 0.3  # k - 1 - eps with slack
+
+
+@pytest.mark.parametrize("kind,degree", [("laplacian", 1), ("laplacian", 3), ("biharmonic", 2)])
+@pytest.mark.parametrize("level", [0, 1, 3])
+def test_skeleton_scatters_like_the_assembly(kind, degree, level):
+    # The edge block of A, read in skeleton order, is the skeleton's own
+    # scatter of the local edge block, and A's edge-interior coupling is its
+    # scatter of the local coupling block.
+    space = wg.WgSpace(build_uniform(level), degree, kind=kind, epsilon=0.1)
+    forms, sk, nb = wg.assemble(space), space.skeleton, space.dim_interior
+    a = space.kit().a_local
+    n_int, edge = space.n_interior_dofs, space.n_interior_dofs + sk.edge_order
+    atol = 1e-12 * np.abs(forms.A).max()
+    got = sk.assemble(a[nb:, nb:]).toarray()
+    assert np.allclose(got, forms.A[edge][:, edge].toarray(), rtol=0, atol=atol)
+    y = np.random.default_rng(1).standard_normal((nb, space.mesh.num_elements))
+    want = forms.A[edge][:, :n_int] @ y.T.ravel()
+    assert np.allclose(sk.scatter @ (a[nb:, :nb] @ y).ravel(), want, rtol=0, atol=atol)
