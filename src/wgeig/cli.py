@@ -196,6 +196,8 @@ def _required(args, key: str):
 def _common_meta(args) -> dict:
     meta = {key: getattr(args, key) for key in
             ("command", "problem", "degree", "epsilon", "num_eigs", "tol", "output")}
+    if meta["num_eigs"] < 1:
+        raise ValueError("--num-eigs must be at least 1")
     if args.out_file:
         meta["out_file"] = args.out_file
     return meta

@@ -9,7 +9,7 @@ the largest θ give the smallest λ.  ARPACK (implicitly restarted Lanczos,
 which, unlike a symmetric one, is orthogonal to no eigenspace of the
 symmetric mesh; the second copy of a double eigenvalue enters through
 rounding and the restarts.  Each application of C is one solve with the
-condensed stiffness factor (see linalg).  The full eigenvectors come back
+stiffness factor (see linalg) between two GEMMs with L.  The eigenvectors come back
 from one more solve per pair, x = A⁻¹ [L z; 0], and every pair is certified
 by its residual; a failed gate asks ARPACK once more, for m + 1 pairs.
 """
@@ -91,11 +91,14 @@ def smallest_eigs(forms: AssembledForms, m: int, tol: float = 1e-10,
     nb = L.shape[0]
     applied = 0
 
+    def blockwise(T, Z):
+        """blockdiag(T, ..., T) Z as one GEMM on the (columns·elements, nb) view."""
+        c = Z.shape[1]
+        return (Z.reshape(-1, nb, c).transpose(2, 0, 1).reshape(-1, nb) @ T.T).reshape(c, -1).T
+
     def lift(Z):
         """Right-hand sides [L z; 0] of the interior columns Z."""
-        rhs = np.zeros((n, Z.shape[1]))
-        rhs[:n_int] = (L @ Z.reshape(-1, nb, Z.shape[1])).reshape(n_int, -1)
-        return rhs
+        return np.vstack([blockwise(L, Z), np.zeros((n - n_int, Z.shape[1]))])
 
     def apply_c(Z):
         """C Z = Lᵀ (A⁻¹)_II L Z, counted against the application cap."""
@@ -104,8 +107,7 @@ def smallest_eigs(forms: AssembledForms, m: int, tol: float = 1e-10,
         if maxiter is not None and applied + Z.shape[1] > maxiter:
             raise NoConvergenceError(applied, np.inf)
         applied += Z.shape[1]
-        Y = lu.solve(lift(Z))[:n_int]
-        return (L.T @ Y.reshape(-1, nb, Y.shape[1])).reshape(n_int, -1)
+        return blockwise(L.T, lu.solve(lift(Z))[:n_int])
 
     # A failed residual gate widens the request once: when m cuts a multiple
     # eigenvalue, ARPACK's Ritz vector in the cut cluster may not have converged.
@@ -144,16 +146,16 @@ def smallest_eigs(forms: AssembledForms, m: int, tol: float = 1e-10,
 
 def solve_shifted(forms: AssembledForms, shift: float, rhs: np.ndarray,
                   tol: float = 1e-10) -> np.ndarray:
-    """Solve (A - shift B) x = rhs by static condensation onto the edge skeleton.
+    """Solve (A - shift B) x = rhs with the nested-dissection factor (linalg).
 
-    M = A - shift B is symmetric indefinite with the pattern of A, and its
-    edge Schur complement is factored preferring diagonal pivots; iterative
-    refinement on M itself certifies the residual even when the shift sits
-    very close to the fine spectrum (the intended amplification regime).  A
-    shift that hit the spectrum is caught by that residual gate, not by the
-    pivot ratio, which stays above its floor there (1.4e-11 for the level 5
-    Laplacian with the shift on λ₁,h); the floor catches a factorization that
-    collapsed outright, as on an eigenvalue of the local pencil (a_II, Gk).
+    M = A - shift B is symmetric indefinite, and each level's cross block is
+    factored by a dense LU with row pivoting; iterative refinement on M
+    itself certifies the residual even when the shift sits very close to the
+    fine spectrum (the intended amplification regime).  A shift that hit the
+    spectrum is caught by that residual gate, not by the pivot ratio, which
+    stays above its floor there (2.4e-12 for the level 5 Laplacian with the
+    shift on λ₁,h); the floor catches a factorization that collapsed outright,
+    as on an eigenvalue of a box's pencil, such as the local (a_II, Gk).
     Either way NearSingularError is raised instead of garbage.
     """
     M = forms.A - shift * forms.B

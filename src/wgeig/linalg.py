@@ -1,99 +1,119 @@
-"""Sparse factorizations by static condensation, with residual certification.
+"""Nested-dissection factorizations of the WG systems, with residual certification.
 
 Every system here is M = A − σB on a WG space (σ = 0 for the stiffness form).
-An interior unknown couples only within its element and every element shares
-one local matrix, so each has the interior block d(σ) = a_II − σ Gk, and the
-Schur complement on the edge skeleton is the scatter S(σ) of one small
-s(σ) = a_EE − a_EI d(σ)⁻¹ a_IE (Cockburn, Gopalakrishnan and Lazarov, SIAM J.
-Numer. Anal. 2009).  d(σ) gets one dense LU, and SuperLU factors S(σ) in
-symmetric mode in the edge dofs' own nested-dissection order.  SPD systems
-take no row pivoting, so U's diagonal holds S's pivots; A is SPD iff d(0) and
-S(0) are (Haynsworth).  Shifted systems keep a small diagonal pivot
-threshold, which swaps a row only where a diagonal entry collapses.  The pivot
-ratio, the least local or skeleton pivot over max|M|, only flags a collapse
-outright: a shift exactly on an eigenvalue leaves it above the floor (1.4e-11
-for the level 5 Laplacian at σ = λ₁,h); the residual after refinement shows it.
+All elements share one local matrix, so level 0 eliminates every interior with
+one block d(σ) = a_II − σ Gk (static condensation: Cockburn, Gopalakrishnan and
+Lazarov, SIAM J. Numer. Anal. 2009), and all 2^l x 2^l boxes of George's nested
+dissection (SIAM J. Numer. Anal. 1973; WgSpace.quadtree) share one matrix too:
+four copies of the perimeter Schur complement below.  Each level factors its
+cross block (the edge dofs on a box's midlines) by one dense LU; a cross never
+touches the boundary, and a Dirichlet dof only drops a row and a column.
+Pivoting stays inside each cross block.  A is SPD iff every cross block is, and
+ν(M) is the sum of boxes · ν(cross block) over the levels (Haynsworth).  The
+pivot ratio, the least pivot over max|M|, only flags a collapse outright: a
+shift exactly on an eigenvalue leaves it above the floor (2.4e-12 for the level
+5 Laplacian at σ = λ₁,h); the residual after refinement shows it.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import lu_solve
-from scipy.linalg.lapack import dgetrf
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf
 
 from .errors import FactorizationFailureError, NearSingularError
 
 PIVOT_RATIO_FLOOR = 1e-14
 MAX_REFINE = 40
+_Entries = namedtuple("_Entries", "nnz")
 
 
-class CondensedLU:
-    """Factor of M = A − σB that solves with M itself: the LU of the shared
-    interior block d(σ), d(σ)⁻¹ a_IE, and the SuperLU factor of the skeleton
-    S(σ), whose L, U, perm_r and perm_c this object exposes."""
+class NestedLU:
+    """Factor of M = A − σB that solves with M itself.  Per level it keeps
+    the cross block K_CC of the one box matrix K, its LU and X = K_CC⁻¹ K_CP;
+    ``L`` and ``U`` count the entries of the LUs and of X, each once."""
 
-    def __init__(self, forms, shift: float, diag_pivot_thresh: float, on_failure):
+    def __init__(self, forms, shift: float, on_failure):
         kit, nb = forms.space.kit(), forms.space.dim_interior
-        self.skeleton = forms.space.skeleton
-        self.interior = kit.a_local[:nb, :nb] - shift * kit.b_local
-        *self.local, info = dgetrf(self.interior)
-        if info > 0:
-            raise on_failure("the interior block is exactly singular")
-        self.a_ei = kit.a_local[nb:, :nb]
-        self.coupling = lu_solve(self.local, kit.a_local[:nb, nb:])
-        s = kit.a_local[nb:, nb:] - self.a_ei @ self.coupling
-        try:
-            self._lu = splu(self.skeleton.assemble(0.5 * (s + s.T)), "NATURAL",
-                            diag_pivot_thresh=diag_pivot_thresh, options={"SymmetricMode": True})
-        except RuntimeError as exc:
-            raise on_failure(exc) from exc
+        self.levels = forms.space.quadtree
+        self.factors = []  # per level: the cross block, its LU and X
+        K = kit.a_local.copy()
+        K[:nb, :nb] -= shift * kit.b_local
+        for level in self.levels:
+            n_c, size = level.cross.shape[1], level.cross.shape[1] + level.perimeter.shape[1]
+            if level.merge is None:
+                K = K[:size, :size]
+            else:
+                K = np.zeros((size, size))
+                for child in level.merge:
+                    keep = child < size
+                    K[np.ix_(child[keep], child[keep])] += S[np.ix_(keep, keep)]
+            *lu, info = dgetrf(K[:n_c, :n_c])
+            if info > 0:
+                raise on_failure(f"the level {len(self.factors)} cross block is exactly singular")
+            X = dgetrs(*lu, K[:n_c, n_c:])[0]
+            S = K[n_c:, n_c:] - K[n_c:, :n_c] @ X
+            S = 0.5 * (S + S.T)
+            self.factors.append((K[:n_c, :n_c].copy(), lu, X))
+        # Level 0 solves all element interiors by one GEMM with d(σ)⁻ᵀ.
+        self.interior_inverse = dgetrs(*self.factors[0][1], np.eye(nb))[0].T
 
-    def __getattr__(self, name):
-        return getattr(self._lu, name)
+    @property
+    def L(self) -> _Entries:
+        return _Entries(sum((block.size - len(block)) // 2 for block, _, _ in self.factors))
+
+    @property
+    def U(self) -> _Entries:
+        return _Entries(sum((block.size + len(block)) // 2 + X.size
+                            for block, _, X in self.factors))
+
+    def inertia(self) -> int:
+        """ν(M), the number of negative eigenvalues of M: by Haynsworth's
+        formula, level by level, the sum over levels of boxes · ν(cross block)."""
+        return sum(len(level.cross) * int(np.sum(np.linalg.eigvalsh(block) < 0))
+                   for level, (block, _, _) in zip(self.levels, self.factors))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        sk, nb = self.skeleton, self.coupling.shape[0]
-        n_int = nb * sk.edge_map.shape[1]
-        F = np.asarray(rhs, dtype=float).reshape(len(rhs), -1)
-        c = F.shape[1]
-        # Local columns side by side, (nb, elements x c): one BLAS/LAPACK call each.
-        fi = F[:n_int].reshape(-1, nb, c).transpose(1, 0, 2).reshape(nb, -1)
-        y = lu_solve(self.local, fi, check_finite=False)
-        g = F[n_int:][sk.edge_order] - sk.scatter @ (self.a_ei @ y).reshape(-1, c)
-        xe = np.vstack([self._lu.solve(g), np.zeros((1, c))])
-        x = np.empty_like(F)
-        x[n_int:][sk.edge_order] = xe[:-1]
-        xi = y - self.coupling @ xe[sk.edge_map].reshape(len(sk.edge_map), -1)
-        x[:n_int] = xi.reshape(nb, -1, c).transpose(1, 0, 2).reshape(n_int, c)
-        return x.reshape(np.shape(rhs))
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.ndim == 2:
+            return np.apply_along_axis(self.solve, 0, rhs)
+        x = np.append(rhs, 0.0)  # the last entry is every Dirichlet dof
+        for level, (_, lu, X) in zip(self.levels, self.factors):
+            R = x[level.cross]
+            U = (R @ X).ravel()
+            x[level.touched] -= U[level.pairs[0]] + U[level.pairs[1]]
+            if level.merge is None:
+                x[level.cross] = R @ self.interior_inverse
+            else:
+                x[level.cross] = dgetrs(*lu, R.T)[0].T
+        for level, (_, _, X) in zip(reversed(self.levels), reversed(self.factors)):
+            x[level.cross] -= x[level.perimeter] @ X.T
+        return x[:-1]
 
 
-def factor_spd(forms) -> CondensedLU:
+def factor_spd(forms) -> NestedLU:
     """Factor the stiffness matrix A of ``forms``; raise if it is not SPD."""
-    lu = CondensedLU(forms, 0.0, 0.0, lambda exc: FactorizationFailureError(
-        f"sparse factorization failed: {exc}"))
-    signs = np.concatenate([np.linalg.eigvalsh(lu.interior), lu.U.diagonal()])
-    if np.min(signs) <= 0.0 or not np.all(np.isfinite(signs)):
+    lu = NestedLU(forms, 0.0, FactorizationFailureError)
+    if any(dpotrf(block)[1] for block, _, _ in lu.factors):
         raise FactorizationFailureError(
             "matrix is not positive definite (nonpositive pivot encountered)")
     return lu
 
 
 def factor_indefinite(forms, shift: float, M: sp.spmatrix):
-    """Threshold-pivoting factor of the symmetric, maybe indefinite M = A − shift·B.
+    """Factor of the symmetric, maybe indefinite M = A − shift·B, pivoting
+    only inside each level's cross block.
 
-    Returns (lu, pivot_ratio); raises NearSingularError only when the matrix
-    is so singular the factorization itself fails.  Callers decide what a
-    collapsed pivot ratio means for them.
+    Returns (lu, pivot_ratio); raises NearSingularError only when a cross
+    block is exactly singular.  Callers decide what a collapsed pivot ratio
+    means for them.
     """
     scale = np.max(np.abs(M.data)) if M.nnz else 0.0
-    # A threshold of 0.01 keeps a diagonal pivot unless it is below 1/100 of
-    # the largest entry in its column.
-    lu = CondensedLU(forms, shift, 0.01, lambda exc: NearSingularError(shift, pivot_ratio=0.0))
-    pivots = np.abs(np.concatenate([np.diag(lu.local[0]), lu.U.diagonal()]))
-    pivot_ratio = float(np.min(pivots) / scale) if scale > 0 else 1.0
+    lu = NestedLU(forms, shift, lambda msg: NearSingularError(shift, pivot_ratio=0.0))
+    pivot = min(np.min(np.abs(np.diag(factor))) for _, (factor, _), _ in lu.factors)
+    pivot_ratio = float(pivot / scale) if scale > 0 else 1.0
     return lu, pivot_ratio
 
 

@@ -7,15 +7,17 @@ unknowns are eliminated, never penalized, so the stiffness form stays
 symmetric positive definite and the mass form positive semidefinite.
 
 On a uniform square mesh with centered, h-scaled bases, every element shares
-one set of local matrices; assembly reduces to a deterministic vectorized
-scatter of that single pattern, and so does the edge-skeleton Schur
-complement that every factorization condenses onto (Skeleton, linalg).
+one set of local matrices, and assembly reduces to a deterministic vectorized
+scatter of that single pattern.  The same holds for every box of the uniform
+quadtree that the factorizations (linalg) eliminate level by level: edge dofs
+are numbered by component, then edge, then basis function, and one map per
+level merges four boxes into their parent (WgSpace.quadtree).
 
 The interior Gram block Gk, which is the local mass matrix, is built from the
 exact moments of the centered monomials rather than by quadrature: moments of
 odd degree in x or y vanish exactly, so Gk stores no rounding noise as
 structure and the pattern of B lies inside the pattern of A.  Every shifted
-system A - sigma B has exactly the pattern of A and one skeleton pattern.
+system A - sigma B has exactly the pattern of A.
 
 qh_project evaluates a field at the tensor Gauss points of every element,
 unless it names factors fx, fy with f = fx(x) * fy(y), as the exact Laplacian
@@ -85,7 +87,6 @@ class WgSpace:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         self._kit = None
         self._dof_map = None
-        self._order = None
 
     @property
     def dim_interior(self) -> int:
@@ -116,55 +117,16 @@ class WgSpace:
 
     def local_dof_map(self) -> np.ndarray:
         """(Ne, n_local) global indices in local order; -1 marks boundary blocks."""
-        if self._dof_map is not None:
-            return self._dof_map
-        mesh = self.mesh
-        nd0 = self.dim_interior
-        k = self.dim_trace
-        ne = mesh.num_elements
-        blocks = [np.arange(ne)[:, None] * nd0 + np.arange(nd0)[None, :]]
-        trace_base = self.n_interior_dofs
-        for side in range(4):
-            ii = mesh.interior_index[mesh.elem_edges[:, side]]
-            blk = trace_base + ii[:, None] * k + np.arange(k)[None, :]
-            blocks.append(np.where(ii[:, None] >= 0, blk, -1))
-        if self.kind == BIHARMONIC:
-            normal_base = trace_base + mesh.num_interior_edges * k
-            for side in range(4):
-                ii = mesh.interior_index[mesh.elem_edges[:, side]]
-                blk = normal_base + ii[:, None] * k + np.arange(k)[None, :]
-                blocks.append(np.where(ii[:, None] >= 0, blk, -1))
-        self._dof_map = np.concatenate(blocks, axis=1)
+        if self._dof_map is None:
+            edges = _edge_dofs(self, self.mesh.elem_edges)[0]
+            self._dof_map = np.hstack([np.arange(self.n_interior_dofs).reshape(
+                -1, self.dim_interior), np.where(edges < self.ndof, edges, -1)])
         return self._dof_map
 
-    def fill_reducing_order(self) -> np.ndarray:
-        """Nested-dissection order (position -> dof) read off the grid: dofs at
-        element centres and edge midpoints, boxes bisected along grid lines in
-        x and y by turns, each cut's edge dofs after both halves, 2 x 2 cell
-        boxes in dof order.  Sort key: 2 bits (left, right, cut) per cut."""
-        if self._order is not None:
-            return self._order
-        mesh, ids = self.mesh, self.mesh.interior_edges
-        vertical = mesh.edge_orient[ids] == 0
-        cells = np.repeat([2 * mesh.elem_ix + 1, 2 * mesh.elem_iy + 1], self.dim_interior, axis=1)
-        edges = np.repeat([2 * mesh.edge_i[ids] + ~vertical, 2 * mesh.edge_j[ids] + vertical],
-                          self.dim_trace, axis=1)
-        xy = np.concatenate([cells] + [edges] * self.num_edge_components, axis=1)
-        key = np.zeros(xy.shape[1], dtype=np.int64)
-        done = np.zeros(xy.shape[1], dtype=bool)
-        for depth in range(2 * mesh.level - 2):
-            half = mesh.n >> (depth // 2)  # half the box width, doubled units
-            r = xy[depth % 2] % (2 * half)
-            digit = np.where(done, 0, (r > half) + 2 * (r == half))
-            done |= digit == 2
-            key = (key << 2) | digit
-        self._order = np.argsort(key, kind="stable")
-        return self._order
-
     @cached_property
-    def skeleton(self) -> "Skeleton":
-        """The edge skeleton of the condensed systems, built once per space."""
-        return Skeleton(self)
+    def quadtree(self) -> list["BoxLevel"]:
+        """The box levels of the nested-dissection factor (linalg), built once per space."""
+        return _box_levels(self)
 
     def kit(self) -> "_LocalKit":
         if self._kit is None:
@@ -177,38 +139,72 @@ class WgSpace:
         return WgFunction(self, np.asarray(coeffs, dtype=float))
 
 
-class Skeleton:
-    """Edge unknowns in their nested-dissection order: ``edge_order[p]`` is the
-    edge dof at position p, ``edge_map[a, e]`` the position of element e's
-    local edge dof a (n_edge on the boundary), and ``scatter`` sums values laid
-    out like ``edge_map`` into positions.  The scatter of one local edge block
-    has the pattern (indptr, indices); its valid pairs (``mask``) add into
-    data slots ``slot``."""
+@dataclass(frozen=True)
+class BoxLevel:
+    """The 2^l x 2^l boxes of quadtree level l, one row each, as global dof ids.
 
-    def __init__(self, space: WgSpace):
-        n_int, order = space.n_interior_dofs, space.fill_reducing_order()
-        self.edge_order = order[order >= n_int] - n_int
-        n_e = self.edge_order.size
-        position = np.append(np.argsort(self.edge_order), n_e)
-        local = space.local_dof_map()[:, space.dim_interior:]
-        emap = position[np.where(local >= 0, local - n_int, -1)]
-        self.edge_map, valid = emap.T, emap.T < n_e
-        self.scatter = sp.csr_matrix((np.ones(np.count_nonzero(valid)), (
-            self.edge_map[valid], np.flatnonzero(valid))), shape=(n_e, valid.size))
-        self.mask = (valid.T[:, :, None] & valid.T[:, None, :]).reshape(len(emap), -1)
-        key = (emap[:, :, None] * n_e + emap[:, None, :]).reshape(self.mask.shape)[self.mask]
-        pattern, slot = np.unique(key, return_inverse=True)
-        self.slot = slot.astype(np.int32)
-        self.indptr = np.searchsorted(pattern, np.arange(n_e + 1) * n_e).astype(np.int32)
-        self.indices = (pattern % n_e).astype(np.int32)
+    A box's cross is what level l eliminates: the element interior at level
+    0, above it the edge dofs on the box's two midlines.  Its perimeter holds
+    the edge dofs on its sides, with ``ndof`` for a Dirichlet dof; the top box
+    has none.  Box-local positions run over the cross, then the perimeter,
+    and ``merge[q]`` places the perimeter of child q (level l - 1) among
+    them, one map for every box.  Each perimeter dof off the boundary belongs
+    to two boxes: ``touched`` lists them, ``pairs`` their two flat positions.
+    """
 
-    def assemble(self, local: np.ndarray) -> sp.csc_matrix:
-        """The scatter of one symmetric local edge block (symmetric, so its
-        CSR pattern serves as CSC)."""
-        n_e = self.edge_order.size
-        data = np.bincount(self.slot, np.broadcast_to(local.ravel(), self.mask.shape)[self.mask],
-                           minlength=self.indices.size)
-        return sp.csc_matrix((data, self.indices, self.indptr), shape=(n_e, n_e))
+    cross: np.ndarray
+    perimeter: np.ndarray
+    merge: np.ndarray | None
+    pairs: np.ndarray
+    touched: np.ndarray
+
+
+def _edge_dofs(space: WgSpace, edges: np.ndarray):
+    """Global ids (``ndof`` on the boundary) and boundary-blind ids of edges' dofs."""
+    mesh, k = space.mesh, space.dim_trace
+    comp = np.arange(space.num_edge_components)[:, None, None]
+    e = edges[:, None, :, None]
+    ii = mesh.interior_index[e]
+    ids = np.where(ii >= 0, space.n_interior_dofs
+                   + (comp * mesh.num_interior_edges + ii) * k + np.arange(k), space.ndof)
+    blind = (comp * mesh.num_edges + e) * k + np.arange(k)
+    return ids.reshape(len(edges), -1), blind.reshape(len(edges), -1)
+
+
+def _box_levels(space: WgSpace) -> list[BoxLevel]:
+    """George's nested dissection of the uniform mesh (SIAM J. Numer. Anal.
+    1973).  Perimeter edges run left, right, bottom, top, each side by
+    increasing coordinate (at level 0 the local order of WgSpace); a cross
+    runs along its vertical midline, then its horizontal one."""
+    n = space.mesh.n
+
+    def edge(horizontal, i, j):
+        return horizontal * n * (n + 1) + j * (n + 1 - horizontal) + i
+
+    levels, below = [], None
+    for level in range(space.mesh.level + 1):
+        m = 1 << level
+        y0, x0 = np.divmod(np.arange((n // m) ** 2), n // m)
+        y0, x0, t = m * y0[:, None], m * x0[:, None], np.arange(m)
+        sides = np.hstack([edge(0, x0, y0 + t), edge(0, x0 + m, y0 + t),
+                           edge(1, x0 + t, y0), edge(1, x0 + t, y0 + m)])
+        perimeter, own = _edge_dofs(space, sides)
+        if level == 0:
+            cross, merge = np.arange(space.n_interior_dofs).reshape(len(sides), -1), None
+        else:
+            cross, own_cross = _edge_dofs(space, np.hstack(
+                [edge(0, x0 + m // 2, y0 + t), edge(1, x0 + t, y0 + m // 2)]))
+            own = np.concatenate([own_cross[0], own[0]])
+            children = _edge_dofs(space, below[[0, 1, n // m * 2, n // m * 2 + 1]])[1]
+            order = np.argsort(own)
+            merge = order[np.searchsorted(own, children, sorter=order)]
+        below = sides
+        perimeter = perimeter[:, :0] if level == space.mesh.level else perimeter
+        flat = perimeter.ravel()
+        pairs = np.argsort(flat, kind="stable")
+        pairs = pairs[flat[pairs] < space.ndof].reshape(-1, 2).T
+        levels.append(BoxLevel(cross, perimeter, merge, pairs, flat[pairs[0]]))
+    return levels
 
 
 @dataclass

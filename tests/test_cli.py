@@ -68,6 +68,20 @@ def test_config_errors(capsys):
     assert code == 2 and "empty level range '4:3'" in err
 
 
+@pytest.mark.parametrize("problem,degree", [("laplacian", 1), ("biharmonic", 2)])
+@pytest.mark.parametrize("command", [("solve", "--level", "1"),
+                                     ("sipg", "--coarse-level", "1", "--fine-level", "2")])
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_nonpositive_num_eigs_is_a_usage_error(capsys, tmp_path, problem, degree, command, count):
+    # The biharmonic once died with an IndexError traceback (exit 1) here.
+    dump = tmp_path / "mesh.json"
+    code, out, err = run_cli(capsys, *command, "--problem", problem, "--degree", str(degree),
+                             "--num-eigs", count, "--dump-mesh", str(dump))
+    assert code == 2 and out == ""
+    assert "--num-eigs must be at least 1" in err
+    assert not dump.exists()  # rejected before any mesh or assembly
+
+
 def test_csv_json_equivalence(capsys, tmp_path):
     common = ["sipg", "--coarse-level", "2", "--fine-level", "3",
               "--num-eigs", "2", "--tol", "1e-10"]

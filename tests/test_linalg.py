@@ -2,16 +2,17 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 import wgeig as wg
 from wgeig import linalg
 from wgeig.eigsolve import smallest_eigs, solve_shifted
-from wgeig.errors import NearSingularError
+from wgeig.errors import FactorizationFailureError, NearSingularError
 from wgeig.mesh import build_uniform
 
-from conftest import local_interior_eigs
+from conftest import dense_pencil_eigs, local_interior_eigs
 
 
 def _fill(lu):
@@ -34,10 +35,23 @@ def _skeleton_schur_complement(forms):
     return (A[ni:, ni:] - A[ni:, :ni] @ inv_II @ A[:ni, ni:]).tocsc()
 
 
-def _negative_pivots(lu, forms):
-    """Inertia ν(M) = n_elements ν(d(σ)) + #{diag(U_S) < 0}, by Haynsworth."""
-    local = int(np.sum(np.linalg.eigvalsh(lu.interior) < 0))
-    return forms.space.mesh.num_elements * local + int(np.sum(lu.U.diagonal() < 0))
+def _negative_pivots(lu):
+    """Per quadtree level, boxes · ν(cross block) from the blocks' dense
+    eigenvalues; by Haynsworth's formula they sum to ν(M)."""
+    return [len(level.cross) * int(np.sum(np.linalg.eigvalsh(block) < 0))
+            for level, (block, _, _) in zip(lu.levels, lu.factors)]
+
+
+def _clamped_box_eigs(forms, level):
+    """Eigenvalues of (A, B) on the dofs strictly inside box 0 of a quadtree
+    level, its perimeter clamped: the edges condensed out densely."""
+    space, m = forms.space, 1 << level
+    inside = (space.mesh.elem_ix < m) & (space.mesh.elem_iy < m)
+    dof = space.local_dof_map()[inside]
+    ids = np.setdiff1d(dof[dof >= 0], space.quadtree[level].perimeter[0])
+    A, ni = forms.A[ids][:, ids].toarray(), int(np.sum(ids < forms.n_interior))
+    S = A[:ni, :ni] - A[:ni, ni:] @ np.linalg.solve(A[ni:, ni:], A[ni:, :ni])
+    return sla.eigh(S, forms.B[ids[:ni]][:, ids[:ni]].toarray(), eigvals_only=True)
 
 
 @pytest.fixture(scope="module")
@@ -97,9 +111,11 @@ def test_biharmonic_shifted_fill_matches_spd_fill():
 def test_nested_dissection_fills_less_than_minimum_degree():
     space = wg.WgSpace(build_uniform(6), 1, kind="laplacian", epsilon=0.1)
     forms = wg.assemble(space)
-    # The skeleton factor against minimum degree on the same skeleton matrix:
-    # 0.665 on this mesh and 0.504 at level 8 (6,690,304 against 13,274,144);
-    # 0.713 for the full matrix of A on this mesh.
+    # The entries the nested factor stores, each shared level block once,
+    # against minimum degree on the skeleton Schur complement: 0.075 on this
+    # mesh (32,773 against 439,310) and 0.039 at level 8 (524,293 against
+    # 13,274,144).  A SuperLU factor of the skeleton in nested-dissection
+    # order filled 0.665 here.
     nd = _fill(linalg.factor_spd(forms))
     assert nd <= 0.8 * _fill(_minimum_degree_splu(_skeleton_schur_complement(forms), 0.0))
 
@@ -114,9 +130,8 @@ def test_shifted_solves_match_minimum_degree_oracle(lap_L5_k1):
         M = forms.A - pair.value * forms.B
         lu, _ = linalg.factor_indefinite(forms, pair.value, M)
         oracle = _minimum_degree_splu(M, 0.01)
-        # No row swap, so the negative pivots count the eigenvalues below σ.
-        assert np.array_equal(lu.perm_r, lu.perm_c)
-        negative.append(_negative_pivots(lu, forms))
+        # The inertia counts the eigenvalues below σ.
+        negative.append(lu.inertia())
         oracle_negative.append(int(np.sum(oracle.U.diagonal() < 0)))
         x = solve_shifted(forms, pair.value, rhs)
         y, _ = linalg.refined_solve(oracle, M, rhs, tol=1e-10)
@@ -168,14 +183,103 @@ def test_two_grid_targets_match_full_oracle():
     ("laplacian", 3, 2, 150.0, 1, 19), ("biharmonic", 2, 3, 6e4, 1, 64)])
 def test_condensed_inertia_matches_dense_count(kind, degree, level, sigma, local, skeleton):
     # Both shifts lie above μ_min, so each interior block d(σ) has a negative
-    # eigenvalue; with no row swap in the skeleton factor, Haynsworth's
-    # formula gives the inertia of M from the local and skeleton pivots.
+    # eigenvalue; Haynsworth's formula, level by level, gives the inertia of M
+    # from the cross blocks, with no condition on the pivoting.
     space = wg.WgSpace(build_uniform(level), degree, kind=kind, epsilon=0.1)
     forms = wg.assemble(space)
     M = forms.A - sigma * forms.B
     lu, _ = linalg.factor_indefinite(forms, sigma, M)
-    assert np.array_equal(lu.perm_r, lu.perm_c)
-    assert int(np.sum(np.linalg.eigvalsh(lu.interior) < 0)) == local
-    assert int(np.sum(lu.U.diagonal() < 0)) == skeleton
+    counts = _negative_pivots(lu)
+    assert counts[0] == space.mesh.num_elements * local
+    assert sum(counts[1:]) == skeleton
     dense = int(np.sum(np.linalg.eigvalsh(M.toarray()) < 0))
-    assert _negative_pivots(lu, forms) == dense == space.mesh.num_elements * local + skeleton
+    assert lu.inertia() == dense == sum(counts)
+
+
+@pytest.mark.parametrize("kind,degree", [("laplacian", 1), ("laplacian", 3), ("biharmonic", 2)])
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_nested_solves_match_full_oracle_on_every_level_count(kind, degree, level):
+    # Mesh levels 0-2: the top box is one element with no edge dofs, sits
+    # right on the elements, or sits on a level with cross and perimeter.
+    space = wg.WgSpace(build_uniform(level), degree, kind=kind, epsilon=0.1)
+    forms = wg.assemble(space)
+    mu = local_interior_eigs(space)
+    rhs = np.random.default_rng(3).standard_normal((forms.A.shape[0], 2))
+    for sigma in (0.0, 0.5 * (mu[0] + mu[1]), 1.5 * mu[-1]):
+        M = forms.A - sigma * forms.B
+        lu, _ = linalg.factor_indefinite(forms, sigma, M)
+        want = splu(M.tocsc()).solve(rhs)
+        assert np.linalg.norm(lu.solve(rhs) - want) <= 1e-10 * np.linalg.norm(want), sigma
+        one = lu.solve(rhs[:, 0])
+        assert one.shape == (M.shape[0],)
+        assert np.linalg.norm(one - want[:, 0]) <= 1e-10 * np.linalg.norm(want[:, 0]), sigma
+        dense = int(np.sum(np.linalg.eigvalsh(M.toarray()) < 0))
+        assert lu.inertia() == dense, sigma
+
+
+@pytest.mark.parametrize("kind,degree", [("laplacian", 1), ("biharmonic", 2)])
+def test_spd_factor_checks_every_level(kind, degree):
+    # A "stiffness" matrix A − σB with λ₁,h < σ < min(λ₂,h, μ_min): every
+    # interior block is SPD, so only a cross block above level 0 shows the
+    # one negative eigenvalue, and the SPD factor must still refuse it.
+    space = wg.WgSpace(build_uniform(3), degree, kind=kind, epsilon=0.1)
+    lam = dense_pencil_eigs(wg.assemble(space), 2)
+    sigma = 0.5 * (lam[0] + min(lam[1], local_interior_eigs(space)[0]))
+    kit, nb = space.kit(), space.dim_interior
+    kit.a_local = kit.a_local.copy()
+    kit.a_local[:nb, :nb] -= sigma * kit.Gk
+    forms = wg.assemble(space)
+    with pytest.raises(FactorizationFailureError, match="not positive definite"):
+        linalg.factor_spd(forms)
+    lu, _ = linalg.factor_indefinite(forms, 0.0, forms.A)
+    assert _negative_pivots(lu)[0] == 0 and lu.inertia() == 1
+
+
+@pytest.mark.parametrize("kind,degree", [("laplacian", 2), ("biharmonic", 3)])
+def test_inertia_matches_dense_count_above_the_local_spectrum(kind, degree):
+    space = wg.WgSpace(build_uniform(2), degree, kind=kind, epsilon=0.1)
+    forms = wg.assemble(space)
+    mu = local_interior_eigs(space)
+    distinct = mu[np.flatnonzero(np.diff(mu) > 1e-6 * mu[-1])]
+    for sigma in np.append(distinct + 0.5 * np.diff(np.append(distinct, mu[-1])), 1.5 * mu[-1]):
+        M = forms.A - sigma * forms.B
+        lu, _ = linalg.factor_indefinite(forms, sigma, M)
+        assert lu.inertia() == int(np.sum(np.linalg.eigvalsh(M.toarray()) < 0)), sigma
+
+
+def test_biharmonic_box_eigenvalue_never_gives_a_silent_wrong_solution():
+    # The clamped quadrant of the level 3 mesh has the eigenvalue 1501.80,
+    # which (A, B) does not have (nearest 1347.18): the level 2 cross block is
+    # near singular there while M is not.  Pivoting stays inside the block, so
+    # the factor degrades; refinement then certifies the solve, or a collapsed
+    # pivot raises, never a wrong x.
+    space = wg.WgSpace(build_uniform(3), 2, kind="biharmonic", epsilon=0.1)
+    forms = wg.assemble(space)
+    sigma = _clamped_box_eigs(forms, 2)[0]
+    assert abs(sigma - 1501.8029) < 1e-4
+    assert np.min(np.abs(dense_pencil_eigs(forms, 40) - sigma)) > 100.0
+    rhs = np.random.default_rng(5).standard_normal(forms.A.shape[0])
+    for shift in (sigma, sigma * (1 + 1e-10)):
+        M = forms.A - shift * forms.B
+        want = splu(M.tocsc()).solve(rhs)
+        try:
+            x = solve_shifted(forms, shift, rhs)
+        except NearSingularError:
+            assert shift == sigma
+            continue
+        assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want), shift
+    _, pivot_ratio = linalg.factor_indefinite(forms, sigma, forms.A - sigma * forms.B)
+    assert pivot_ratio < 1e-12
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_laplacian_box_eigenvalues_are_eigenvalues_of_the_pencil(degree):
+    # Odd reflection extends a clamped eigenfunction of a dyadic box to the
+    # whole square, so a singular cross block is a real collision.
+    space = wg.WgSpace(build_uniform(3), degree, kind="laplacian", epsilon=0.1)
+    forms = wg.assemble(space)
+    box = _clamped_box_eigs(forms, 2)[0]
+    if degree == 1:
+        assert abs(box - 57.6459) < 1e-4
+    full = dense_pencil_eigs(forms, 60)
+    assert np.min(np.abs(full - box)) <= 5e-14 * box

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import wgeig as wg
+from wgeig import linalg
 from conftest import local_interpolant
 from wgeig.errors import DegreeTooLowError
 from wgeig.mesh import build_uniform
@@ -169,19 +170,33 @@ def test_biharmonic_dof_count(bih_L2_k2):
                                          ("biharmonic", 2), ("biharmonic", 3)])
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
 def test_fill_reducing_order_is_a_permutation(kind, degree, level):
+    # The quadtree eliminates every dof exactly once: the crosses of its
+    # levels, in level order, are a permutation of the dofs.  A perimeter dof
+    # is a cross dof of a higher level or the Dirichlet slot ndof, and each
+    # one off the boundary belongs to exactly two boxes of its level.
     space = wg.WgSpace(build_uniform(level), degree, kind=kind, epsilon=0.1)
-    order = space.fill_reducing_order()
-    assert np.array_equal(np.sort(order), np.arange(space.ndof))
-    n_int = space.n_interior_dofs
-    assert np.array_equal(space.skeleton.edge_order, order[order >= n_int] - n_int)
-    if level >= 2:
-        # The first cut runs along x = 1/2; its edge dofs come last, in dof order.
+    levels, ndof = space.quadtree, space.ndof
+    assert len(levels) == level + 1
+    order = np.concatenate([box.cross.ravel() for box in levels])
+    assert np.array_equal(np.sort(order), np.arange(ndof))
+    assert len(levels[-1].cross) == 1 and levels[-1].perimeter.size == 0
+    for i, box in enumerate(levels):
+        assert len(box.cross) == len(box.perimeter) == 4 ** (level - i)
+        higher = np.concatenate([b.cross.ravel() for b in levels[i + 1:]] + [[ndof]])
+        assert np.all(np.isin(box.perimeter, higher))
+        flat = box.perimeter.ravel()
+        assert np.array_equal(flat[box.pairs[0]], box.touched)
+        assert np.array_equal(flat[box.pairs[1]], box.touched)
+        assert np.array_equal(np.sort(box.touched), np.unique(flat[flat < ndof]))
+    if level >= 1:
+        # The last cross is the edge dofs on the lines x = 1/2 and y = 1/2.
         mesh, k = space.mesh, space.dim_trace
-        ii = mesh.interior_index[(mesh.edge_orient == 0) & (2 * mesh.edge_i == mesh.n)]
+        mx, my = mesh.edge_midpoints()
+        ii = np.flatnonzero((mx[mesh.interior_edges] == 0.5) | (my[mesh.interior_edges] == 0.5))
         starts = space.n_interior_dofs + k * mesh.num_interior_edges * np.arange(
             space.num_edge_components)
         cut = (starts[:, None, None] + k * ii[None, :, None] + np.arange(k)).ravel()
-        assert np.array_equal(order[-cut.size:], cut)
+        assert np.array_equal(np.sort(levels[-1].cross.ravel()), np.sort(cut))
 
 
 def test_degree_validation():
@@ -515,16 +530,24 @@ def test_biharmonic_source_convergence():
 @pytest.mark.parametrize("kind,degree", [("laplacian", 1), ("laplacian", 3), ("biharmonic", 2)])
 @pytest.mark.parametrize("level", [0, 1, 3])
 def test_skeleton_scatters_like_the_assembly(kind, degree, level):
-    # The edge block of A, read in skeleton order, is the skeleton's own
-    # scatter of the local edge block, and A's edge-interior coupling is its
-    # scatter of the local coupling block.
+    # For box 0 of every quadtree level, the cross block and X = K_CC⁻¹ K_CP
+    # of the factor, merged from four copies of the level below, equal the
+    # Schur complement of the box's own elements, assembled by the dof map,
+    # onto the box's cross and perimeter (Dirichlet perimeter dofs dropped).
     space = wg.WgSpace(build_uniform(level), degree, kind=kind, epsilon=0.1)
-    forms, sk, nb = wg.assemble(space), space.skeleton, space.dim_interior
+    lu, ndof = linalg.factor_spd(wg.assemble(space)), space.ndof
     a = space.kit().a_local
-    n_int, edge = space.n_interior_dofs, space.n_interior_dofs + sk.edge_order
-    atol = 1e-12 * np.abs(forms.A).max()
-    got = sk.assemble(a[nb:, nb:]).toarray()
-    assert np.allclose(got, forms.A[edge][:, edge].toarray(), rtol=0, atol=atol)
-    y = np.random.default_rng(1).standard_normal((nb, space.mesh.num_elements))
-    want = forms.A[edge][:, :n_int] @ y.T.ravel()
-    assert np.allclose(sk.scatter @ (a[nb:, :nb] @ y).ravel(), want, rtol=0, atol=atol)
+    for i, (box, (block, _, X)) in enumerate(zip(space.quadtree, lu.factors)):
+        inside = (space.mesh.elem_ix < 2 ** i) & (space.mesh.elem_iy < 2 ** i)
+        dof = space.local_dof_map()[inside]
+        A = np.zeros((ndof + 1, ndof + 1))
+        for row in np.where(dof >= 0, dof, ndof):
+            A[np.ix_(row, row)] += a
+        keep = np.concatenate([box.cross[0], box.perimeter[0]])
+        live, rest = keep[keep < ndof], np.setdiff1d(dof[dof >= 0], keep)
+        S = A[np.ix_(live, live)] - A[np.ix_(live, rest)] @ np.linalg.solve(
+            A[np.ix_(rest, rest)], A[np.ix_(rest, live)])
+        n_c = len(block)
+        assert np.allclose(block, S[:n_c, :n_c], rtol=0, atol=1e-12 * np.abs(S).max())
+        want = np.linalg.solve(S[:n_c, :n_c], S[:n_c, n_c:])
+        assert np.allclose(X[:, keep[n_c:] < ndof], want, rtol=0, atol=1e-10)
