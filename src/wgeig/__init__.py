@@ -15,11 +15,9 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "analysis": (
-        "BIHARMONIC_LAMBDA1", "Diagnostics", "ExactEigen", "StudyResult",
-        "StudyRow", "ROW_FIELDS", "direct_study", "eigen_diagnostics",
-        "energy_error", "exact_laplacian_spectrum", "l2_error",
-        "laplacian_eigenvalues", "lower_bound_check", "rate_fit", "sipg_study",
-        "vnorm_error",
+        "BIHARMONIC_LAMBDA1", "ExactEigen", "StudyResult", "StudyRow",
+        "ROW_FIELDS", "direct_study", "energy_error", "exact_laplacian_spectrum",
+        "laplacian_eigenvalues", "rate_fit", "sipg_study",
     ),
     "eigsolve": (
         "EigenCluster", "EigenPair", "rayleigh_quotient", "smallest_eigs",
@@ -29,9 +27,7 @@ _EXPORTS = {
     "twogrid": ("SipgConfig", "SipgResult", "cross_mass_rhs", "run_sipg"),
     "wg_core": (
         "BIHARMONIC", "LAPLACIAN", "AssembledForms", "WgFunction", "WgSpace",
-        "assemble", "norm1_matrix", "qh_project",
-        "solve_source", "stabilizer_matrix", "weak_gradient_local",
-        "weak_laplacian_local",
+        "assemble", "qh_project",
     ),
     "errors": (
         "WgeigError", "CapacityError", "ConfigError", "DegreeTooLowError",

@@ -1,4 +1,4 @@
-"""Reference solutions, error norms, diagnostics, and study orchestration.
+"""Exact spectra, energy errors, rate fits, and study orchestration.
 
 Eigenfunction errors are measured against L2-normalized generators, with a
 free overall scale fitted by least squares, so reported energy errors are
@@ -9,21 +9,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
-from .eigsolve import EigenPair, smallest_eigs
-from .errors import (
-    EmptyClusterError,
-    MultiplicityMismatchError,
-    NonPositiveError,
-)
+from .eigsolve import smallest_eigs
+from .errors import EmptyClusterError, NonPositiveError
 from .mesh import build_uniform
-from .polyspace import DEFAULT_FIELD_QUAD
 from .twogrid import SipgConfig, run_sipg
-from .wg_core import (BIHARMONIC, LAPLACIAN, AssembledForms, WgFunction, WgSpace,
-                      _element_points, assemble, qh_project)
+from .wg_core import LAPLACIAN, AssembledForms, WgSpace, assemble, qh_project
 from scipy.linalg import cho_factor, cho_solve
 
 # First clamped-plate eigenvalue on the unit square (literature reference).
@@ -120,32 +114,6 @@ def energy_error(space: WgSpace, forms: AssembledForms, u_bar: np.ndarray,
     return _span_distance(cols, np.asarray(u_bar, dtype=float), forms.A)
 
 
-class Diagnostics(NamedTuple):
-    delta: float
-    sigma: float
-    eta: float
-    gamma: float
-
-
-def eigen_diagnostics(pairs: list[EigenPair], exact: ExactEigen, space: WgSpace,
-                      forms: AssembledForms) -> Diagnostics:
-    """Cluster diagnostics: value spread and best-approximation distances.
-
-    delta/sigma are the largest/smallest absolute eigenvalue errors over the
-    cluster; eta and gamma are the worst mass-seminorm and energy-norm
-    distances from the computed vectors to the interpolated exact eigenspace.
-    """
-    if len(pairs) != exact.multiplicity:
-        raise MultiplicityMismatchError(
-            f"cluster size {len(pairs)} != exact multiplicity {exact.multiplicity}"
-        )
-    errs = [abs(exact.value - p.value) for p in pairs]
-    cols = np.column_stack([qh_project(space, g).coeffs for g in exact.generators])
-    eta = max(_span_distance(cols, p.vector, forms.B) for p in pairs)
-    gamma = max(_span_distance(cols, p.vector, forms.A) for p in pairs)
-    return Diagnostics(delta=max(errs), sigma=min(errs), eta=eta, gamma=gamma)
-
-
 # -- convergence utilities -------------------------------------------------------
 
 
@@ -158,87 +126,6 @@ def rate_fit(h_list, e_list) -> float:
     if np.any(e <= 0.0):
         raise NonPositiveError("error values must be strictly positive; take abs first")
     return float(np.polyfit(np.log(h), np.log(e), 1)[0])
-
-
-def lower_bound_check(errors) -> list[bool]:
-    """Flag per eigenvalue: True iff the signed error lambda - lambda_h is >= 0."""
-    return [bool(e >= 0.0) for e in errors]
-
-
-# -- field error norms -----------------------------------------------------------
-
-
-def l2_error(u_h: WgFunction, f, npts: int = DEFAULT_FIELD_QUAD) -> float:
-    """L2 distance between a smooth field and the interior component of u_h."""
-    space = u_h.space
-    kit = space.kit()
-    ox, oy, w, phi_ref = kit.element_quad(npts)
-    C = u_h.interior_matrix()
-    total = 0.0
-    for sl, X, Y in _element_points(space, ox, oy):
-        diff = np.asarray(f(X, Y), dtype=float) - C[sl] @ phi_ref.T
-        total += float(((diff**2) * w[None, :]).sum())
-    return float(np.sqrt(total))
-
-
-def vnorm_error(u_h: WgFunction, u, grad_u, lap_u,
-                npts: int = DEFAULT_FIELD_QUAD) -> float:
-    """Mesh-dependent energy-type error of a fourth-order source solution.
-
-    Combines the broken-Laplacian L2 error with h^-3 and h^-1 weighted edge
-    penalties of the trace and normal-derivative mismatches, summed per
-    element side exactly as the norm is defined.
-    """
-    space = u_h.space
-    if space.kind != BIHARMONIC:
-        raise ValueError("the V-norm error is defined for the fourth-order space")
-    mesh = space.mesh
-    kit = space.kit()
-    h = mesh.h
-    C = u_h.interior_matrix()
-
-    ox, oy, w2, _ = kit.element_quad(npts)
-    lap_ref = kit.phi.eval(ox, oy, dx=2) + kit.phi.eval(ox, oy, dy=2)
-    total = 0.0
-    for sl, X, Y in _element_points(space, ox, oy):
-        diff = np.asarray(lap_u(X, Y), dtype=float) - C[sl] @ lap_ref.T
-        total += float(((diff**2) * w2[None, :]).sum())
-
-    off, w1, psi_ref = kit.edge_quad(npts)
-    nq = off.size
-    mx, my = mesh.edge_midpoints()
-    vertical = mesh.edge_orient == 0
-    EX = np.where(vertical[:, None], mx[:, None], mx[:, None] - 0.5 * h + off[None, :])
-    EY = np.where(vertical[:, None], my[:, None] - 0.5 * h + off[None, :], my[:, None])
-    u_vals = np.asarray(u(EX, EY), dtype=float)
-    qbu = cho_solve(kit.Ge_cho, ((u_vals * w1[None, :]) @ psi_ref).T).T
-
-    k = space.dim_trace
-    trace_c = np.zeros((mesh.num_edges, k))
-    normal_c = np.zeros((mesh.num_edges, k))
-    ii = mesh.interior_index
-    inter = ii >= 0
-    base = space.n_interior_dofs
-    trace_c[inter] = u_h.coeffs[base : base + mesh.num_interior_edges * k].reshape(-1, k)[ii[inter]]
-    nbase = base + mesh.num_interior_edges * k
-    normal_c[inter] = u_h.coeffs[nbase : nbase + mesh.num_interior_edges * k].reshape(-1, k)[ii[inter]]
-
-    side_pts = (
-        (np.zeros(nq), off),   # left
-        (np.full(nq, h), off),
-        (off, np.zeros(nq)),
-        (off, np.full(nq, h)),
-    )
-    for p in range(4):
-        eid = mesh.elem_edges[:, p]
-        lx, ly = side_pts[p]
-        dn_side = kit.phi.eval(lx, ly, dx=1) if p < 2 else kit.phi.eval(lx, ly, dy=1)
-        qbu0 = cho_solve(kit.Ge_cho, (kit.Me[p] @ C.T)).T      # (Ne, k)
-        t1 = ((qbu[eid] - qbu0) + trace_c[eid]) @ psi_ref.T - u_vals[eid]
-        t2 = normal_c[eid] @ psi_ref.T - C @ dn_side.T
-        total += h ** (-3.0) * float(((t1**2) * w1[None, :]).sum())
-        total += h ** (-1.0) * float(((t2**2) * w1[None, :]).sum())
-    return float(np.sqrt(total))
 
 
 # -- study orchestration ----------------------------------------------------------
@@ -296,6 +183,9 @@ def _study_row(kind: str, degree: int, epsilon: float, H_level: int, h_level: in
 
 
 def _exact_values(kind: str, num_eigs: int):
+    """(value, cluster) per index; checked before any assembly."""
+    if num_eigs < 1:
+        raise ValueError(f"num_eigs must be at least 1, got {num_eigs}")
     if kind == LAPLACIAN:
         return laplacian_eigenvalues(num_eigs)
     vals: list[tuple[float | None, None]] = [(None, None)] * num_eigs

@@ -1,4 +1,4 @@
-"""Scaled monomial bases, Gauss quadrature, and local L2 projections.
+"""Scaled monomial bases and Gauss quadrature.
 
 Element bases are monomials in ((x - x_T)/h_T, (y - y_T)/h_T) centered at the
 element centroid; edge bases are monomials in the arclength parameter centered
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 # Tensor 10-point Gauss is exact through total degree 19 and is the fixed rule
 # for transcendental integrands, so projections of smooth fields are
@@ -164,46 +163,3 @@ class EdgeBasis:
         s = ((np.asarray(x, float).ravel() - mx) * tx
              + (np.asarray(y, float).ravel() - my) * ty) / seg.length
         return np.column_stack([s**i for i in range(self.degree + 1)])
-
-
-def element_mass_matrix(square: Square, k: int, npts: int | None = None) -> np.ndarray:
-    """Gram matrix of the P_k element basis; symmetric positive definite."""
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    rule = QuadratureRule.tensor_gauss(square, npts or (k + 1))
-    basis = ElementBasis.for_square(square, k)
-    vals = basis.eval(rule.points[:, 0], rule.points[:, 1])
-    G = vals.T @ (vals * rule.weights[:, None])
-    return 0.5 * (G + G.T)
-
-
-def edge_mass_matrix(segment: Segment, degree: int, npts: int | None = None) -> np.ndarray:
-    rule = QuadratureRule.interval_gauss(segment, npts or (degree + 1))
-    basis = EdgeBasis(degree=degree, segment=segment)
-    vals = basis.eval(rule.points[:, 0], rule.points[:, 1])
-    G = vals.T @ (vals * rule.weights[:, None])
-    return 0.5 * (G + G.T)
-
-
-def l2_project_element(f, square: Square, k: int, npts: int = DEFAULT_FIELD_QUAD) -> np.ndarray:
-    """Coefficients of the L2 projection of f onto P_k on the element.
-
-    f is called as f(x, y) with numpy arrays.  The default rule is exact for
-    polynomial f up to degree 19 - k and near machine precision for smooth f.
-    """
-    rule = QuadratureRule.tensor_gauss(square, max(npts, k + 1))
-    basis = ElementBasis.for_square(square, k)
-    vals = basis.eval(rule.points[:, 0], rule.points[:, 1])
-    rhs = vals.T @ (rule.weights * np.asarray(f(rule.points[:, 0], rule.points[:, 1]), float).ravel())
-    G = element_mass_matrix(square, k)
-    return cho_solve(cho_factor(G), rhs)
-
-
-def l2_project_edge(f, segment: Segment, degree: int, npts: int = DEFAULT_FIELD_QUAD) -> np.ndarray:
-    """1D analogue of l2_project_element on an edge."""
-    rule = QuadratureRule.interval_gauss(segment, max(npts, degree + 1))
-    basis = EdgeBasis(degree=degree, segment=segment)
-    vals = basis.eval(rule.points[:, 0], rule.points[:, 1])
-    rhs = vals.T @ (rule.weights * np.asarray(f(rule.points[:, 0], rule.points[:, 1]), float).ravel())
-    G = edge_mass_matrix(segment, degree)
-    return cho_solve(cho_factor(G), rhs)

@@ -10,7 +10,7 @@ one-shot: steps 2 and 3 are never iterated.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,8 +49,6 @@ class SipgTarget:
 
     index: int
     coarse_value: float
-    coarse_vector: np.ndarray
-    raw_fine: np.ndarray | None
     rayleigh: float
     normalized: np.ndarray | None
     seconds: float
@@ -65,7 +63,6 @@ class SipgResult:
     fine_space: WgSpace
     fine_forms: AssembledForms
     targets: list[SipgTarget]
-    seconds: dict[str, float] = field(default_factory=dict)
 
     @property
     def warnings(self) -> list[str]:
@@ -114,18 +111,13 @@ def run_sipg(config: SipgConfig,
     recorded as warnings on their target and never silently ignored.
     """
     config.validate()
-    seconds: dict[str, float] = {}
-
-    t0 = time.perf_counter()
     coarse_space = WgSpace(
         build_uniform(config.coarse_level), config.degree,
         kind=config.kind, epsilon=config.epsilon,
     )
     coarse_forms = assemble(coarse_space)
     coarse_pairs = smallest_eigs(coarse_forms, config.num_eigs, tol=config.tol)
-    seconds["coarse_eigensolve"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
     if fine is None:
         fine_space = WgSpace(
             build_uniform(config.fine_level), config.degree,
@@ -136,7 +128,6 @@ def run_sipg(config: SipgConfig,
         fine_space, fine_forms = fine
         if fine_space.mesh.level != config.fine_level:
             raise ConfigError("provided fine space does not match the configured level")
-    seconds["fine_assembly"] = time.perf_counter() - t0
 
     targets: list[SipgTarget] = []
     B = fine_forms.B
@@ -151,8 +142,7 @@ def run_sipg(config: SipgConfig,
                        f"spectrum ({exc})")
             if exc.solution is None:
                 targets.append(SipgTarget(
-                    index=j, coarse_value=pair.value, coarse_vector=pair.vector,
-                    raw_fine=None, rayleigh=float("nan"), normalized=None,
+                    index=j, coarse_value=pair.value, rayleigh=float("nan"), normalized=None,
                     seconds=time.perf_counter() - t0, warning=warning,
                 ))
                 continue
@@ -162,11 +152,9 @@ def run_sipg(config: SipgConfig,
         lam = rayleigh_quotient(fine_forms, x)
         xbar = _fix_sign(x / np.sqrt(x @ (B @ x)), fine_forms.n_interior)
         targets.append(SipgTarget(
-            index=j, coarse_value=pair.value, coarse_vector=pair.vector,
-            raw_fine=x, rayleigh=float(lam), normalized=xbar,
+            index=j, coarse_value=pair.value, rayleigh=float(lam), normalized=xbar,
             seconds=time.perf_counter() - t0, warning=warning,
         ))
-    seconds["fine_solves"] = sum(t.seconds for t in targets)
 
     return SipgResult(
         config=config,
@@ -175,5 +163,4 @@ def run_sipg(config: SipgConfig,
         fine_space=fine_space,
         fine_forms=fine_forms,
         targets=targets,
-        seconds=seconds,
     )

@@ -13,6 +13,14 @@ quadtree that the factorizations (linalg) eliminate level by level: edge dofs
 are numbered by component, then edge, then basis function, and one map per
 level merges four boxes into their parent (WgSpace.quadtree).
 
+One scatter builds both forms: A from the local stiffness matrix, B from the
+interior Gram block Gk zero-padded to the local size.  Each global entry sums
+at most two element terms, and two floating-point terms sum to the same bits
+in either order, so the result does not depend on the order of the elements;
+the local matrices are exactly symmetric, so A and B are too.  Zero local
+entries are not emitted and entries whose terms cancel to 0.0 are dropped, so
+A and B store no zeros.
+
 The interior Gram block Gk, which is the local mass matrix, is built from the
 exact moments of the centered monomials rather than by quadrature: moments of
 odd degree in x or y vanish exactly, so Gk stores no rounding noise as
@@ -33,8 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
 
-from . import linalg
-from .errors import DegreeTooLowError, SolverFailureError
+from .errors import DegreeTooLowError
 from .mesh import EDGE_SIGNS, MeshLevel
 from .polyspace import (
     DEFAULT_FIELD_QUAD,
@@ -226,11 +233,6 @@ class WgFunction:
         nd0 = self.space.dim_interior
         return self.coeffs[: self.space.n_interior_dofs].reshape(-1, nd0)
 
-    def local_vector(self, element: int) -> np.ndarray:
-        """Local coefficients of one element; boundary edge blocks read as 0."""
-        row = self.space.local_dof_map()[element]
-        return np.where(row >= 0, self.coeffs[np.maximum(row, 0)], 0.0)
-
 
 @dataclass
 class AssembledForms:
@@ -402,15 +404,14 @@ class _LocalKit:
                 blk = slice(nd0 + (4 + p) * kt, nd0 + (5 + p) * kt)
                 self.stab_normal_unit += self._unit_penalty_block(self.Mn[p], blk)
 
-    def stabilizer_local(self, epsilon: float | None) -> np.ndarray:
-        """Local stabilizer; epsilon=None gives the unweakened (epsilon=0) weights."""
-        eps = 0.0 if epsilon is None else epsilon
+    def stabilizer_local(self, epsilon: float) -> np.ndarray:
+        """Local stabilizer with weights h^(-1+epsilon) (and h^(-3+epsilon))."""
         h = self.h
         if self.space.kind == LAPLACIAN:
-            S = h ** (-1.0 + eps) * self.stab_trace_unit
+            S = h ** (-1.0 + epsilon) * self.stab_trace_unit
         else:
-            S = (h ** (-3.0 + eps) * self.stab_trace_unit
-                 + h ** (-1.0 + eps) * self.stab_normal_unit)
+            S = (h ** (-3.0 + epsilon) * self.stab_trace_unit
+                 + h ** (-1.0 + epsilon) * self.stab_normal_unit)
         return 0.5 * (S + S.T)
 
     # -- quadrature references for field integrals --------------------------
@@ -434,95 +435,46 @@ class _LocalKit:
         return off, W, psi
 
 
-# -- local weak operators ----------------------------------------------------
-
-
-def weak_gradient_local(space: WgSpace, local_coeffs: np.ndarray) -> np.ndarray:
-    """Coefficients (2, dim P_{k-1}) of the discrete weak gradient on an element.
-
-    The input follows the local ordering documented on WgSpace.  The result
-    rows are the x and y components in the scaled P_{k-1} element basis.
-    """
-    if space.kind != LAPLACIAN:
-        raise ValueError("weak gradient is defined for the second-order space")
-    kit = space.kit()
-    v = np.asarray(local_coeffs, dtype=float)
-    if v.shape != (space.n_local,):
-        raise ValueError(f"expected {space.n_local} local coefficients")
-    return np.vstack([kit.Wx @ v, kit.Wy @ v])
-
-
-def weak_laplacian_local(space: WgSpace, local_coeffs: np.ndarray) -> np.ndarray:
-    """Coefficients in P_{k-2} of the discrete weak Laplacian on an element."""
-    if space.kind != BIHARMONIC:
-        raise ValueError("weak Laplacian is defined for the fourth-order space")
-    kit = space.kit()
-    v = np.asarray(local_coeffs, dtype=float)
-    if v.shape != (space.n_local,):
-        raise ValueError(f"expected {space.n_local} local coefficients")
-    return kit.W @ v
-
-
 # -- assembly ----------------------------------------------------------------
 
 
 def _scatter_symmetric(space: WgSpace, local: np.ndarray) -> sp.csr_matrix:
-    """Assemble one shared symmetric local matrix over all elements.
-
-    Only entries with global row <= col are emitted, then mirrored, which
-    makes the result exactly symmetric and the assembly order deterministic.
-    """
+    """Assemble one shared symmetric local matrix over all elements: every pair
+    of free local dofs with a nonzero local entry, duplicates summed by the CSR
+    conversion, cancelled entries dropped (see the module docstring)."""
     gdofs = space.local_dof_map()
-    ndof = space.ndof
     n_loc = space.n_local
+    nonzero = local != 0.0
+    # 32-bit ids where they fit, as in the CSR result: int64 triplets cost
+    # 40 MB more transient memory at h=1/256, where the assembly set the peak.
+    ids = np.int32 if space.ndof < 2**31 else np.int64
     rows, cols, vals = [], [], []
     for start in range(0, gdofs.shape[0], _ELEMENT_CHUNK):
-        G = gdofs[start : start + _ELEMENT_CHUNK]
-        ne = G.shape[0]
-        R = np.broadcast_to(G[:, :, None], (ne, n_loc, n_loc))
-        C = np.broadcast_to(G[:, None, :], (ne, n_loc, n_loc))
-        mask = (R >= 0) & (C >= 0) & (R <= C)
+        G = gdofs[start : start + _ELEMENT_CHUNK].astype(ids)
+        R = np.broadcast_to(G[:, :, None], (G.shape[0], n_loc, n_loc))
+        C = np.broadcast_to(G[:, None, :], R.shape)
+        mask = (R >= 0) & (C >= 0) & nonzero
         rows.append(R[mask])
         cols.append(C[mask])
-        vals.append(np.broadcast_to(local, (ne, n_loc, n_loc))[mask])
-    upper = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(ndof, ndof),
-    ).tocsr()
-    return (upper + sp.triu(upper, k=1).T).tocsr()
+        vals.append(np.broadcast_to(local, R.shape)[mask])
+    M = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(space.ndof, space.ndof))
+    M.eliminate_zeros()
+    return M
 
 
 def assemble(space: WgSpace) -> AssembledForms:
-    """Assemble the stiffness form A and the mass form B of the pencil."""
+    """Assemble the stiffness form A and the mass form B of the pencil.
+
+    B is the same scatter of the interior Gram block Gk, zero-padded to the
+    local size: it lives on the interior unknowns only."""
     kit = space.kit()
-    A = _scatter_symmetric(space, kit.a_local)
-    ne = space.mesh.num_elements
-    Bint = sp.kron(sp.identity(ne, format="csr"), sp.csr_matrix(kit.b_local)).tocoo()
-    B = sp.coo_matrix(
-        (Bint.data, (Bint.row, Bint.col)), shape=(space.ndof, space.ndof)
-    ).tocsr()
-    return AssembledForms(space=space, A=A, B=B, n_interior=space.n_interior_dofs)
-
-
-_SPACE_EPSILON = object()
-
-
-def stabilizer_matrix(space: WgSpace, epsilon=_SPACE_EPSILON) -> sp.csr_matrix:
-    """Global stabilizer matrix; s(v, w) = v^T S w.
-
-    By default the space's weakened exponent is used; epsilon=None drops the
-    weakening (the exponents of the mesh-dependent reference norm).
-    """
-    kit = space.kit()
-    eps = space.epsilon if epsilon is _SPACE_EPSILON else epsilon
-    return _scatter_symmetric(space, kit.stabilizer_local(eps))
-
-
-def norm1_matrix(space: WgSpace) -> sp.csr_matrix:
-    """Matrix of the unweakened mesh-dependent norm (stiffness + epsilon-free penalty)."""
-    kit = space.kit()
-    local = kit.stiff_local + kit.stabilizer_local(None)
-    return _scatter_symmetric(space, 0.5 * (local + local.T))
+    nd0 = space.dim_interior
+    b_local = np.zeros((space.n_local, space.n_local))
+    b_local[:nd0, :nd0] = kit.Gk
+    return AssembledForms(space=space, A=_scatter_symmetric(space, kit.a_local),
+                          B=_scatter_symmetric(space, b_local),
+                          n_interior=space.n_interior_dofs)
 
 
 # -- interpolation and field integrals ----------------------------------------
@@ -632,19 +584,3 @@ def qh_project(space: WgSpace, f, grad=None, npts: int = DEFAULT_FIELD_QUAD) -> 
         off = base + space.mesh.num_interior_edges * k
         coeffs[off : off + normal.size] = normal.ravel()
     return WgFunction(space, coeffs)
-
-
-def solve_source(space: WgSpace, f, forms: AssembledForms | None = None,
-                 tol: float = 1e-10) -> WgFunction:
-    """Solve the discrete source problem a_w(u_h, v) = (f, v_0)."""
-    if forms is None:
-        forms = assemble(space)
-    rhs = np.zeros(space.ndof)
-    rhs[: space.n_interior_dofs] = _interior_moments(space, f, DEFAULT_FIELD_QUAD).ravel()
-    lu = linalg.factor_spd(forms)
-    x, rel = linalg.refined_solve(lu, forms.A, rhs, tol)
-    if rel > tol:
-        raise SolverFailureError(
-            f"source solve stalled at relative residual {rel:.3e} (tol {tol:.1e})"
-        )
-    return WgFunction(space, x)

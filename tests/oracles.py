@@ -1,0 +1,245 @@
+"""Verification helpers that no solver path calls: local L2 projections, the
+weak operators on one element, the stabilizer and reference-norm matrices, a
+source solve, field error norms and cluster diagnostics.
+
+They check the package from outside, so they live with the tests.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
+from scipy.linalg import cho_factor, cho_solve
+
+from wgeig import linalg
+from wgeig.errors import MultiplicityMismatchError, SolverFailureError
+from wgeig.analysis import ExactEigen, _span_distance
+from wgeig.eigsolve import EigenPair
+from wgeig.polyspace import (DEFAULT_FIELD_QUAD, EdgeBasis, ElementBasis, QuadratureRule,
+                             Segment, Square)
+from wgeig.wg_core import (BIHARMONIC, LAPLACIAN, AssembledForms, WgFunction, WgSpace,
+                           _element_points, _interior_moments, _scatter_symmetric, assemble,
+                           qh_project)
+
+
+# -- local L2 projections ----------------------------------------------------------
+
+
+def element_mass_matrix(square: Square, k: int, npts: int | None = None) -> np.ndarray:
+    """Gram matrix of the P_k element basis; symmetric positive definite."""
+    if k < 0:
+        raise ValueError("degree must be nonnegative")
+    rule = QuadratureRule.tensor_gauss(square, npts or (k + 1))
+    basis = ElementBasis.for_square(square, k)
+    vals = basis.eval(rule.points[:, 0], rule.points[:, 1])
+    G = vals.T @ (vals * rule.weights[:, None])
+    return 0.5 * (G + G.T)
+
+
+def edge_mass_matrix(segment: Segment, degree: int, npts: int | None = None) -> np.ndarray:
+    rule = QuadratureRule.interval_gauss(segment, npts or (degree + 1))
+    basis = EdgeBasis(degree=degree, segment=segment)
+    vals = basis.eval(rule.points[:, 0], rule.points[:, 1])
+    G = vals.T @ (vals * rule.weights[:, None])
+    return 0.5 * (G + G.T)
+
+
+def l2_project_element(f, square: Square, k: int, npts: int = DEFAULT_FIELD_QUAD) -> np.ndarray:
+    """Coefficients of the L2 projection of f onto P_k on the element.
+
+    f is called as f(x, y) with numpy arrays.  The default rule is exact for
+    polynomial f up to degree 19 - k and near machine precision for smooth f.
+    """
+    rule = QuadratureRule.tensor_gauss(square, max(npts, k + 1))
+    basis = ElementBasis.for_square(square, k)
+    vals = basis.eval(rule.points[:, 0], rule.points[:, 1])
+    rhs = vals.T @ (rule.weights * np.asarray(f(rule.points[:, 0], rule.points[:, 1]), float).ravel())
+    G = element_mass_matrix(square, k)
+    return cho_solve(cho_factor(G), rhs)
+
+
+def l2_project_edge(f, segment: Segment, degree: int, npts: int = DEFAULT_FIELD_QUAD) -> np.ndarray:
+    """1D analogue of l2_project_element on an edge."""
+    rule = QuadratureRule.interval_gauss(segment, max(npts, degree + 1))
+    basis = EdgeBasis(degree=degree, segment=segment)
+    vals = basis.eval(rule.points[:, 0], rule.points[:, 1])
+    rhs = vals.T @ (rule.weights * np.asarray(f(rule.points[:, 0], rule.points[:, 1]), float).ravel())
+    G = edge_mass_matrix(segment, degree)
+    return cho_solve(cho_factor(G), rhs)
+
+
+# -- weak functions and local weak operators -----------------------------------------
+
+
+def local_vector(u: WgFunction, element: int) -> np.ndarray:
+    """Local coefficients of one element; boundary edge blocks read as 0."""
+    row = u.space.local_dof_map()[element]
+    return np.where(row >= 0, u.coeffs[np.maximum(row, 0)], 0.0)
+
+
+def weak_gradient_local(space: WgSpace, local_coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients (2, dim P_{k-1}) of the discrete weak gradient on an element.
+
+    The input follows the local ordering documented on WgSpace.  The result
+    rows are the x and y components in the scaled P_{k-1} element basis.
+    """
+    if space.kind != LAPLACIAN:
+        raise ValueError("weak gradient is defined for the second-order space")
+    kit = space.kit()
+    v = np.asarray(local_coeffs, dtype=float)
+    if v.shape != (space.n_local,):
+        raise ValueError(f"expected {space.n_local} local coefficients")
+    return np.vstack([kit.Wx @ v, kit.Wy @ v])
+
+
+def weak_laplacian_local(space: WgSpace, local_coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients in P_{k-2} of the discrete weak Laplacian on an element."""
+    if space.kind != BIHARMONIC:
+        raise ValueError("weak Laplacian is defined for the fourth-order space")
+    kit = space.kit()
+    v = np.asarray(local_coeffs, dtype=float)
+    if v.shape != (space.n_local,):
+        raise ValueError(f"expected {space.n_local} local coefficients")
+    return kit.W @ v
+
+
+# -- global matrices and the source problem -------------------------------------------
+
+
+def stabilizer_matrix(space: WgSpace):
+    """Global stabilizer matrix with the space's weakened exponent; s(v, w) = v^T S w."""
+    return _scatter_symmetric(space, space.kit().stabilizer_local(space.epsilon))
+
+
+def norm1_matrix(space: WgSpace):
+    """Matrix of the unweakened mesh-dependent norm (stiffness + epsilon-free penalty)."""
+    kit = space.kit()
+    local = kit.stiff_local + kit.stabilizer_local(0.0)
+    return _scatter_symmetric(space, 0.5 * (local + local.T))
+
+
+def solve_source(space: WgSpace, f, forms: AssembledForms | None = None,
+                 tol: float = 1e-10) -> WgFunction:
+    """Solve the discrete source problem a_w(u_h, v) = (f, v_0)."""
+    if forms is None:
+        forms = assemble(space)
+    rhs = np.zeros(space.ndof)
+    rhs[: space.n_interior_dofs] = _interior_moments(space, f, DEFAULT_FIELD_QUAD).ravel()
+    lu = linalg.factor_spd(forms)
+    x, rel = linalg.refined_solve(lu, forms.A, rhs, tol)
+    if rel > tol:
+        raise SolverFailureError(
+            f"source solve stalled at relative residual {rel:.3e} (tol {tol:.1e})"
+        )
+    return WgFunction(space, x)
+
+
+# -- field error norms -----------------------------------------------------------------
+
+
+def l2_error(u_h: WgFunction, f, npts: int = DEFAULT_FIELD_QUAD) -> float:
+    """L2 distance between a smooth field and the interior component of u_h."""
+    space = u_h.space
+    kit = space.kit()
+    ox, oy, w, phi_ref = kit.element_quad(npts)
+    C = u_h.interior_matrix()
+    total = 0.0
+    for sl, X, Y in _element_points(space, ox, oy):
+        diff = np.asarray(f(X, Y), dtype=float) - C[sl] @ phi_ref.T
+        total += float(((diff**2) * w[None, :]).sum())
+    return float(np.sqrt(total))
+
+
+def vnorm_error(u_h: WgFunction, u, grad_u, lap_u,
+                npts: int = DEFAULT_FIELD_QUAD) -> float:
+    """Mesh-dependent energy-type error of a fourth-order source solution.
+
+    Combines the broken-Laplacian L2 error with h^-3 and h^-1 weighted edge
+    penalties of the trace and normal-derivative mismatches, summed per
+    element side exactly as the norm is defined.
+    """
+    space = u_h.space
+    if space.kind != BIHARMONIC:
+        raise ValueError("the V-norm error is defined for the fourth-order space")
+    mesh = space.mesh
+    kit = space.kit()
+    h = mesh.h
+    C = u_h.interior_matrix()
+
+    ox, oy, w2, _ = kit.element_quad(npts)
+    lap_ref = kit.phi.eval(ox, oy, dx=2) + kit.phi.eval(ox, oy, dy=2)
+    total = 0.0
+    for sl, X, Y in _element_points(space, ox, oy):
+        diff = np.asarray(lap_u(X, Y), dtype=float) - C[sl] @ lap_ref.T
+        total += float(((diff**2) * w2[None, :]).sum())
+
+    off, w1, psi_ref = kit.edge_quad(npts)
+    nq = off.size
+    mx, my = mesh.edge_midpoints()
+    vertical = mesh.edge_orient == 0
+    EX = np.where(vertical[:, None], mx[:, None], mx[:, None] - 0.5 * h + off[None, :])
+    EY = np.where(vertical[:, None], my[:, None] - 0.5 * h + off[None, :], my[:, None])
+    u_vals = np.asarray(u(EX, EY), dtype=float)
+    qbu = cho_solve(kit.Ge_cho, ((u_vals * w1[None, :]) @ psi_ref).T).T
+
+    k = space.dim_trace
+    trace_c = np.zeros((mesh.num_edges, k))
+    normal_c = np.zeros((mesh.num_edges, k))
+    ii = mesh.interior_index
+    inter = ii >= 0
+    base = space.n_interior_dofs
+    trace_c[inter] = u_h.coeffs[base : base + mesh.num_interior_edges * k].reshape(-1, k)[ii[inter]]
+    nbase = base + mesh.num_interior_edges * k
+    normal_c[inter] = u_h.coeffs[nbase : nbase + mesh.num_interior_edges * k].reshape(-1, k)[ii[inter]]
+
+    side_pts = (
+        (np.zeros(nq), off),   # left
+        (np.full(nq, h), off),
+        (off, np.zeros(nq)),
+        (off, np.full(nq, h)),
+    )
+    for p in range(4):
+        eid = mesh.elem_edges[:, p]
+        lx, ly = side_pts[p]
+        dn_side = kit.phi.eval(lx, ly, dx=1) if p < 2 else kit.phi.eval(lx, ly, dy=1)
+        qbu0 = cho_solve(kit.Ge_cho, (kit.Me[p] @ C.T)).T      # (Ne, k)
+        t1 = ((qbu[eid] - qbu0) + trace_c[eid]) @ psi_ref.T - u_vals[eid]
+        t2 = normal_c[eid] @ psi_ref.T - C @ dn_side.T
+        total += h ** (-3.0) * float(((t1**2) * w1[None, :]).sum())
+        total += h ** (-1.0) * float(((t2**2) * w1[None, :]).sum())
+    return float(np.sqrt(total))
+
+
+# -- cluster diagnostics and verdicts --------------------------------------------------
+
+
+class Diagnostics(NamedTuple):
+    delta: float
+    sigma: float
+    eta: float
+    gamma: float
+
+
+def eigen_diagnostics(pairs: list[EigenPair], exact: ExactEigen, space: WgSpace,
+                      forms: AssembledForms) -> Diagnostics:
+    """Cluster diagnostics: value spread and best-approximation distances.
+
+    delta/sigma are the largest/smallest absolute eigenvalue errors over the
+    cluster; eta and gamma are the worst mass-seminorm and energy-norm
+    distances from the computed vectors to the interpolated exact eigenspace.
+    """
+    if len(pairs) != exact.multiplicity:
+        raise MultiplicityMismatchError(
+            f"cluster size {len(pairs)} != exact multiplicity {exact.multiplicity}"
+        )
+    errs = [abs(exact.value - p.value) for p in pairs]
+    cols = np.column_stack([qh_project(space, g).coeffs for g in exact.generators])
+    eta = max(_span_distance(cols, p.vector, forms.B) for p in pairs)
+    gamma = max(_span_distance(cols, p.vector, forms.A) for p in pairs)
+    return Diagnostics(delta=max(errs), sigma=min(errs), eta=eta, gamma=gamma)
+
+
+def lower_bound_check(errors) -> list[bool]:
+    """Flag per eigenvalue: True iff the signed error lambda - lambda_h is >= 0."""
+    return [bool(e >= 0.0) for e in errors]

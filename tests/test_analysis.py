@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 import wgeig as wg
+from oracles import eigen_diagnostics, l2_error, lower_bound_check, vnorm_error
 from wgeig.analysis import (
     BIHARMONIC_LAMBDA1,
     direct_study,
-    eigen_diagnostics,
     energy_error,
     exact_laplacian_spectrum,
     laplacian_eigenvalues,
-    lower_bound_check,
     rate_fit,
     sipg_study,
 )
@@ -226,7 +225,7 @@ def test_l2_error_of_exact_interior(lap_L2_k1):
     space, _ = lap_L2_k1
     f = lambda x, y: 1.0 + 0.5 * x - 0.25 * y
     q = wg.qh_project(space, f)
-    assert wg.l2_error(q, f) < 1e-13
+    assert l2_error(q, f) < 1e-13
 
 
 def test_vnorm_error_reduces_to_boundary_terms_for_polynomial():
@@ -249,11 +248,11 @@ def test_vnorm_error_reduces_to_boundary_terms_for_polynomial():
         keep = gmap[element] >= 0
         coeffs[gmap[element][keep]] = vloc[keep]
     uh = wg.WgFunction(space, coeffs)
-    assert wg.l2_error(uh, u) < 1e-12
+    assert l2_error(uh, u) < 1e-12
 
     h = space.mesh.h
     want = np.sqrt(h ** (-3.0) * (8 / 15) + h ** (-1.0) * (26 / 15))
-    got = wg.vnorm_error(uh, u, grad, lap)
+    got = vnorm_error(uh, u, grad, lap)
     assert abs(got - want) < 1e-10 * want
 
 
@@ -261,7 +260,7 @@ def test_vnorm_error_requires_biharmonic(lap_L2_k1):
     space, _ = lap_L2_k1
     u = wg.WgFunction(space, np.zeros(space.ndof))
     with pytest.raises(ValueError):
-        wg.vnorm_error(u, lambda x, y: x, lambda x, y: (x, x), lambda x, y: x)
+        vnorm_error(u, lambda x, y: x, lambda x, y: (x, x), lambda x, y: x)
 
 
 # -- study orchestration -------------------------------------------------------------------
@@ -283,6 +282,22 @@ def test_direct_study_biharmonic_reference_only_first_index():
     assert res.rows[0].lambda_exact == BIHARMONIC_LAMBDA1
     assert res.rows[1].lambda_exact is None
     assert res.rows[1].err_direct is None and res.rows[1].lower_bound is None
+
+
+@pytest.mark.parametrize("kind,degree", [("laplacian", 1), ("biharmonic", 2)])
+@pytest.mark.parametrize("study", ["direct", "sipg"])
+@pytest.mark.parametrize("num_eigs", [0, -1])
+def test_studies_reject_num_eigs_below_one_before_assembly(kind, degree, study, num_eigs,
+                                                           monkeypatch):
+    def no_assembly(space):
+        raise AssertionError("assembled before validating num_eigs")
+
+    monkeypatch.setattr("wgeig.analysis.assemble", no_assembly)
+    with pytest.raises(ValueError):
+        if study == "direct":
+            direct_study(kind, degree, 0.1, [1], num_eigs)
+        else:
+            sipg_study(kind, degree, 0.1, [1], 2, num_eigs)
 
 
 def test_sipg_study_rows():

@@ -31,6 +31,7 @@ COMMANDS = {
     "biharm-k2-sipg-H2-h3": ("sipg", "--problem", "biharmonic", "--degree", "2",
                              "--coarse-level", "2", "--fine-level", "3"),
     "lap-k3-solve-L4": ("solve", "--degree", "3", "--level", "4"),
+    "biharm-k3-solve-L2": ("solve", "--problem", "biharmonic", "--degree", "3", "--level", "2"),
 }
 
 

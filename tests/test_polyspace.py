@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import edge_mass_matrix, element_mass_matrix, l2_project_edge, l2_project_element
 from wgeig.polyspace import (
     EdgeBasis,
     ElementBasis,
@@ -8,11 +9,7 @@ from wgeig.polyspace import (
     Segment,
     Square,
     dim_pk,
-    edge_mass_matrix,
-    element_mass_matrix,
     gauss_rule,
-    l2_project_edge,
-    l2_project_element,
     pk_exponents,
 )
 

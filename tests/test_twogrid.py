@@ -128,7 +128,6 @@ def test_run_sipg_basic_lower_bounds():
     lam1_coarse = res.targets[0].coarse_value
     assert lam1_coarse < res.targets[0].rayleigh < 2 * np.pi**2
     assert res.warnings == []
-    assert set(res.seconds) == {"coarse_eigensolve", "fine_assembly", "fine_solves"}
 
 
 def test_run_sipg_rejects_equal_levels():

@@ -4,16 +4,21 @@ import pytest
 import wgeig as wg
 from wgeig import linalg
 from conftest import local_interpolant
-from wgeig.errors import DegreeTooLowError
-from wgeig.mesh import build_uniform
-from wgeig.polyspace import (Square, dim_pk, element_mass_matrix, gauss_rule, l2_project_element,
-                             pk_exponents)
-from wgeig.wg_core import (
+from oracles import (
+    element_mass_matrix,
+    l2_error,
+    l2_project_element,
+    local_vector,
     norm1_matrix,
+    solve_source,
     stabilizer_matrix,
+    vnorm_error,
     weak_gradient_local,
     weak_laplacian_local,
 )
+from wgeig.errors import DegreeTooLowError
+from wgeig.mesh import build_uniform
+from wgeig.polyspace import Square, dim_pk, gauss_rule, pk_exponents
 
 
 def _monomial_field(a, b):
@@ -227,7 +232,7 @@ def test_weak_gradient_of_linear():
     space = wg.WgSpace(build_uniform(2), 2, kind="laplacian", epsilon=0.1)
     q = wg.qh_project(space, lambda x, y: x)
     for element in (5, 6, 9):  # interior elements of the 4x4 grid
-        got = weak_gradient_local(space, q.local_vector(element))
+        got = weak_gradient_local(space, local_vector(q, element))
         want = np.zeros_like(got)
         want[0, 0] = 1.0
         assert np.abs(got - want).max() < 1e-12
@@ -345,6 +350,38 @@ def test_assembled_symmetry_and_definiteness(lap_L2_k1, bih_L1_k2):
         assert np.linalg.eigvalsh(forms.B.toarray()[:ni, :ni]).min() > 0
 
 
+@pytest.mark.parametrize("kind,degree", [("laplacian", 1), ("laplacian", 2), ("laplacian", 3),
+                                         ("biharmonic", 2), ("biharmonic", 3),
+                                         ("biharmonic", 4)])
+@pytest.mark.parametrize("level", [1, 2])
+def test_assembly_matches_dense_elementwise_oracle(kind, degree, level):
+    # Add the local stiffness matrix and the padded Gram block element by
+    # element into dense arrays through the dof map (Dirichlet dofs go to a
+    # dropped slot).  Each entry sums at most two terms, so the sparse forms
+    # match exactly, and an entry whose terms cancel to 0.0 is not stored.
+    space = wg.WgSpace(build_uniform(level), degree, kind=kind, epsilon=0.1)
+    forms, kit, ndof, nd0 = wg.assemble(space), space.kit(), space.ndof, space.dim_interior
+    b_local = np.zeros((space.n_local, space.n_local))
+    b_local[:nd0, :nd0] = kit.Gk
+    A = np.zeros((ndof + 1, ndof + 1))
+    B = np.zeros_like(A)
+    terms = np.zeros(A.shape, dtype=int)
+    for row in np.where(space.local_dof_map() >= 0, space.local_dof_map(), ndof):
+        A[np.ix_(row, row)] += kit.a_local
+        B[np.ix_(row, row)] += b_local
+        terms[np.ix_(row, row)] += kit.a_local != 0.0
+    assert np.array_equal(forms.A.toarray(), A[:ndof, :ndof])
+    assert np.array_equal(forms.B.toarray(), B[:ndof, :ndof])
+    for M in (forms.A, forms.B):
+        assert np.all(M.data != 0.0)
+        assert all(np.all(np.diff(M.indices[a:b]) > 0)
+                   for a, b in zip(M.indptr[:-1], M.indptr[1:]))
+        assert (M != M.T).nnz == 0
+    cancelled = np.count_nonzero((terms[:ndof, :ndof] == 2) & (A[:ndof, :ndof] == 0.0))
+    if (kind, degree, level) == ("biharmonic", 3, 1):
+        assert cancelled > 0
+
+
 def test_mass_matrix_lives_on_interior_only(lap_L3_k1):
     space, forms = lap_L3_k1
     coo = forms.B.tocoo()
@@ -420,7 +457,7 @@ def test_qh_project_zero_and_polynomial(lap_L2_k1):
     # global degree-1 field reproduced exactly in every kept component
     q = wg.qh_project(space, lambda x, y: 2.0 * x - y + 0.5)
     for element in range(space.mesh.num_elements):
-        vloc = q.local_vector(element)
+        vloc = local_vector(q, element)
         want = local_interpolant(space, element, lambda x, y: 2.0 * x - y + 0.5)
         gmap = space.local_dof_map()[element]
         kept = gmap >= 0
@@ -480,14 +517,14 @@ def test_separable_projection_matches_2d_path(k, level):
 
 def test_solve_source_zero(lap_L2_k1):
     space, forms = lap_L2_k1
-    u = wg.solve_source(space, lambda x, y: np.zeros_like(x), forms=forms)
+    u = solve_source(space, lambda x, y: np.zeros_like(x), forms=forms)
     assert np.abs(u.coeffs).max() < 1e-14
 
 
 def test_solve_source_residual(lap_L3_k1):
     space, forms = lap_L3_k1
     f = lambda x, y: np.exp(x) * (1 + y)
-    u = wg.solve_source(space, f, forms=forms)
+    u = solve_source(space, f, forms=forms)
     from wgeig.wg_core import _interior_moments
 
     rhs = np.zeros(space.ndof)
@@ -502,8 +539,8 @@ def test_laplacian_source_convergence():
     errs, hs = [], []
     for level in (3, 4, 5, 6):
         space = wg.WgSpace(build_uniform(level), 1, kind="laplacian", epsilon=0.1)
-        uh = wg.solve_source(space, f)
-        errs.append(wg.l2_error(uh, u))
+        uh = solve_source(space, f)
+        errs.append(l2_error(uh, u))
         hs.append(space.mesh.h)
     order = wg.rate_fit(hs, errs)
     assert order >= 1 + 1 - 0.1 - 0.2  # k + 1 - eps with slack
@@ -520,8 +557,8 @@ def test_biharmonic_source_convergence():
     errs, hs = [], []
     for level in (2, 3, 4, 5):
         space = wg.WgSpace(build_uniform(level), 2, kind="biharmonic", epsilon=0.1)
-        uh = wg.solve_source(space, f)
-        errs.append(wg.vnorm_error(uh, u, grad, lap))
+        uh = solve_source(space, f)
+        errs.append(vnorm_error(uh, u, grad, lap))
         hs.append(space.mesh.h)
     order = wg.rate_fit(hs, errs)
     assert order >= 2 - 1 - 0.1 - 0.3  # k - 1 - eps with slack
