@@ -194,7 +194,7 @@ def _exact_values(kind: str, num_eigs: int):
 
 
 def direct_study(kind: str, degree: int, epsilon: float, levels, num_eigs: int,
-                 tol: float = 1e-10, with_energy: bool = True) -> StudyResult:
+                 tol: float = 1e-10) -> StudyResult:
     """Direct eigensolves over a sweep of levels, with fitted convergence orders."""
     levels = list(levels)
     exact = _exact_values(kind, num_eigs)
@@ -212,7 +212,7 @@ def direct_study(kind: str, degree: int, epsilon: float, levels, num_eigs: int,
         for j, pair in enumerate(pairs, start=1):
             lam_ex, cluster = exact[j - 1]
             energy = None
-            if with_energy and kind == LAPLACIAN and cluster is not None:
+            if kind == LAPLACIAN and cluster is not None:
                 energy = energy_error(space, forms, pair.vector, cluster.generators)
                 energies[j].append(energy)
             row = _study_row(kind, degree, epsilon, level, level, j, lam_ex, pair.value,
@@ -231,8 +231,7 @@ def direct_study(kind: str, degree: int, epsilon: float, levels, num_eigs: int,
 
 
 def sipg_study(kind: str, degree: int, epsilon: float, coarse_levels, fine_level: int,
-               num_eigs: int, include_direct: bool = False, tol: float = 1e-10,
-               with_energy: bool = True) -> StudyResult:
+               num_eigs: int, include_direct: bool = False, tol: float = 1e-10) -> StudyResult:
     """Two-grid sweep over coarse levels at a fixed fine level.
 
     The fine assembly is shared across the sweep.  With include_direct, the
@@ -260,8 +259,7 @@ def sipg_study(kind: str, degree: int, epsilon: float, coarse_levels, fine_level
             lam_ex, cluster = exact[j - 1]
             lam_h = None if direct_pairs is None else direct_pairs[j - 1].value
             energy = None
-            if (with_energy and kind == LAPLACIAN and cluster is not None
-                    and t.normalized is not None):
+            if kind == LAPLACIAN and cluster is not None and t.normalized is not None:
                 energy = energy_error(fine_space, fine_forms, t.normalized,
                                       cluster.generators)
             lam_tilde = t.rayleigh if np.isfinite(t.rayleigh) else None

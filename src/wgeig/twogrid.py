@@ -107,10 +107,20 @@ def run_sipg(config: SipgConfig,
     """Run the two-grid scheme end to end.
 
     A prebuilt fine (space, forms) pair may be passed to share the fine
-    assembly across several coarse levels.  Near-singular shifted solves are
+    assembly across several coarse levels; it is checked against the
+    configuration before any coarse work.  Near-singular shifted solves are
     recorded as warnings on their target and never silently ignored.
     """
     config.validate()
+    if fine is not None:
+        fine_space, fine_forms = fine
+        have = (fine_space.mesh.level, fine_space.kind, fine_space.degree, fine_space.epsilon)
+        want = (config.fine_level, config.kind, config.degree, config.epsilon)
+        if have != want:
+            raise ConfigError(f"provided fine space (level, kind, degree, epsilon) = {have} "
+                              f"does not match the configuration {want}")
+        if fine_forms.space is not fine_space:
+            raise ConfigError("provided fine forms were assembled on another space")
     coarse_space = WgSpace(
         build_uniform(config.coarse_level), config.degree,
         kind=config.kind, epsilon=config.epsilon,
@@ -124,10 +134,6 @@ def run_sipg(config: SipgConfig,
             kind=config.kind, epsilon=config.epsilon,
         )
         fine_forms = assemble(fine_space)
-    else:
-        fine_space, fine_forms = fine
-        if fine_space.mesh.level != config.fine_level:
-            raise ConfigError("provided fine space does not match the configured level")
 
     targets: list[SipgTarget] = []
     B = fine_forms.B

@@ -25,7 +25,8 @@ The interior Gram block Gk, which is the local mass matrix, is built from the
 exact moments of the centered monomials rather than by quadrature: moments of
 odd degree in x or y vanish exactly, so Gk stores no rounding noise as
 structure and the pattern of B lies inside the pattern of A.  Every shifted
-system A - sigma B has exactly the pattern of A.
+system A - sigma B has exactly the pattern of A.  Every other local matrix,
+and every field integral, uses the element rule and the edge rule of the kit.
 
 qh_project evaluates a field at the tensor Gauss points of every element,
 unless it names factors fx, fy with f = fx(x) * fy(y), as the exact Laplacian
@@ -43,17 +44,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DegreeTooLowError
 from .mesh import EDGE_SIGNS, MeshLevel
-from .polyspace import (
-    DEFAULT_FIELD_QUAD,
-    EdgeBasis,
-    ElementBasis,
-    QuadratureRule,
-    Segment,
-    Square,
-    dim_pk,
-    gauss_rule,
-    pk_exponents,
-)
+from .polyspace import DEFAULT_FIELD_QUAD, ElementBasis, dim_pk, gauss_rule, pk_exponents
 
 LAPLACIAN = "laplacian"
 BIHARMONIC = "biharmonic"
@@ -61,6 +52,8 @@ KINDS = (LAPLACIAN, BIHARMONIC)
 
 # Outward normals of the (left, right, bottom, top) edges of any element.
 EDGE_NORMALS = ((-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0))
+# Derivative orders (dx, dy) of d/dx and d/dy.
+_DERIVATIVE = ((1, 0), (0, 1))
 
 _ELEMENT_CHUNK = 1 << 15
 
@@ -250,159 +243,104 @@ def _centred_moment(p: np.ndarray) -> np.ndarray:
 
 
 class _LocalKit:
-    """Shared per-element matrices for a space (uniform mesh, one pattern)."""
+    """Shared per-element matrices for a space (uniform mesh, one pattern).
+
+    Every matrix integrates over the element [0, h]^2 with one element rule,
+    element_quad(k + 2), and one edge rule, edge_quad(k + 2), placed on the
+    left (x = 0), right (x = h), bottom (y = 0) and top (y = h) sides, each
+    run by increasing coordinate.  Both rules are exact for the local forms.
+    """
 
     def __init__(self, space: WgSpace):
-        k = space.degree
-        h = space.mesh.h
-        self.space = space
-        self.h = h
-        nd0 = dim_pk(k)
-        self.square = Square(0.0, 0.0, h)
-        self.phi = ElementBasis.for_square(self.square, k)
-        self.segments = (
-            Segment(0.0, 0.0, 0.0, h),   # left, parametrized by increasing y
-            Segment(h, 0.0, h, h),       # right
-            Segment(0.0, 0.0, h, 0.0),   # bottom, parametrized by increasing x
-            Segment(0.0, h, h, h),       # top
-        )
-        self.edge_bases = tuple(EdgeBasis(k - 1, seg) for seg in self.segments)
-
-        nq = k + 2
-        elem_rule = QuadratureRule.tensor_gauss(self.square, nq)
-        ex, ey, ew = elem_rule.points[:, 0], elem_rule.points[:, 1], elem_rule.weights
+        k, h = space.degree, space.mesh.h
+        self.space, self.h = space, h
+        nd0 = space.dim_interior
+        self.phi = ElementBasis(k, (0.5 * h, 0.5 * h), h)
         a, b = np.array(pk_exponents(k)).T
         self.Gk = h * h * (_centred_moment(a[:, None] + a[None, :])
                            * _centred_moment(b[:, None] + b[None, :]))
         self.Gk_cho = cho_factor(self.Gk)
 
-        edge_rules = [QuadratureRule.interval_gauss(seg, nq) for seg in self.segments]
-        psi_at = []
-        for p, rule in enumerate(edge_rules):
-            px, py = rule.points[:, 0], rule.points[:, 1]
-            psi_at.append(self.edge_bases[p].eval(px, py))
-        Ge = psi_at[0].T @ (psi_at[0] * edge_rules[0].weights[:, None])
+        ex, ey, ew, phi_vals = self.element_quad(k + 2)
+        off, w, psi = self.edge_quad(k + 2)
+        zero, full = np.zeros_like(off), np.full_like(off, h)
+        sides = ((zero, off), (full, off), (off, zero), (off, full))
+
+        def edge_moments(vals):
+            return psi.T @ (vals * w[:, None])
+
+        Ge = edge_moments(psi)
         self.Ge = 0.5 * (Ge + Ge.T)
         self.Ge_cho = cho_factor(self.Ge)
+        # Edge moments of the interior basis on each side, and for the fourth
+        # order of its derivative along the fixed edge normal (d/dx on the
+        # vertical sides, d/dy on the horizontal ones); each set weights one
+        # unit stabilizer.
+        self.Me = [edge_moments(self.phi.eval(x, y)) for x, y in sides]
+        self.stab_trace_unit = self._unit_penalty(self.Me, 0)
+        if space.kind == BIHARMONIC:
+            self.Mn = [edge_moments(self.phi.eval(x, y, *_DERIVATIVE[p // 2]))
+                       for p, (x, y) in enumerate(sides)]
+            self.stab_normal_unit = self._unit_penalty(self.Mn, 4)
 
-        # Trace moments of the interior basis on each edge.
-        self.Me = []
-        for p, rule in enumerate(edge_rules):
-            px, py, w = rule.points[:, 0], rule.points[:, 1], rule.weights
-            self.Me.append(psi_at[p].T @ (self.phi.eval(px, py) * w[:, None]))
-
-        if space.kind == LAPLACIAN:
-            self._build_gradient_operator(k, ex, ey, ew, edge_rules, psi_at)
+        # The weak gradient (second order) or weak Laplacian (fourth order) in
+        # the element basis chi of P_{k-1} or P_{k-2}: one row block R per
+        # component from integration by parts, and W = G_chi^{-1} R.
+        grad = space.kind == LAPLACIAN
+        chi = ElementBasis(k - 1 if grad else k - 2, self.phi.center, h)
+        chi_vals = chi.eval(ex, ey)
+        G = chi_vals.T @ (chi_vals * ew[:, None])
+        G_cho = cho_factor(0.5 * (G + G.T))
+        Te = [edge_moments(chi.eval(x, y)).T for x, y in sides]
+        if grad:
+            rows = [np.zeros((chi.dim, space.n_local)) for _ in _DERIVATIVE]
+            for axis, R in enumerate(rows):
+                R[:, :nd0] = -(chi.eval(ex, ey, *_DERIVATIVE[axis]).T @ (phi_vals * ew[:, None]))
+                for p in range(4):
+                    R[:, self._block(p)] = EDGE_NORMALS[p][axis] * Te[p]
         else:
-            self._build_laplacian_operator(k, ex, ey, ew, edge_rules, psi_at)
-            # Normal-derivative moments with the fixed edge normal: d/dx on the
-            # vertical edges, d/dy on the horizontal ones.
-            self.Mn = []
-            for p, rule in enumerate(edge_rules):
-                px, py, w = rule.points[:, 0], rule.points[:, 1], rule.weights
-                dphi = self.phi.eval(px, py, dx=1) if p < 2 else self.phi.eval(px, py, dy=1)
-                self.Mn.append(psi_at[p].T @ (dphi * w[:, None]))
+            R = np.zeros((chi.dim, space.n_local))
+            lap_chi = chi.eval(ex, ey, dx=2) + chi.eval(ex, ey, dy=2)
+            R[:, :nd0] = lap_chi.T @ (phi_vals * ew[:, None])
+            for p, (x, y) in enumerate(sides):
+                nx, ny = EDGE_NORMALS[p]
+                dn_chi = nx * chi.eval(x, y, dx=1) + ny * chi.eval(x, y, dy=1)
+                R[:, self._block(p)] = -edge_moments(dn_chi).T
+                R[:, self._block(4 + p)] = EDGE_SIGNS[p] * Te[p]
+            rows = [R]
+        weak = [cho_solve(G_cho, R) for R in rows]
+        stiff = rows[0].T @ weak[0]
+        if grad:
+            self.Wx, self.Wy = weak
+            stiff = stiff + rows[1].T @ weak[1]
+        else:
+            (self.W,) = weak
+        self.stiff_local = 0.5 * (stiff + stiff.T)
 
-        self._build_stabilizer_blocks()
         self.a_local = self.stiff_local + self.stabilizer_local(space.epsilon)
         self.a_local = 0.5 * (self.a_local + self.a_local.T)
         self.b_local = self.Gk
 
-    # -- weak operators ----------------------------------------------------
-
-    def _build_gradient_operator(self, k, ex, ey, ew, edge_rules, psi_at):
-        space = self.space
-        chi = ElementBasis.for_square(self.square, k - 1)
-        m = chi.dim
-        nd0 = dim_pk(k)
-        n_loc = space.n_local
-        chi_vals = chi.eval(ex, ey)
-        Gm = chi_vals.T @ (chi_vals * ew[:, None])
-        self.Gm = 0.5 * (Gm + Gm.T)
-        self.Gm_cho = cho_factor(self.Gm)
-
-        phi_vals = self.phi.eval(ex, ey)
-        Cx = chi.eval(ex, ey, dx=1).T @ (phi_vals * ew[:, None])
-        Cy = chi.eval(ex, ey, dy=1).T @ (phi_vals * ew[:, None])
-
-        Rx = np.zeros((m, n_loc))
-        Ry = np.zeros((m, n_loc))
-        Rx[:, :nd0] = -Cx
-        Ry[:, :nd0] = -Cy
-        kt = space.dim_trace
-        for p, rule in enumerate(edge_rules):
-            px, py, w = rule.points[:, 0], rule.points[:, 1], rule.weights
-            Te = psi_at[p].T @ (chi.eval(px, py) * w[:, None])  # (kt, m)
-            cols = slice(nd0 + p * kt, nd0 + (p + 1) * kt)
-            nx, ny = EDGE_NORMALS[p]
-            Rx[:, cols] = nx * Te.T
-            Ry[:, cols] = ny * Te.T
-        self.Wx = cho_solve(self.Gm_cho, Rx)
-        self.Wy = cho_solve(self.Gm_cho, Ry)
-        stiff = Rx.T @ self.Wx + Ry.T @ self.Wy
-        self.stiff_local = 0.5 * (stiff + stiff.T)
-        self.grad_dim = m
-
-    def _build_laplacian_operator(self, k, ex, ey, ew, edge_rules, psi_at):
-        space = self.space
-        chi = ElementBasis.for_square(self.square, k - 2)
-        mq = chi.dim
-        nd0 = dim_pk(k)
-        n_loc = space.n_local
-        chi_vals = chi.eval(ex, ey)
-        Gq = chi_vals.T @ (chi_vals * ew[:, None])
-        self.Gq = 0.5 * (Gq + Gq.T)
-        self.Gq_cho = cho_factor(self.Gq)
-
-        phi_vals = self.phi.eval(ex, ey)
-        lap_chi = chi.eval(ex, ey, dx=2) + chi.eval(ex, ey, dy=2)
-        D = lap_chi.T @ (phi_vals * ew[:, None])  # (mq, nd0)
-
-        R = np.zeros((mq, n_loc))
-        R[:, :nd0] = D
-        kt = space.dim_trace
-        for p, rule in enumerate(edge_rules):
-            px, py, w = rule.points[:, 0], rule.points[:, 1], rule.weights
-            nx, ny = EDGE_NORMALS[p]
-            dn_chi = nx * chi.eval(px, py, dx=1) + ny * chi.eval(px, py, dy=1)
-            Nc = psi_at[p].T @ (dn_chi * w[:, None])          # (kt, mq)
-            Te = psi_at[p].T @ (chi.eval(px, py) * w[:, None])  # (kt, mq)
-            vb_cols = slice(nd0 + p * kt, nd0 + (p + 1) * kt)
-            vn_cols = slice(nd0 + (4 + p) * kt, nd0 + (5 + p) * kt)
-            R[:, vb_cols] = -Nc.T
-            R[:, vn_cols] = EDGE_SIGNS[p] * Te.T
-        self.W = cho_solve(self.Gq_cho, R)
-        stiff = R.T @ self.W
-        self.stiff_local = 0.5 * (stiff + stiff.T)
-        self.lap_dim = mq
+    def _block(self, j: int) -> slice:
+        """Local columns of edge block j: traces 0..3, then normal blocks 4..7."""
+        nd0, kt = self.space.dim_interior, self.space.dim_trace
+        return slice(nd0 + j * kt, nd0 + (j + 1) * kt)
 
     # -- stabilizer ---------------------------------------------------------
 
-    def _unit_penalty_block(self, M: np.ndarray, edge_block: slice) -> np.ndarray:
-        """<P v0 - w, P u0 - w> on (v0, w) blocks, where P = Ge^{-1} M."""
-        space = self.space
-        nd0 = space.dim_interior
-        S = np.zeros((space.n_local, space.n_local))
-        GeinvM = cho_solve(self.Ge_cho, M)
-        S[:nd0, :nd0] = M.T @ GeinvM
-        S[:nd0, edge_block] = -M.T
-        S[edge_block, :nd0] = -M
-        S[edge_block, edge_block] = self.Ge
-        return S
-
-    def _build_stabilizer_blocks(self):
-        space = self.space
-        nd0 = space.dim_interior
-        kt = space.dim_trace
-        self.stab_trace_unit = np.zeros((space.n_local, space.n_local))
-        for p in range(4):
-            blk = slice(nd0 + p * kt, nd0 + (p + 1) * kt)
-            self.stab_trace_unit += self._unit_penalty_block(self.Me[p], blk)
-        if space.kind == BIHARMONIC:
-            self.stab_normal_unit = np.zeros((space.n_local, space.n_local))
-            for p in range(4):
-                blk = slice(nd0 + (4 + p) * kt, nd0 + (5 + p) * kt)
-                self.stab_normal_unit += self._unit_penalty_block(self.Mn[p], blk)
+    def _unit_penalty(self, moments: list[np.ndarray], first: int) -> np.ndarray:
+        """Sum over the sides p of <P v0 - w, P u0 - w> on the (v0, w) blocks,
+        where P = Ge^{-1} M_p and w is edge block first + p."""
+        nd0, n_loc = self.space.dim_interior, self.space.n_local
+        total = np.zeros((n_loc, n_loc))
+        for p, M in enumerate(moments):
+            S, blk = np.zeros((n_loc, n_loc)), self._block(first + p)
+            S[:nd0, :nd0] = M.T @ cho_solve(self.Ge_cho, M)
+            S[:nd0, blk] = -M.T
+            S[blk, :nd0] = -M
+            S[blk, blk] = self.Ge
+            total += S
+        return total
 
     def stabilizer_local(self, epsilon: float) -> np.ndarray:
         """Local stabilizer with weights h^(-1+epsilon) (and h^(-3+epsilon))."""
@@ -414,7 +352,7 @@ class _LocalKit:
                  + h ** (-1.0 + epsilon) * self.stab_normal_unit)
         return 0.5 * (S + S.T)
 
-    # -- quadrature references for field integrals --------------------------
+    # -- the element and edge rules, also used by every field integral ------
 
     def element_quad(self, npts: int):
         """Offsets within an element, weights, and basis values at the points."""

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import settings
 
 import wgeig as wg
-from oracles import l2_project_edge, l2_project_element
-from wgeig.polyspace import DEFAULT_FIELD_QUAD, Segment, Square
+from oracles import Segment, Square, l2_project_edge, l2_project_element
+from wgeig.polyspace import DEFAULT_FIELD_QUAD
 
 # Fixed examples and no example database: every run draws the same cases,
 # so the suite stays bitwise repeatable and its time bounded.

@@ -1,12 +1,16 @@
-"""Verification helpers that no solver path calls: local L2 projections, the
-weak operators on one element, the stabilizer and reference-norm matrices, a
-source solve, field error norms and cluster diagnostics.
+"""Verification helpers that no solver path calls: mapped quadrature on
+squares and segments with local L2 projections, the weak operators on one
+element, the stabilizer and reference-norm matrices, a source solve, field
+error norms and cluster diagnostics.
 
-They check the package from outside, so they live with the tests.
+They check the package from outside, so they live with the tests.  The square
+and segment rules place points in absolute coordinates, independently of the
+offset rules (element_quad, edge_quad) that build the local kit of wg_core.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -16,11 +20,104 @@ from wgeig import linalg
 from wgeig.errors import MultiplicityMismatchError, SolverFailureError
 from wgeig.analysis import ExactEigen, _span_distance
 from wgeig.eigsolve import EigenPair
-from wgeig.polyspace import (DEFAULT_FIELD_QUAD, EdgeBasis, ElementBasis, QuadratureRule,
-                             Segment, Square)
+from wgeig.polyspace import DEFAULT_FIELD_QUAD, ElementBasis, gauss_rule
 from wgeig.wg_core import (BIHARMONIC, LAPLACIAN, AssembledForms, WgFunction, WgSpace,
                            _element_points, _interior_moments, _scatter_symmetric, assemble,
                            qh_project)
+
+
+# -- mapped quadrature on squares and segments ------------------------------------------
+
+
+@dataclass(frozen=True)
+class Square:
+    """Axis-aligned square element with lower-left corner (x0, y0)."""
+
+    x0: float
+    y0: float
+    side: float
+
+    @property
+    def center(self) -> tuple[float, float]:
+        return self.x0 + 0.5 * self.side, self.y0 + 0.5 * self.side
+
+
+@dataclass(frozen=True)
+class Segment:
+    """Straight edge from (x0, y0) to (x1, y1)."""
+
+    x0: float
+    y0: float
+    x1: float
+    y1: float
+
+    @property
+    def length(self) -> float:
+        return float(np.hypot(self.x1 - self.x0, self.y1 - self.y0))
+
+    @property
+    def midpoint(self) -> tuple[float, float]:
+        return 0.5 * (self.x0 + self.x1), 0.5 * (self.y0 + self.y1)
+
+    def points(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Map t in [0, 1] to physical points."""
+        return self.x0 + t * (self.x1 - self.x0), self.y0 + t * (self.y1 - self.y0)
+
+
+@dataclass(frozen=True)
+class QuadratureRule:
+    """Points, weights, and declared polynomial exactness of a mapped rule."""
+
+    points: np.ndarray
+    weights: np.ndarray
+    exactness: int
+
+    @staticmethod
+    def tensor_gauss(square: Square, npts: int) -> "QuadratureRule":
+        x, w = gauss_rule(npts)
+        half = 0.5 * square.side
+        gx = square.x0 + half * (x + 1.0)
+        gy = square.y0 + half * (x + 1.0)
+        X, Y = np.meshgrid(gx, gy, indexing="ij")
+        W = np.outer(w, w).ravel() * half * half
+        pts = np.column_stack([X.ravel(), Y.ravel()])
+        return QuadratureRule(points=pts, weights=W, exactness=2 * npts - 1)
+
+    @staticmethod
+    def interval_gauss(segment: Segment, npts: int) -> "QuadratureRule":
+        x, w = gauss_rule(npts)
+        t = 0.5 * (x + 1.0)
+        px, py = segment.points(t)
+        W = w * 0.5 * segment.length
+        return QuadratureRule(
+            points=np.column_stack([px, py]), weights=W, exactness=2 * npts - 1
+        )
+
+
+@dataclass(frozen=True)
+class EdgeBasis:
+    """Scaled 1D monomial basis in the arclength parameter of an edge."""
+
+    degree: int
+    segment: Segment
+
+    @property
+    def dim(self) -> int:
+        return self.degree + 1
+
+    def eval(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        seg = self.segment
+        mx, my = seg.midpoint
+        tx = (seg.x1 - seg.x0) / seg.length
+        ty = (seg.y1 - seg.y0) / seg.length
+        s = ((np.asarray(x, float).ravel() - mx) * tx
+             + (np.asarray(y, float).ravel() - my) * ty) / seg.length
+        return np.column_stack([s**i for i in range(self.degree + 1)])
+
+
+def element_basis(square: Square, degree: int) -> ElementBasis:
+    """The scaled monomial basis of P_degree centered on a square."""
+    return ElementBasis(degree=degree, center=square.center, scale=square.side)
 
 
 # -- local L2 projections ----------------------------------------------------------
@@ -31,7 +128,7 @@ def element_mass_matrix(square: Square, k: int, npts: int | None = None) -> np.n
     if k < 0:
         raise ValueError("degree must be nonnegative")
     rule = QuadratureRule.tensor_gauss(square, npts or (k + 1))
-    basis = ElementBasis.for_square(square, k)
+    basis = element_basis(square, k)
     vals = basis.eval(rule.points[:, 0], rule.points[:, 1])
     G = vals.T @ (vals * rule.weights[:, None])
     return 0.5 * (G + G.T)
@@ -52,7 +149,7 @@ def l2_project_element(f, square: Square, k: int, npts: int = DEFAULT_FIELD_QUAD
     polynomial f up to degree 19 - k and near machine precision for smooth f.
     """
     rule = QuadratureRule.tensor_gauss(square, max(npts, k + 1))
-    basis = ElementBasis.for_square(square, k)
+    basis = element_basis(square, k)
     vals = basis.eval(rule.points[:, 0], rule.points[:, 1])
     rhs = vals.T @ (rule.weights * np.asarray(f(rule.points[:, 0], rule.points[:, 1]), float).ravel())
     G = element_mass_matrix(square, k)

@@ -243,8 +243,7 @@ def test_criterion_4_two_grid_lower_bound(crit4):
 
 
 def test_criterion_5_table_saturation():
-    res = wg.sipg_study("laplacian", 1, 0.1, [3, 4, 5], 6, 6,
-                        include_direct=False, with_energy=False)
+    res = wg.sipg_study("laplacian", 1, 0.1, [3, 4, 5], 6, 6, include_direct=False)
     cols = {}
     for r in res.rows:
         cols.setdefault(r.H_level, {})[r.index] = r.err_sipg

@@ -30,8 +30,12 @@ COMMANDS = {
                                     "--with-direct"),
     "biharm-k2-sipg-H2-h3": ("sipg", "--problem", "biharmonic", "--degree", "2",
                              "--coarse-level", "2", "--fine-level", "3"),
+    "lap-k2-solve-L3": ("solve", "--degree", "2", "--level", "3"),
     "lap-k3-solve-L4": ("solve", "--degree", "3", "--level", "4"),
+    "lap-k4-solve-L2": ("solve", "--degree", "4", "--level", "2"),
+    "lap-k5-solve-L2": ("solve", "--degree", "5", "--level", "2"),
     "biharm-k3-solve-L2": ("solve", "--problem", "biharmonic", "--degree", "3", "--level", "2"),
+    "biharm-k4-solve-L1": ("solve", "--problem", "biharmonic", "--degree", "4", "--level", "1"),
 }
 
 

@@ -136,6 +136,40 @@ def test_run_sipg_rejects_equal_levels():
         run_sipg(cfg)
 
 
+@pytest.mark.parametrize("field,value", [("fine_level", 4), ("kind", "biharmonic"),
+                                         ("degree", 3), ("epsilon", 0.5)])
+def test_run_sipg_rejects_a_mismatched_fine_space(monkeypatch, field, value):
+    # A prebuilt fine pair that differs from the configuration in any field
+    # is refused before the coarse assembly and eigensolve run.
+    import wgeig.twogrid as tg
+
+    fine = dict(fine_level=3, kind="laplacian", degree=2, epsilon=0.1)
+    cfg = SipgConfig(coarse_level=2, **fine)
+    fine[field] = value
+    space = wg.WgSpace(build_uniform(fine["fine_level"]), fine["degree"], kind=fine["kind"],
+                       epsilon=fine["epsilon"])
+    forms = wg.assemble(space)
+
+    def coarse_work(*args, **kwargs):
+        raise AssertionError("coarse work ran before the fine space was checked")
+
+    monkeypatch.setattr(tg, "assemble", coarse_work)
+    monkeypatch.setattr(tg, "smallest_eigs", coarse_work)
+    with pytest.raises(ConfigError, match="does not match the configuration"):
+        run_sipg(cfg, fine=(space, forms))
+
+
+def test_run_sipg_rejects_forms_of_another_space():
+    # Forms assembled with epsilon = 0.5 beside a matching epsilon = 0.1 space
+    # once returned 18.33 and 39.61 for the first two targets, with no warning.
+    cfg = SipgConfig(kind="laplacian", degree=1, epsilon=0.1, coarse_level=2, fine_level=4,
+                     num_eigs=2)
+    space = wg.WgSpace(build_uniform(4), 1, kind="laplacian", epsilon=0.1)
+    other = wg.WgSpace(build_uniform(4), 1, kind="laplacian", epsilon=0.5)
+    with pytest.raises(ConfigError, match="another space"):
+        run_sipg(cfg, fine=(space, wg.assemble(other)))
+
+
 def test_two_grid_consistency_same_level(lap_L3_k1):
     # With equal levels the shifted solve inverts onto the discrete
     # eigenvector; the driver forbids this configuration, so exercise the

@@ -5,6 +5,7 @@ import wgeig as wg
 from wgeig import linalg
 from conftest import local_interpolant
 from oracles import (
+    Square,
     element_mass_matrix,
     l2_error,
     l2_project_element,
@@ -18,7 +19,7 @@ from oracles import (
 )
 from wgeig.errors import DegreeTooLowError
 from wgeig.mesh import build_uniform
-from wgeig.polyspace import Square, dim_pk, gauss_rule, pk_exponents
+from wgeig.polyspace import dim_pk, gauss_rule, pk_exponents
 
 
 def _monomial_field(a, b):
