@@ -9,9 +9,11 @@ the largest θ give the smallest λ.  ARPACK (implicitly restarted Lanczos,
 which, unlike a symmetric one, is orthogonal to no eigenspace of the
 symmetric mesh; the second copy of a double eigenvalue enters through
 rounding and the restarts.  Each application of C is one solve with the
-stiffness factor (see linalg) between two GEMMs with L.  The eigenvectors come back
-from one more solve per pair, x = A⁻¹ [L z; 0], and every pair is certified
-by its residual; a failed gate asks ARPACK once more, for m + 1 pairs.
+stiffness factor (see linalg) on the interior-only right-hand side L z, which
+is zero on the edges, between two small GEMMs with the nb×nb blocks L and Lᵀ.
+The eigenvectors come back from the same solve, one per pair, x = A⁻¹ (L z),
+and every pair is certified by its residual; a failed gate asks ARPACK once
+more, for m + 1 pairs.
 """
 
 from __future__ import annotations
@@ -78,36 +80,28 @@ def smallest_eigs(forms: AssembledForms, m: int, tol: float = 1e-10,
     ``maxiter`` caps the number of operator applications (solves with the
     stiffness factor); reaching it raises NoConvergenceError.
     """
-    A, B = forms.A, forms.B
-    n = A.shape[0]
-    n_int = forms.n_interior
+    A, B, n_int = forms.A, forms.B, forms.n_interior
     if m < 1:
         raise ValueError("at least one eigenpair must be requested")
     if m > n_int:
         raise ValueError(f"requested {m} eigenpairs but the mass rank is {n_int}")
 
-    lu = linalg.factor_spd(forms)
-    L = np.linalg.cholesky(forms.space.kit().Gk)
-    nb = L.shape[0]
-    applied = 0
+    lu, L = linalg.factor_spd(forms), np.linalg.cholesky(forms.space.kit().Gk)
+    nb, applied = L.shape[0], 0
 
     def blockwise(T, Z):
         """blockdiag(T, ..., T) Z as one GEMM on the (columns·elements, nb) view."""
-        c = Z.shape[1]
-        return (Z.reshape(-1, nb, c).transpose(2, 0, 1).reshape(-1, nb) @ T.T).reshape(c, -1).T
-
-    def lift(Z):
-        """Right-hand sides [L z; 0] of the interior columns Z."""
-        return np.vstack([blockwise(L, Z), np.zeros((n - n_int, Z.shape[1]))])
+        c = Z.size // len(Z)
+        W = (Z.reshape(-1, nb, c).transpose(2, 0, 1).reshape(-1, nb) @ T.T).reshape(c, -1).T
+        return W.reshape(Z.shape)
 
     def apply_c(Z):
-        """C Z = Lᵀ (A⁻¹)_II L Z, counted against the application cap."""
+        """C Z = Lᵀ (A⁻¹)_II L Z (L Z is zero on the edges), counted against the cap."""
         nonlocal applied
-        Z = Z.reshape(n_int, -1)
-        if maxiter is not None and applied + Z.shape[1] > maxiter:
+        if maxiter is not None and applied + Z.size // n_int > maxiter:
             raise NoConvergenceError(applied, np.inf)
-        applied += Z.shape[1]
-        return blockwise(L.T, lu.solve(lift(Z))[:n_int])
+        applied += Z.size // n_int
+        return blockwise(L.T, lu.solve(blockwise(L, Z))[:n_int])
 
     # A failed residual gate widens the request once: when m cuts a multiple
     # eigenvalue, ARPACK's Ritz vector in the cut cluster may not have converged.
@@ -126,13 +120,12 @@ def smallest_eigs(forms: AssembledForms, m: int, tol: float = 1e-10,
         theta, Z = theta[order], Z[:, order]
         if np.any(theta <= 0.0):
             raise FactorizationFailureError(
-                "nonpositive pencil eigenvalue encountered; stiffness form is not SPD"
-            )
+                "nonpositive pencil eigenvalue encountered; stiffness form is not SPD")
         lam = 1.0 / theta  # theta descending, so lam is ascending
         pairs = []
         for i in range(m):
             # One solve per pair keeps the work arrays at one vector of length n.
-            x = lu.solve(lift(Z[:, i:i + 1]))[:, 0]
+            x = lu.solve(blockwise(L, Z[:, i]))
             x = x / np.sqrt(x @ (B @ x))
             x = _fix_sign(x, n_int)
             ax = A @ x

@@ -7,7 +7,10 @@ Lazarov, SIAM J. Numer. Anal. 2009), and all 2^l x 2^l boxes of George's nested
 dissection (SIAM J. Numer. Anal. 1973; WgSpace.quadtree) share one matrix too:
 four copies of the perimeter Schur complement below.  Each level factors its
 cross block (the edge dofs on a box's midlines) by one dense LU; a cross never
-touches the boundary, and a Dirichlet dof only drops a row and a column.
+touches the boundary, and a Dirichlet dof only drops a row and a column.  A
+solve treats a level's boxes at once, by one GEMM with a stored K_CC⁻ᵀ where
+the boxes are no fewer than the cross dofs (level 0 always), else by getrs;
+level 0 reads a view of the interiors and writes the slice of edge dofs.
 Pivoting stays inside each cross block.  A is SPD iff every cross block is, and
 ν(M) is the sum of boxes · ν(cross block) over the levels (Haynsworth).  The
 pivot ratio, the least pivot over max|M|, only flags a collapse outright: a
@@ -38,7 +41,12 @@ class NestedLU:
     def __init__(self, forms, shift: float, on_failure):
         kit, nb = forms.space.kit(), forms.space.dim_interior
         self.levels = forms.space.quadtree
+        self.ndof = forms.space.ndof
+        first = self.levels[0]  # solve reads it as a view and a slice of x
+        if not np.array_equal(np.append(first.cross, first.touched), np.arange(self.ndof)):
+            raise ValueError("level 0 must hold the interiors in order, then every edge dof")
         self.factors = []  # per level: the cross block, its LU and X
+        self.inverses = []  # per level: K_CC⁻ᵀ, or None where getrs solves
         K = kit.a_local.copy()
         K[:nb, :nb] -= shift * kit.b_local
         for level in self.levels:
@@ -57,8 +65,10 @@ class NestedLU:
             S = K[n_c:, n_c:] - K[n_c:, :n_c] @ X
             S = 0.5 * (S + S.T)
             self.factors.append((K[:n_c, :n_c].copy(), lu, X))
-        # Level 0 solves all element interiors by one GEMM with d(σ)⁻ᵀ.
-        self.interior_inverse = dgetrs(*self.factors[0][1], np.eye(nb))[0].T
+            # Inverting the large crosses too: +25 ms per factor at h=1/256, -0.3 ms
+            # per solve, a first residual 5-70x larger near an eigenvalue (ROADMAP).
+            gemm = level.merge is None or len(level.cross) >= n_c
+            self.inverses.append(dgetrs(*lu, np.eye(n_c), trans=1)[0] if gemm else None)
 
     @property
     def L(self) -> _Entries:
@@ -76,20 +86,29 @@ class NestedLU:
                    for level, (block, _, _) in zip(self.levels, self.factors))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """x = M⁻¹ rhs; a right-hand side of length n_int is zero on the edges."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.ndim == 2:
             return np.apply_along_axis(self.solve, 0, rhs)
-        x = np.append(rhs, 0.0)  # the last entry is every Dirichlet dof
-        for level, (_, lu, X) in zip(self.levels, self.factors):
+        first, (_, _, X0), inv0 = self.levels[0], self.factors[0], self.inverses[0]
+        if len(rhs) not in (first.cross.size, self.ndof):
+            raise ValueError(f"right-hand side of length {len(rhs)}, "
+                             f"not {first.cross.size} or {self.ndof}")
+        x = np.zeros(self.ndof + 1)  # the last entry is every Dirichlet dof
+        x[:len(rhs)] = rhs
+        interiors = x[:first.cross.size].reshape(first.cross.shape)
+        U = (interiors @ X0).ravel()
+        x[first.cross.size:-1] -= U[first.pairs[0]] + U[first.pairs[1]]
+        interiors[...] = interiors @ inv0
+        crosses = []  # above level 0, read again only on the way down
+        for level, (_, lu, X), inv in zip(self.levels[1:], self.factors[1:], self.inverses[1:]):
             R = x[level.cross]
             U = (R @ X).ravel()
             x[level.touched] -= U[level.pairs[0]] + U[level.pairs[1]]
-            if level.merge is None:
-                x[level.cross] = R @ self.interior_inverse
-            else:
-                x[level.cross] = dgetrs(*lu, R.T)[0].T
-        for level, (_, _, X) in zip(reversed(self.levels), reversed(self.factors)):
-            x[level.cross] -= x[level.perimeter] @ X.T
+            crosses.append(R @ inv if inv is not None else dgetrs(*lu, R.T)[0].T)
+        for level, (_, _, X), Y in zip(self.levels[:0:-1], self.factors[:0:-1], crosses[::-1]):
+            x[level.cross] = Y - x[level.perimeter] @ X.T
+        interiors -= x[first.perimeter] @ X0.T
         return x[:-1]
 
 
@@ -131,15 +150,15 @@ def refined_solve(lu, M: sp.spmatrix, rhs: np.ndarray,
     if rhs_norm == 0.0:
         return np.zeros_like(rhs), 0.0
     M = M.tocsr()
-    best_x = x
-    best_res = float(np.linalg.norm(rhs - M @ x)) / rhs_norm
+    best_x, best_r = x, rhs - M @ x  # the residual of the last accepted iterate
+    best_res = float(np.linalg.norm(best_r)) / rhs_norm
     for _ in range(MAX_REFINE):
         if best_res <= 0.5 * tol:
             break
-        r = rhs - M @ best_x
-        x = best_x + lu.solve(r)
-        res = float(np.linalg.norm(rhs - M @ x)) / rhs_norm
+        x = best_x + lu.solve(best_r)
+        r = rhs - M @ x
+        res = float(np.linalg.norm(r)) / rhs_norm
         if not np.isfinite(res) or res >= best_res:
             break
-        best_x, best_res = x, res
+        best_x, best_r, best_res = x, r, res
     return best_x, best_res

@@ -37,6 +37,20 @@ def bih_L2_k2():
     return space, wg.assemble(space)
 
 
+class CountingLU:
+    """Factor proxy that records the shape of every right-hand side it solves."""
+
+    def __init__(self, lu):
+        self.lu, self.shapes = lu, []
+
+    def solve(self, rhs):
+        self.shapes.append(np.shape(rhs))
+        return self.lu.solve(rhs)
+
+    def __getattr__(self, name):
+        return getattr(self.lu, name)
+
+
 def dense_pencil_eigs(forms, m):
     """Independent oracle: dense Schur condensation onto the interior block,
     then a dense generalized symmetric eigensolve."""

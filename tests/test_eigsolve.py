@@ -3,6 +3,7 @@ from functools import cache
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.sparse.linalg import LinearOperator
 
 import wgeig as wg
 from wgeig.eigsolve import EigenCluster, rayleigh_quotient, smallest_eigs, solve_shifted
@@ -16,7 +17,7 @@ import wgeig.eigsolve as eigsolve
 from wgeig.mesh import build_uniform
 from wgeig import linalg
 
-from conftest import dense_pencil_eigs, local_interior_eigs
+from conftest import CountingLU, dense_pencil_eigs, local_interior_eigs
 
 EXACT6 = np.array([2, 5, 5, 8, 10, 10]) * np.pi**2
 
@@ -214,6 +215,31 @@ def test_failed_residual_gate_widens_the_request_once(monkeypatch):
     assert all(p.residual <= 1e-10 for p in pairs)
     want = dense_pencil_eigs(forms, 2)
     assert np.allclose([p.value for p in pairs], want, rtol=1e-10, atol=0)
+
+
+def test_every_operator_application_is_one_counted_solve(monkeypatch):
+    # Each ARPACK application of C and each recovered pair is one 1-D solve
+    # with an interior-only right-hand side, visible to a proxy on the
+    # factor; the benchmark's operator count reads these calls.
+    factors, applications = [], []
+
+    def counted_factor(forms):
+        factors.append(CountingLU(factor_spd(forms)))
+        return factors[-1]
+
+    def counted_eigsh(op, **kwargs):
+        def matvec(z):
+            applications.append(z.shape)
+            return op.matvec(z)
+        return arpack(LinearOperator(op.shape, matvec=matvec, dtype=float), **kwargs)
+
+    factor_spd, arpack = linalg.factor_spd, eigsolve.eigsh
+    monkeypatch.setattr(linalg, "factor_spd", counted_factor)
+    monkeypatch.setattr(eigsolve, "eigsh", counted_eigsh)
+    forms = _small_forms("laplacian", 1, 3)
+    pairs = smallest_eigs(forms, 6)
+    assert len(factors) == 1 and len(applications) > 6
+    assert factors[0].shapes == [(forms.n_interior,)] * (len(applications) + len(pairs))
 
 
 def test_cluster_grouping():

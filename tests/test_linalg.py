@@ -12,7 +12,7 @@ from wgeig.eigsolve import smallest_eigs, solve_shifted
 from wgeig.errors import FactorizationFailureError, NearSingularError
 from wgeig.mesh import build_uniform
 
-from conftest import dense_pencil_eigs, local_interior_eigs
+from conftest import CountingLU, dense_pencil_eigs, local_interior_eigs
 
 
 def _fill(lu):
@@ -54,6 +54,16 @@ def _clamped_box_eigs(forms, level):
     return sla.eigh(S, forms.B[ids[:ni]][:, ids[:ni]].toarray(), eigvals_only=True)
 
 
+class _CountingCSR(sp.csr_matrix):
+    """A CSR matrix that counts its products."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        self.products += 1
+        return super().__matmul__(other)
+
+
 @pytest.fixture(scope="module")
 def lap_L5_k1():
     space = wg.WgSpace(build_uniform(5), 1, kind="laplacian", epsilon=0.1)
@@ -74,6 +84,21 @@ def test_shifted_factorization_keeps_symmetric_fill(lap_L5_k1):
     rhs = forms.B @ np.ones(M.shape[0])
     _, residual = linalg.refined_solve(lu, M, rhs, tol=1e-10)
     assert residual <= 1e-10
+
+
+def test_refinement_measures_each_residual_once(lap_L5_k1):
+    # tol=1e-14 forces refinement at this shift.  Each residual is measured
+    # once: one product for the first and one per step, over two steps, the
+    # second one rejected.
+    forms, pairs = lap_L5_k1
+    sigma = 1.01 * pairs[1].value
+    M = _CountingCSR(forms.A - sigma * forms.B)
+    lu, _ = linalg.factor_indefinite(forms, sigma, M)
+    counted = CountingLU(lu)
+    rhs = forms.B @ np.ones(M.shape[0])
+    x, residual = linalg.refined_solve(counted, M, rhs, tol=1e-14)
+    assert M.products == len(counted.shapes) == 3
+    assert residual == np.linalg.norm(rhs - M @ x) / np.linalg.norm(rhs) > 0.5e-14
 
 
 def test_shift_on_an_eigenvalue_still_collides(lap_L5_k1):
@@ -215,6 +240,28 @@ def test_nested_solves_match_full_oracle_on_every_level_count(kind, degree, leve
         assert np.linalg.norm(one - want[:, 0]) <= 1e-10 * np.linalg.norm(want[:, 0]), sigma
         dense = int(np.sum(np.linalg.eigvalsh(M.toarray()) < 0))
         assert lu.inertia() == dense, sigma
+        # An interior-only right-hand side r is [r; 0]: level 0 reads it as
+        # a view, and a one-element mesh has more interior dofs than boxes.
+        r = rhs[:forms.n_interior, 1]
+        padded = np.append(r, np.zeros(M.shape[0] - len(r)))
+        inner = lu.solve(r)
+        assert np.array_equal(inner, lu.solve(padded)), sigma
+        want = splu(M.tocsc()).solve(padded)
+        assert np.linalg.norm(inner - want) <= 1e-10 * np.linalg.norm(want), sigma
+        # Any other length is refused; ndof + 1 would write the Dirichlet slot.
+        for bad in (len(r) - 1, len(r) + 1, M.shape[0] + 1):
+            with pytest.raises(ValueError, match="right-hand side"):
+                lu.solve(np.ones(bad))
+
+
+def test_many_box_levels_solve_by_gemm():
+    # At h=1/256, k=1 level l has 4^(8-l) boxes and 2^(l+1) cross dofs, so
+    # levels 0-5 solve their crosses by one GEMM with a stored K_CC⁻ᵀ.
+    space = wg.WgSpace(build_uniform(8), 1, kind="laplacian", epsilon=0.1)
+    lu = linalg.factor_spd(wg.assemble(space))
+    assert [i for i, inv in enumerate(lu.inverses) if inv is not None] == list(range(6))
+    for (block, _, _), inv in zip(lu.factors[:6], lu.inverses):
+        assert np.allclose(inv.T @ block, np.eye(len(block)), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind,degree", [("laplacian", 1), ("biharmonic", 2)])

@@ -186,6 +186,11 @@ def test_fill_reducing_order_is_a_permutation(kind, degree, level):
     order = np.concatenate([box.cross.ravel() for box in levels])
     assert np.array_equal(np.sort(order), np.arange(ndof))
     assert len(levels[-1].cross) == 1 and levels[-1].perimeter.size == 0
+    # Level 0 reads its crosses as a view of the interiors in element order
+    # and writes its update into the slice of every edge dof (linalg).
+    n_int = space.n_interior_dofs
+    assert np.array_equal(levels[0].cross, np.arange(n_int).reshape(-1, space.dim_interior))
+    assert np.array_equal(levels[0].touched, np.arange(n_int, ndof))
     for i, box in enumerate(levels):
         assert len(box.cross) == len(box.perimeter) == 4 ** (level - i)
         higher = np.concatenate([b.cross.ravel() for b in levels[i + 1:]] + [[ndof]])
