@@ -7,15 +7,22 @@ Lazarov, SIAM J. Numer. Anal. 2009), and all 2^l x 2^l boxes of George's nested
 dissection (SIAM J. Numer. Anal. 1973; WgSpace.quadtree) share one matrix too:
 four copies of the perimeter Schur complement below.  Each level factors its
 cross block (the edge dofs on a box's midlines) by one dense LU; a cross never
-touches the boundary, and a Dirichlet dof only drops a row and a column.  A
-solve treats a level's boxes at once, by one GEMM with a stored K_CC⁻ᵀ where
-the boxes are no fewer than the cross dofs (level 0 always), else by getrs;
-level 0 reads a view of the interiors and writes the slice of edge dofs.
-Pivoting stays inside each cross block.  A is SPD iff every cross block is, and
-ν(M) is the sum of boxes · ν(cross block) over the levels (Haynsworth).  The
-pivot ratio, the least pivot over max|M|, only flags a collapse outright: a
-shift exactly on an eigenvalue leaves it above the floor (2.4e-12 for the level
-5 Laplacian at σ = λ₁,h); the residual after refinement shows it.
+touches the boundary, and a Dirichlet dof only drops a row and a column.  The
+children's Schur complements merge into the box matrix by block additions over
+precomputed runs, child by child.  A solve works on the level-major positions
+of the quadtree (wg_core): each level's crosses are one reshaped slice, the
+dofs its boxes touch the tail slice after it, which takes the pair sums of
+the perimeter updates, and the way down writes each slice in place.  It
+treats a level's boxes at once, by one GEMM with a stored K_CC⁻ᵀ where the
+boxes are no fewer than the cross dofs (level 0 always), else by getrs.  An
+interior-only right-hand side is read as it is, since the interiors keep their
+ids; only the edges are permuted, into positions for a full-length right-hand
+side and back into ids for the solution.  Pivoting stays inside each cross
+block.  A is SPD iff every cross block is, and ν(M) is the sum of boxes ·
+ν(cross block) over the levels (Haynsworth).  The pivot ratio, the least pivot
+over max|M|, only flags a collapse outright: a shift exactly on an eigenvalue
+leaves it above the floor (2.4e-12 for the level 5 Laplacian at σ = λ₁,h); the
+residual after refinement shows it.
 """
 
 from __future__ import annotations
@@ -40,24 +47,22 @@ class NestedLU:
 
     def __init__(self, forms, shift: float, on_failure):
         kit, nb = forms.space.kit(), forms.space.dim_interior
-        self.levels = forms.space.quadtree
+        self.levels, self.order = forms.space.quadtree
         self.ndof = forms.space.ndof
-        first = self.levels[0]  # solve reads it as a view and a slice of x
-        if not np.array_equal(np.append(first.cross, first.touched), np.arange(self.ndof)):
-            raise ValueError("level 0 must hold the interiors in order, then every edge dof")
         self.factors = []  # per level: the cross block, its LU and X
         self.inverses = []  # per level: K_CC⁻ᵀ, or None where getrs solves
         K = kit.a_local.copy()
         K[:nb, :nb] -= shift * kit.b_local
         for level in self.levels:
-            n_c, size = level.cross.shape[1], level.cross.shape[1] + level.perimeter.shape[1]
+            n_c, size = level.n_cross, level.n_cross + level.perimeter.shape[1]
             if level.merge is None:
                 K = K[:size, :size]
             else:
                 K = np.zeros((size, size))
-                for child in level.merge:
-                    keep = child < size
-                    K[np.ix_(child[keep], child[keep])] += S[np.ix_(keep, keep)]
+                for runs in level.merge:  # child by child, one block per pair of runs
+                    for a, p, m in runs:
+                        for b, q, n in runs:
+                            K[p:p + m, q:q + n] += S[a:a + m, b:b + n]
             *lu, info = dgetrf(K[:n_c, :n_c])
             if info > 0:
                 raise on_failure(f"the level {len(self.factors)} cross block is exactly singular")
@@ -67,7 +72,7 @@ class NestedLU:
             self.factors.append((K[:n_c, :n_c].copy(), lu, X))
             # Inverting the large crosses too: +25 ms per factor at h=1/256, -0.3 ms
             # per solve, a first residual 5-70x larger near an eigenvalue (ROADMAP).
-            gemm = level.merge is None or len(level.cross) >= n_c
+            gemm = level.merge is None or level.boxes >= n_c
             self.inverses.append(dgetrs(*lu, np.eye(n_c), trans=1)[0] if gemm else None)
 
     @property
@@ -82,33 +87,42 @@ class NestedLU:
     def inertia(self) -> int:
         """ν(M), the number of negative eigenvalues of M: by Haynsworth's
         formula, level by level, the sum over levels of boxes · ν(cross block)."""
-        return sum(len(level.cross) * int(np.sum(np.linalg.eigvalsh(block) < 0))
+        return sum(level.boxes * int(np.sum(np.linalg.eigvalsh(block) < 0))
                    for level, (block, _, _) in zip(self.levels, self.factors))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """x = M⁻¹ rhs; a right-hand side of length n_int is zero on the edges."""
-        rhs = np.asarray(rhs, dtype=float)
+        rhs = np.ascontiguousarray(rhs, dtype=float)
         if rhs.ndim == 2:
             return np.apply_along_axis(self.solve, 0, rhs)
         first, (_, _, X0), inv0 = self.levels[0], self.factors[0], self.inverses[0]
-        if len(rhs) not in (first.cross.size, self.ndof):
-            raise ValueError(f"right-hand side of length {len(rhs)}, "
-                             f"not {first.cross.size} or {self.ndof}")
-        x = np.zeros(self.ndof + 1)  # the last entry is every Dirichlet dof
-        x[:len(rhs)] = rhs
-        interiors = x[:first.cross.size].reshape(first.cross.shape)
-        U = (interiors @ X0).ravel()
-        x[first.cross.size:-1] -= U[first.pairs[0]] + U[first.pairs[1]]
-        interiors[...] = interiors @ inv0
-        crosses = []  # above level 0, read again only on the way down
+        n_int, ndof = first.stop, self.ndof
+        if len(rhs) not in (n_int, ndof):
+            raise ValueError(f"right-hand side of length {len(rhs)}, not {n_int} or {ndof}")
+        # numpy casts a 32-bit index on every gather, and one astype is cheaper.
+        edges = self.order[n_int:].astype(np.intp)  # the interiors keep their ids
+        x = np.empty(ndof + 1)  # by position; the last entry is every Dirichlet dof
+        x[n_int:] = 0.0
+        interiors = x[:n_int].reshape(first.boxes, first.n_cross)
+        if len(rhs) == ndof:
+            x[:n_int], x[n_int:ndof] = rhs[:n_int], rhs[edges]
+            rhs = interiors
+        R = rhs.reshape(interiors.shape)
+        U = (R @ X0).ravel()
+        x[n_int:ndof] -= first.pairs @ U
+        np.matmul(R, inv0, out=interiors)
         for level, (_, lu, X), inv in zip(self.levels[1:], self.factors[1:], self.inverses[1:]):
-            R = x[level.cross]
+            R = x[level.start:level.stop].reshape(level.boxes, level.n_cross)
             U = (R @ X).ravel()
-            x[level.touched] -= U[level.pairs[0]] + U[level.pairs[1]]
-            crosses.append(R @ inv if inv is not None else dgetrs(*lu, R.T)[0].T)
-        for level, (_, _, X), Y in zip(self.levels[:0:-1], self.factors[:0:-1], crosses[::-1]):
-            x[level.cross] = Y - x[level.perimeter] @ X.T
-        interiors -= x[first.perimeter] @ X0.T
+            x[level.stop:ndof] -= level.pairs @ U
+            if inv is not None:
+                np.matmul(R, inv, out=R)
+            else:
+                R[...] = dgetrs(*lu, R.T)[0].T
+        for level, (_, _, X) in zip(self.levels[::-1], self.factors[::-1]):
+            R = x[level.start:level.stop].reshape(level.boxes, level.n_cross)
+            R -= x[level.perimeter.astype(np.intp)] @ X.T
+        x[edges] = x[n_int:ndof].copy()
         return x[:-1]
 
 

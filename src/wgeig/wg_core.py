@@ -10,16 +10,23 @@ On a uniform square mesh with centered, h-scaled bases, every element shares
 one set of local matrices, and assembly reduces to a deterministic vectorized
 scatter of that single pattern.  The same holds for every box of the uniform
 quadtree that the factorizations (linalg) eliminate level by level: edge dofs
-are numbered by component, then edge, then basis function, and one map per
-level merges four boxes into their parent (WgSpace.quadtree).
+are numbered by component, then edge, then basis function, and one set of
+runs per level merges four boxes into their parent (WgSpace.quadtree).  The
+quadtree numbers the dofs level-major, its one permutation ``order`` mapping
+each position to a dof id: the interiors in element order, then level 1's
+crosses box by box, and so on up to the top cross.  Every level then holds
+its crosses as one contiguous range of positions, the dofs its boxes touch as
+the tail of positions after it, and its perimeters as 32-bit positions.
 
 One scatter builds both forms: A from the local stiffness matrix, B from the
-interior Gram block Gk zero-padded to the local size.  Each global entry sums
-at most two element terms, and two floating-point terms sum to the same bits
-in either order, so the result does not depend on the order of the elements;
-the local matrices are exactly symmetric, so A and B are too.  Zero local
-entries are not emitted and entries whose terms cancel to 0.0 are dropped, so
-A and B store no zeros.
+interior Gram block Gk zero-padded to the local size.  It gathers, chunk by
+chunk of elements, the global ids of the local pairs with a nonzero entry, in
+row-major local order, and drops the pairs on a Dirichlet dof.  Each global
+entry sums at most two element terms, and two floating-point terms sum to the
+same bits in either order, so the result does not depend on the order of the
+elements; the local matrices are exactly symmetric, so A and B are too.  Zero
+local entries are not emitted and entries whose terms cancel to 0.0 are
+dropped, so A and B store no zeros.
 
 The interior Gram block Gk, which is the local mass matrix, is built from the
 exact moments of the centered monomials rather than by quadrature: moments of
@@ -37,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -124,8 +132,9 @@ class WgSpace:
         return self._dof_map
 
     @cached_property
-    def quadtree(self) -> list["BoxLevel"]:
-        """The box levels of the nested-dissection factor (linalg), built once per space."""
+    def quadtree(self) -> "Quadtree":
+        """The box levels of the nested-dissection factor (linalg) and their
+        level-major order, built once per space."""
         return _box_levels(self)
 
     def kit(self) -> "_LocalKit":
@@ -141,22 +150,41 @@ class WgSpace:
 
 @dataclass(frozen=True)
 class BoxLevel:
-    """The 2^l x 2^l boxes of quadtree level l, one row each, as global dof ids.
+    """The 2^l x 2^l boxes of quadtree level l, as positions in the level-major
+    order of the factor (Quadtree): level 0's crosses, then level 1's box by
+    box, and so on up to the top cross.
 
     A box's cross is what level l eliminates: the element interior at level
-    0, above it the edge dofs on the box's two midlines.  Its perimeter holds
-    the edge dofs on its sides, with ``ndof`` for a Dirichlet dof; the top box
-    has none.  Box-local positions run over the cross, then the perimeter,
-    and ``merge[q]`` places the perimeter of child q (level l - 1) among
-    them, one map for every box.  Each perimeter dof off the boundary belongs
-    to two boxes: ``touched`` lists them, ``pairs`` their two flat positions.
+    0, above it the edge dofs on the box's two midlines.  The level's crosses
+    fill the positions start .. stop - 1, ``n_cross`` per box.  A box's
+    perimeter holds the positions of the edge dofs on its sides, with
+    ``ndof`` for a Dirichlet dof; the top box has none.  Each perimeter dof
+    off the boundary belongs to two boxes, and these are exactly the
+    positions stop .. ndof - 1 of the higher levels: row t of the 0/1 matrix
+    ``pairs`` sums the two flat perimeter entries of position stop + t.
+    Box-local positions run over the cross, then the perimeter, and
+    ``merge[q]`` places the perimeter of child q (level l - 1) among them as
+    runs (source, target, length), one set for every box.
     """
 
-    cross: np.ndarray
+    start: int
+    boxes: int
+    n_cross: int
     perimeter: np.ndarray
-    merge: np.ndarray | None
     pairs: np.ndarray
-    touched: np.ndarray
+    merge: tuple | None
+
+    @property
+    def stop(self) -> int:
+        return self.start + self.boxes * self.n_cross
+
+
+class Quadtree(NamedTuple):
+    """The box levels of the nested-dissection factor and ``order``, which
+    maps each level-major position to its dof id."""
+
+    levels: list[BoxLevel]
+    order: np.ndarray
 
 
 def _edge_dofs(space: WgSpace, edges: np.ndarray):
@@ -171,17 +199,28 @@ def _edge_dofs(space: WgSpace, edges: np.ndarray):
     return ids.reshape(len(edges), -1), blind.reshape(len(edges), -1)
 
 
-def _box_levels(space: WgSpace) -> list[BoxLevel]:
+def _runs(child: np.ndarray, size: int) -> tuple:
+    """The maximal runs (source, target, length) of a child's merge map,
+    child[source + i] = target + i, over the targets below ``size``."""
+    source = np.flatnonzero(child < size)
+    target = child[source]
+    breaks = (np.diff(source, prepend=-2) != 1) | (np.diff(target, prepend=-2) != 1)
+    starts = np.flatnonzero(breaks)
+    lengths = np.diff(starts, append=len(source))
+    return tuple(zip(source[starts].tolist(), target[starts].tolist(), lengths.tolist()))
+
+
+def _box_levels(space: WgSpace) -> Quadtree:
     """George's nested dissection of the uniform mesh (SIAM J. Numer. Anal.
     1973).  Perimeter edges run left, right, bottom, top, each side by
     increasing coordinate (at level 0 the local order of WgSpace); a cross
     runs along its vertical midline, then its horizontal one."""
-    n = space.mesh.n
+    n, ndof = space.mesh.n, space.ndof
 
     def edge(horizontal, i, j):
         return horizontal * n * (n + 1) + j * (n + 1 - horizontal) + i
 
-    levels, below = [], None
+    crosses, perimeters, merges, below = [], [], [], None
     for level in range(space.mesh.level + 1):
         m = 1 << level
         y0, x0 = np.divmod(np.arange((n // m) ** 2), n // m)
@@ -189,6 +228,7 @@ def _box_levels(space: WgSpace) -> list[BoxLevel]:
         sides = np.hstack([edge(0, x0, y0 + t), edge(0, x0 + m, y0 + t),
                            edge(1, x0 + t, y0), edge(1, x0 + t, y0 + m)])
         perimeter, own = _edge_dofs(space, sides)
+        perimeter = perimeter[:, :0] if level == space.mesh.level else perimeter
         if level == 0:
             cross, merge = np.arange(space.n_interior_dofs).reshape(len(sides), -1), None
         else:
@@ -196,15 +236,35 @@ def _box_levels(space: WgSpace) -> list[BoxLevel]:
                 [edge(0, x0 + m // 2, y0 + t), edge(1, x0 + t, y0 + m // 2)]))
             own = np.concatenate([own_cross[0], own[0]])
             children = _edge_dofs(space, below[[0, 1, n // m * 2, n // m * 2 + 1]])[1]
-            order = np.argsort(own)
-            merge = order[np.searchsorted(own, children, sorter=order)]
+            by_id = np.argsort(own)
+            size = cross.shape[1] + perimeter.shape[1]
+            merge = tuple(_runs(child, size) for child in
+                          by_id[np.searchsorted(own, children, sorter=by_id)])
         below = sides
-        perimeter = perimeter[:, :0] if level == space.mesh.level else perimeter
-        flat = perimeter.ravel()
-        pairs = np.argsort(flat, kind="stable")
-        pairs = pairs[flat[pairs] < space.ndof].reshape(-1, 2).T
-        levels.append(BoxLevel(cross, perimeter, merge, pairs, flat[pairs[0]]))
-    return levels
+        crosses.append(cross)
+        perimeters.append(perimeter)
+        merges.append(merge)
+    # 32-bit positions and ids where they fit, as in _scatter_symmetric.
+    ids = np.int32 if ndof < 2**31 else np.int64
+    order = np.concatenate([cross.ravel() for cross in crosses]).astype(ids)
+    position = np.empty(ndof + 1, dtype=ids)
+    position[order] = np.arange(ndof, dtype=ids)
+    position[ndof] = ndof
+    # Every pair-sum operator shares one array of ones and one row pointer.
+    ones = np.ones(2 * (ndof - space.n_interior_dofs))
+    pointer = np.arange(0, len(ones) + 1, 2, dtype=ids)
+    levels, start = [], 0
+    for cross, perimeter, merge in zip(crosses, perimeters, merges):
+        stop = start + cross.size
+        flat = position[perimeter.ravel()]
+        # Sorted by position, the Dirichlet entries (ndof) come last.
+        pairs = np.argsort(flat, kind="stable")[:2 * (ndof - stop)].astype(ids)
+        pairs = sp.csr_matrix((ones[:len(pairs)], pairs, pointer[:ndof - stop + 1]),
+                              shape=(ndof - stop, flat.size))
+        pairs.data = ones[:len(pairs.indices)]  # scipy copies a short view; share it again
+        levels.append(BoxLevel(start, *cross.shape, flat.reshape(perimeter.shape), pairs, merge))
+        start = stop
+    return Quadtree(levels, order)
 
 
 @dataclass
@@ -381,22 +441,23 @@ def _scatter_symmetric(space: WgSpace, local: np.ndarray) -> sp.csr_matrix:
     of free local dofs with a nonzero local entry, duplicates summed by the CSR
     conversion, cancelled entries dropped (see the module docstring)."""
     gdofs = space.local_dof_map()
-    n_loc = space.n_local
-    nonzero = local != 0.0
+    I, J = np.nonzero(local)  # the local pairs, row by row
     # 32-bit ids where they fit, as in the CSR result: int64 triplets cost
     # 40 MB more transient memory at h=1/256, where the assembly set the peak.
     ids = np.int32 if space.ndof < 2**31 else np.int64
     rows, cols, vals = [], [], []
     for start in range(0, gdofs.shape[0], _ELEMENT_CHUNK):
         G = gdofs[start : start + _ELEMENT_CHUNK].astype(ids)
-        R = np.broadcast_to(G[:, :, None], (G.shape[0], n_loc, n_loc))
-        C = np.broadcast_to(G[:, None, :], R.shape)
-        mask = (R >= 0) & (C >= 0) & nonzero
-        rows.append(R[mask])
-        cols.append(C[mask])
-        vals.append(np.broadcast_to(local, R.shape)[mask])
-    M = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(space.ndof, space.ndof))
+        R, C = G[:, I], G[:, J]
+        free = (R >= 0) & (C >= 0)
+        rows.append(R[free])
+        cols.append(C[free])
+        vals.append(np.broadcast_to(local[I, J], R.shape)[free])
+    # Free the last gathers and each list once joined: the CSR conversion sets
+    # the peak, 29 MB lower at h=1/256 (21 MB for biharmonic k=2 at h=1/64).
+    del R, C, free
+    rows, cols, vals = (np.concatenate(part) for part in (rows, cols, vals))
+    M = sp.csr_matrix((vals, (rows, cols)), shape=(space.ndof, space.ndof))
     M.eliminate_zeros()
     return M
 

@@ -1,7 +1,8 @@
 """Verification helpers that no solver path calls: mapped quadrature on
 squares and segments with local L2 projections, the weak operators on one
 element, the stabilizer and reference-norm matrices, a source solve, field
-error norms and cluster diagnostics.
+error norms, cluster diagnostics, and the earlier forms of the assembly
+scatter and of the nested-dissection factor on global dof ids.
 
 They check the package from outside, so they live with the tests.  The square
 and segment rules place points in absolute coordinates, independently of the
@@ -14,16 +15,18 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from wgeig import linalg
 from wgeig.errors import MultiplicityMismatchError, SolverFailureError
 from wgeig.analysis import ExactEigen, _span_distance
 from wgeig.eigsolve import EigenPair
 from wgeig.polyspace import DEFAULT_FIELD_QUAD, ElementBasis, gauss_rule
-from wgeig.wg_core import (BIHARMONIC, LAPLACIAN, AssembledForms, WgFunction, WgSpace,
-                           _element_points, _interior_moments, _scatter_symmetric, assemble,
-                           qh_project)
+from wgeig.wg_core import (_ELEMENT_CHUNK, BIHARMONIC, LAPLACIAN, AssembledForms, WgFunction,
+                           WgSpace, _edge_dofs, _element_points, _interior_moments,
+                           _scatter_symmetric, assemble, qh_project)
 
 
 # -- mapped quadrature on squares and segments ------------------------------------------
@@ -340,3 +343,127 @@ def eigen_diagnostics(pairs: list[EigenPair], exact: ExactEigen, space: WgSpace,
 def lower_bound_check(errors) -> list[bool]:
     """Flag per eigenvalue: True iff the signed error lambda - lambda_h is >= 0."""
     return [bool(e >= 0.0) for e in errors]
+
+
+# -- the assembly scatter and the nested-dissection factor on dof ids ------------------
+
+
+def masked_scatter(space: WgSpace, local: np.ndarray) -> sp.csr_matrix:
+    """The scatter of wg_core._scatter_symmetric by a (chunk, n_loc, n_loc)
+    mask of free local pairs with a nonzero entry: the same triplets in the
+    same order (element, local row, local column)."""
+    gdofs = space.local_dof_map()
+    n_loc = space.n_local
+    nonzero = local != 0.0
+    ids = np.int32 if space.ndof < 2**31 else np.int64
+    rows, cols, vals = [], [], []
+    for start in range(0, gdofs.shape[0], _ELEMENT_CHUNK):
+        G = gdofs[start : start + _ELEMENT_CHUNK].astype(ids)
+        R = np.broadcast_to(G[:, :, None], (G.shape[0], n_loc, n_loc))
+        C = np.broadcast_to(G[:, None, :], R.shape)
+        mask = (R >= 0) & (C >= 0) & nonzero
+        rows.append(R[mask])
+        cols.append(C[mask])
+        vals.append(np.broadcast_to(local, R.shape)[mask])
+    M = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(space.ndof, space.ndof))
+    M.eliminate_zeros()
+    return M
+
+
+class IdBoxLevel(NamedTuple):
+    """A quadtree level as global dof ids: every box's cross and perimeter
+    (``ndof`` for a Dirichlet dof), the merge map of each child's perimeter
+    into the box-local positions, the sorted ``touched`` ids off the boundary
+    and ``pairs``, their two flat perimeter positions."""
+
+    cross: np.ndarray
+    perimeter: np.ndarray
+    merge: np.ndarray | None
+    pairs: np.ndarray
+    touched: np.ndarray
+
+
+def id_box_levels(space: WgSpace) -> list[IdBoxLevel]:
+    """George's nested dissection of the uniform mesh on dof ids, built from
+    the mesh's edge numbering independently of WgSpace.quadtree."""
+    n = space.mesh.n
+
+    def edge(horizontal, i, j):
+        return horizontal * n * (n + 1) + j * (n + 1 - horizontal) + i
+
+    levels, below = [], None
+    for level in range(space.mesh.level + 1):
+        m = 1 << level
+        y0, x0 = np.divmod(np.arange((n // m) ** 2), n // m)
+        y0, x0, t = m * y0[:, None], m * x0[:, None], np.arange(m)
+        sides = np.hstack([edge(0, x0, y0 + t), edge(0, x0 + m, y0 + t),
+                           edge(1, x0 + t, y0), edge(1, x0 + t, y0 + m)])
+        perimeter, own = _edge_dofs(space, sides)
+        if level == 0:
+            cross, merge = np.arange(space.n_interior_dofs).reshape(len(sides), -1), None
+        else:
+            cross, own_cross = _edge_dofs(space, np.hstack(
+                [edge(0, x0 + m // 2, y0 + t), edge(1, x0 + t, y0 + m // 2)]))
+            own = np.concatenate([own_cross[0], own[0]])
+            children = _edge_dofs(space, below[[0, 1, n // m * 2, n // m * 2 + 1]])[1]
+            order = np.argsort(own)
+            merge = order[np.searchsorted(own, children, sorter=order)]
+        below = sides
+        perimeter = perimeter[:, :0] if level == space.mesh.level else perimeter
+        flat = perimeter.ravel()
+        pairs = np.argsort(flat, kind="stable")
+        pairs = pairs[flat[pairs] < space.ndof].reshape(-1, 2).T
+        levels.append(IdBoxLevel(cross, perimeter, merge, pairs, flat[pairs[0]]))
+    return levels
+
+
+class IdNestedLU:
+    """The nested-dissection factor of M = A - shift B on dof ids: four
+    children merged by np.ix_ scatters, every cross gathered and scattered
+    by id.  Same arithmetic as linalg.NestedLU, so the same bits."""
+
+    def __init__(self, forms: AssembledForms, shift: float):
+        kit, nb = forms.space.kit(), forms.space.dim_interior
+        self.levels = id_box_levels(forms.space)
+        self.ndof = forms.space.ndof
+        self.factors, self.inverses = [], []
+        K = kit.a_local.copy()
+        K[:nb, :nb] -= shift * kit.b_local
+        for level in self.levels:
+            n_c, size = level.cross.shape[1], level.cross.shape[1] + level.perimeter.shape[1]
+            if level.merge is None:
+                K = K[:size, :size]
+            else:
+                K = np.zeros((size, size))
+                for child in level.merge:
+                    keep = child < size
+                    K[np.ix_(child[keep], child[keep])] += S[np.ix_(keep, keep)]
+            *lu, info = dgetrf(K[:n_c, :n_c])
+            assert info == 0
+            X = dgetrs(*lu, K[:n_c, n_c:])[0]
+            S = K[n_c:, n_c:] - K[n_c:, :n_c] @ X
+            S = 0.5 * (S + S.T)
+            self.factors.append((K[:n_c, :n_c].copy(), lu, X))
+            gemm = level.merge is None or len(level.cross) >= n_c
+            self.inverses.append(dgetrs(*lu, np.eye(n_c), trans=1)[0] if gemm else None)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """x = M⁻¹ rhs for a right-hand side of length n_int or ndof."""
+        first, (_, _, X0), inv0 = self.levels[0], self.factors[0], self.inverses[0]
+        x = np.zeros(self.ndof + 1)  # the last entry is every Dirichlet dof
+        x[:len(rhs)] = rhs
+        interiors = x[:first.cross.size].reshape(first.cross.shape)
+        U = (interiors @ X0).ravel()
+        x[first.touched] -= U[first.pairs[0]] + U[first.pairs[1]]
+        interiors[...] = interiors @ inv0
+        crosses = []
+        for level, (_, lu, X), inv in zip(self.levels[1:], self.factors[1:], self.inverses[1:]):
+            R = x[level.cross]
+            U = (R @ X).ravel()
+            x[level.touched] -= U[level.pairs[0]] + U[level.pairs[1]]
+            crosses.append(R @ inv if inv is not None else dgetrs(*lu, R.T)[0].T)
+        for level, (_, _, X), Y in zip(self.levels[:0:-1], self.factors[:0:-1], crosses[::-1]):
+            x[level.cross] = Y - x[level.perimeter] @ X.T
+        interiors -= x[first.perimeter] @ X0.T
+        return x[:-1]

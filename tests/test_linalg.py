@@ -13,6 +13,7 @@ from wgeig.errors import FactorizationFailureError, NearSingularError
 from wgeig.mesh import build_uniform
 
 from conftest import CountingLU, dense_pencil_eigs, local_interior_eigs
+from oracles import IdNestedLU
 
 
 def _fill(lu):
@@ -38,7 +39,7 @@ def _skeleton_schur_complement(forms):
 def _negative_pivots(lu):
     """Per quadtree level, boxes · ν(cross block) from the blocks' dense
     eigenvalues; by Haynsworth's formula they sum to ν(M)."""
-    return [len(level.cross) * int(np.sum(np.linalg.eigvalsh(block) < 0))
+    return [level.boxes * int(np.sum(np.linalg.eigvalsh(block) < 0))
             for level, (block, _, _) in zip(lu.levels, lu.factors)]
 
 
@@ -48,7 +49,8 @@ def _clamped_box_eigs(forms, level):
     space, m = forms.space, 1 << level
     inside = (space.mesh.elem_ix < m) & (space.mesh.elem_iy < m)
     dof = space.local_dof_map()[inside]
-    ids = np.setdiff1d(dof[dof >= 0], space.quadtree[level].perimeter[0])
+    levels, order = space.quadtree
+    ids = np.setdiff1d(dof[dof >= 0], np.append(order, space.ndof)[levels[level].perimeter[0]])
     A, ni = forms.A[ids][:, ids].toarray(), int(np.sum(ids < forms.n_interior))
     S = A[:ni, :ni] - A[:ni, ni:] @ np.linalg.solve(A[ni:, ni:], A[ni:, :ni])
     return sla.eigh(S, forms.B[ids[:ni]][:, ids[:ni]].toarray(), eigvals_only=True)
@@ -252,6 +254,50 @@ def test_nested_solves_match_full_oracle_on_every_level_count(kind, degree, leve
         for bad in (len(r) - 1, len(r) + 1, M.shape[0] + 1):
             with pytest.raises(ValueError, match="right-hand side"):
                 lu.solve(np.ones(bad))
+
+
+def _bitwise(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _assert_bitwise_the_id_oracle(forms, sigma, lu, rhs):
+    # The factor (cross blocks, LUs with their pivots, X, the stored
+    # inverses) and solves with full-length, interior-only and 2-D
+    # right-hand sides equal the id-valued factor and solve bit for bit.
+    oracle = IdNestedLU(forms, sigma)
+    assert len(lu.factors) == len(oracle.factors)
+    for (block, (factor, piv), X), (want_block, (want_factor, want_piv), want_X) in zip(
+            lu.factors, oracle.factors):
+        for got, want in ((block, want_block), (factor, want_factor), (piv, want_piv),
+                          (X, want_X)):
+            assert _bitwise(got, want), sigma
+    for inv, want in zip(lu.inverses, oracle.inverses, strict=True):
+        assert (inv is None and want is None) or _bitwise(inv, want), sigma
+    inner = rhs[:forms.n_interior, 1]
+    for r in (rhs[:, 0], inner, np.append(inner, np.zeros(forms.space.ndof - len(inner)))):
+        assert _bitwise(lu.solve(r), oracle.solve(r)), sigma
+    assert _bitwise(lu.solve(rhs), np.column_stack([oracle.solve(r) for r in rhs.T])), sigma
+
+
+@pytest.mark.parametrize("kind,degree", [("laplacian", 1), ("laplacian", 3), ("biharmonic", 2)])
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_level_major_factor_is_bitwise_the_id_oracle(kind, degree, level):
+    # The shifts of test_nested_solves_match_full_oracle_on_every_level_count;
+    # level 0 is the one-element mesh with no edge dofs.
+    space = wg.WgSpace(build_uniform(level), degree, kind=kind, epsilon=0.1)
+    forms = wg.assemble(space)
+    mu = local_interior_eigs(space)
+    rhs = np.random.default_rng(3).standard_normal((forms.A.shape[0], 2))
+    for sigma in (0.0, 0.5 * (mu[0] + mu[1]), 1.5 * mu[-1]):
+        lu, _ = linalg.factor_indefinite(forms, sigma, forms.A - sigma * forms.B)
+        _assert_bitwise_the_id_oracle(forms, sigma, lu, rhs)
+
+
+def test_level_major_factor_is_bitwise_the_id_oracle_at_h_1_128():
+    space = wg.WgSpace(build_uniform(7), 1, kind="laplacian", epsilon=0.1)
+    forms = wg.assemble(space)
+    rhs = np.random.default_rng(4).standard_normal((forms.A.shape[0], 2))
+    _assert_bitwise_the_id_oracle(forms, 0.0, linalg.factor_spd(forms), rhs)
 
 
 def test_many_box_levels_solve_by_gemm():

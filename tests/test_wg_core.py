@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,11 @@ from conftest import local_interpolant
 from oracles import (
     Square,
     element_mass_matrix,
+    id_box_levels,
     l2_error,
     l2_project_element,
     local_vector,
+    masked_scatter,
     norm1_matrix,
     solve_source,
     stabilizer_matrix,
@@ -176,29 +180,35 @@ def test_biharmonic_dof_count(bih_L2_k2):
                                          ("biharmonic", 2), ("biharmonic", 3)])
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
 def test_fill_reducing_order_is_a_permutation(kind, degree, level):
-    # The quadtree eliminates every dof exactly once: the crosses of its
-    # levels, in level order, are a permutation of the dofs.  A perimeter dof
-    # is a cross dof of a higher level or the Dirichlet slot ndof, and each
-    # one off the boundary belongs to exactly two boxes of its level.
+    # The quadtree eliminates every dof exactly once: its level-major order
+    # is a permutation of the dofs, and the crosses of the levels partition
+    # the positions 0..ndof-1 level by level, one contiguous range each.  A
+    # perimeter position is a cross position of a higher level or the
+    # Dirichlet slot ndof, and the positions off the boundary are exactly the
+    # tail stop..ndof-1, each in exactly two boxes of its level.
     space = wg.WgSpace(build_uniform(level), degree, kind=kind, epsilon=0.1)
-    levels, ndof = space.quadtree, space.ndof
+    (levels, order), ndof = space.quadtree, space.ndof
     assert len(levels) == level + 1
-    order = np.concatenate([box.cross.ravel() for box in levels])
     assert np.array_equal(np.sort(order), np.arange(ndof))
-    assert len(levels[-1].cross) == 1 and levels[-1].perimeter.size == 0
-    # Level 0 reads its crosses as a view of the interiors in element order
-    # and writes its update into the slice of every edge dof (linalg).
+    assert [box.start for box in levels] == [0] + [box.stop for box in levels[:-1]]
+    assert levels[-1].stop == ndof
+    assert levels[-1].boxes == 1 and levels[-1].perimeter.size == 0
+    # Level 0's crosses are the interiors in element order, so the solve
+    # reads an interior-only right-hand side as it is (linalg).
     n_int = space.n_interior_dofs
-    assert np.array_equal(levels[0].cross, np.arange(n_int).reshape(-1, space.dim_interior))
-    assert np.array_equal(levels[0].touched, np.arange(n_int, ndof))
+    assert (levels[0].stop, levels[0].n_cross) == (n_int, space.dim_interior)
+    assert np.array_equal(order[:n_int], np.arange(n_int))
     for i, box in enumerate(levels):
-        assert len(box.cross) == len(box.perimeter) == 4 ** (level - i)
-        higher = np.concatenate([b.cross.ravel() for b in levels[i + 1:]] + [[ndof]])
-        assert np.all(np.isin(box.perimeter, higher))
+        assert box.boxes == len(box.perimeter) == 4 ** (level - i)
         flat = box.perimeter.ravel()
-        assert np.array_equal(flat[box.pairs[0]], box.touched)
-        assert np.array_equal(flat[box.pairs[1]], box.touched)
-        assert np.array_equal(np.sort(box.touched), np.unique(flat[flat < ndof]))
+        assert np.all((flat >= box.stop) & (flat <= ndof))
+        tail = np.arange(box.stop, ndof)
+        assert np.array_equal(np.sort(flat[flat < ndof]), np.repeat(tail, 2))
+        first, second = box.pairs.indices.reshape(-1, 2).T
+        assert box.pairs.shape == (len(tail), flat.size)
+        assert np.array_equal(box.pairs.indptr, 2 * np.arange(len(tail) + 1))
+        assert np.all(box.pairs.data == 1.0) and np.all(first < second)
+        assert np.array_equal(flat[first], tail) and np.array_equal(flat[second], tail)
     if level >= 1:
         # The last cross is the edge dofs on the lines x = 1/2 and y = 1/2.
         mesh, k = space.mesh, space.dim_trace
@@ -207,7 +217,59 @@ def test_fill_reducing_order_is_a_permutation(kind, degree, level):
         starts = space.n_interior_dofs + k * mesh.num_interior_edges * np.arange(
             space.num_edge_components)
         cut = (starts[:, None, None] + k * ii[None, :, None] + np.arange(k)).ravel()
-        assert np.array_equal(np.sort(levels[-1].cross.ravel()), np.sort(cut))
+        assert np.array_equal(np.sort(order[levels[-1].start:]), np.sort(cut))
+
+
+@pytest.mark.parametrize("kind,degree", [("laplacian", 1), ("laplacian", 3), ("biharmonic", 2)])
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_level_major_quadtree_matches_the_id_oracle(kind, degree, level):
+    # Through the one permutation, every box's cross and perimeter are the
+    # dof ids of the quadtree built on ids, and the merge runs place each
+    # child's perimeter where its merge map does.
+    space = wg.WgSpace(build_uniform(level), degree, kind=kind, epsilon=0.1)
+    (levels, order), ndof = space.quadtree, space.ndof
+    ids = np.append(order, ndof)  # the Dirichlet slot maps to itself
+    for box, want in zip(levels, id_box_levels(space), strict=True):
+        cross = ids[box.start:box.stop].reshape(box.boxes, box.n_cross)
+        assert np.array_equal(cross, want.cross)
+        assert np.array_equal(ids[box.perimeter], want.perimeter)
+        if want.merge is None:
+            assert box.merge is None
+            continue
+        size = box.n_cross + box.perimeter.shape[1]
+        for runs, child in zip(box.merge, want.merge, strict=True):
+            placed = np.full(len(child), size)
+            for source, target, length in runs:
+                assert np.all(placed[source:source + length] == size)
+                placed[source:source + length] = target + np.arange(length)
+            assert np.array_equal(placed, np.where(child < size, child, size))
+
+
+@pytest.mark.parametrize("kind,degree,level", [("laplacian", 1, 6), ("laplacian", 3, 4),
+                                               ("biharmonic", 2, 5)])
+def test_quadtree_keeps_one_permutation_and_32_bit_positions(kind, degree, level):
+    # Below 2**31 dofs every quadtree index array is 32-bit, the rule of the
+    # assembly scatter, and no level keeps global ids: the one permutation
+    # ``order`` maps positions to ids, and the pair-sum operators share one
+    # array of ones and one row pointer.  At h=1/256, k=1 these arrays take
+    # 8.1 MB, and the int64 id arrays of the oracle's quadtree (cross,
+    # perimeter, pairs, touched) 13.0 MB; a second index copy would exceed it.
+    space = wg.WgSpace(build_uniform(level), degree, kind=kind, epsilon=0.1)
+    levels, order = space.quadtree
+    assert [f.name for f in fields(levels[0])] == [
+        "start", "boxes", "n_cross", "perimeter", "pairs", "merge"]
+    assert order.dtype == np.int32 and order.shape == (space.ndof,)
+    for box in levels:
+        for index in (box.perimeter, box.pairs.indices, box.pairs.indptr):
+            assert index.dtype == np.int32
+        if box.pairs.nnz:
+            assert np.shares_memory(box.pairs.data, levels[0].pairs.data)
+        assert np.shares_memory(box.pairs.indptr, levels[0].pairs.indptr)
+    kept = order.nbytes + levels[0].pairs.data.nbytes + levels[0].pairs.indptr.nbytes + sum(
+        box.perimeter.nbytes + box.pairs.indices.nbytes for box in levels)
+    old = sum(b.cross.nbytes + b.perimeter.nbytes + b.pairs.nbytes + b.touched.nbytes
+              for b in id_box_levels(space))
+    assert kept < 0.7 * old
 
 
 def test_degree_validation():
@@ -386,6 +448,25 @@ def test_assembly_matches_dense_elementwise_oracle(kind, degree, level):
     cancelled = np.count_nonzero((terms[:ndof, :ndof] == 2) & (A[:ndof, :ndof] == 0.0))
     if (kind, degree, level) == ("biharmonic", 3, 1):
         assert cancelled > 0
+
+
+@pytest.mark.parametrize("kind,degree", [("laplacian", 1), ("laplacian", 2), ("laplacian", 3),
+                                         ("laplacian", 4), ("laplacian", 5), ("biharmonic", 2),
+                                         ("biharmonic", 3), ("biharmonic", 4)])
+@pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
+def test_gathered_pair_scatter_matches_the_masked_scatter(kind, degree, level):
+    # The scatter gathers the dofs of the nonzero local pairs; the oracle
+    # masks the full (element, row, column) cube.  Same triplets in the same
+    # order, so the CSR arrays agree byte for byte, dtypes included.
+    space = wg.WgSpace(build_uniform(level), degree, kind=kind, epsilon=0.1)
+    forms, kit, nd0 = wg.assemble(space), space.kit(), space.dim_interior
+    b_local = np.zeros((space.n_local, space.n_local))
+    b_local[:nd0, :nd0] = kit.Gk
+    for M, local in ((forms.A, kit.a_local), (forms.B, b_local)):
+        want = masked_scatter(space, local)
+        for got, expected in ((M.indptr, want.indptr), (M.indices, want.indices),
+                              (M.data, want.data)):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
 def test_mass_matrix_lives_on_interior_only(lap_L3_k1):
@@ -572,21 +653,25 @@ def test_biharmonic_source_convergence():
 
 @pytest.mark.parametrize("kind,degree", [("laplacian", 1), ("laplacian", 3), ("biharmonic", 2)])
 @pytest.mark.parametrize("level", [0, 1, 3])
-def test_skeleton_scatters_like_the_assembly(kind, degree, level):
+def test_box_blocks_match_the_assembled_schur_complement(kind, degree, level):
     # For box 0 of every quadtree level, the cross block and X = K_CC⁻¹ K_CP
     # of the factor, merged from four copies of the level below, equal the
     # Schur complement of the box's own elements, assembled by the dof map,
-    # onto the box's cross and perimeter (Dirichlet perimeter dofs dropped).
+    # onto the box's cross and perimeter (Dirichlet perimeter dofs dropped),
+    # whose positions map to dof ids through the quadtree's one permutation.
     space = wg.WgSpace(build_uniform(level), degree, kind=kind, epsilon=0.1)
     lu, ndof = linalg.factor_spd(wg.assemble(space)), space.ndof
+    levels, order = space.quadtree
+    ids = np.append(order, ndof)  # the Dirichlet slot maps to itself
     a = space.kit().a_local
-    for i, (box, (block, _, X)) in enumerate(zip(space.quadtree, lu.factors)):
+    for i, (box, (block, _, X)) in enumerate(zip(levels, lu.factors)):
         inside = (space.mesh.elem_ix < 2 ** i) & (space.mesh.elem_iy < 2 ** i)
         dof = space.local_dof_map()[inside]
         A = np.zeros((ndof + 1, ndof + 1))
         for row in np.where(dof >= 0, dof, ndof):
             A[np.ix_(row, row)] += a
-        keep = np.concatenate([box.cross[0], box.perimeter[0]])
+        keep = ids[np.concatenate([np.arange(box.start, box.start + box.n_cross),
+                                   box.perimeter[0]])]
         live, rest = keep[keep < ndof], np.setdiff1d(dof[dof >= 0], keep)
         S = A[np.ix_(live, live)] - A[np.ix_(live, rest)] @ np.linalg.solve(
             A[np.ix_(rest, rest)], A[np.ix_(rest, live)])
