@@ -16,7 +16,7 @@ import numpy as np
 from .eigsolve import smallest_eigs
 from .errors import EmptyClusterError, NonPositiveError
 from .mesh import build_uniform
-from .twogrid import SipgConfig, run_sipg
+from .twogrid import run_sipg
 from .wg_core import LAPLACIAN, AssembledForms, WgSpace, assemble, qh_project
 from scipy.linalg import cho_factor, cho_solve
 
@@ -123,6 +123,8 @@ def rate_fit(h_list, e_list) -> float:
     e = np.asarray(e_list, dtype=float)
     if h.size < 2 or h.size != e.size:
         raise ValueError("need at least two (h, e) pairs of equal length")
+    if np.unique(h).size != h.size:
+        raise ValueError(f"mesh sizes must be distinct, got {h.tolist()}")
     if np.any(e <= 0.0):
         raise NonPositiveError("error values must be strictly positive; take abs first")
     return float(np.polyfit(np.log(h), np.log(e), 1)[0])
@@ -247,15 +249,10 @@ def sipg_study(kind: str, degree: int, epsilon: float, coarse_levels, fine_level
     rows: list[StudyRow] = []
     warnings: list[str] = []
     for coarse_level in coarse_levels:
-        cfg = SipgConfig(
-            kind=kind, degree=degree, epsilon=epsilon,
-            coarse_level=coarse_level, fine_level=fine_level,
-            num_eigs=num_eigs, tol=tol,
-        )
-        res = run_sipg(cfg, fine=(fine_space, fine_forms))
-        warnings.extend(res.warnings)
-        for t in res.targets:
+        for t in run_sipg(fine_forms, coarse_level, num_eigs, tol=tol):
             j = t.index
+            if t.warning:
+                warnings.append(t.warning)
             lam_ex, cluster = exact[j - 1]
             lam_h = None if direct_pairs is None else direct_pairs[j - 1].value
             energy = None

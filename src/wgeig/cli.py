@@ -24,7 +24,7 @@ import os
 import sys
 
 from .errors import (CapacityError, ConfigError, DegreeTooLowError, FactorizationFailureError,
-                     LevelOrderError, NearSingularError, NoConvergenceError, SolverFailureError)
+                     LevelOrderError, NearSingularError, NoConvergenceError)
 
 THREADS_ENV = "WGEIG_THREADS"
 
@@ -39,7 +39,7 @@ def _pin_threads() -> None:
 
 
 def _parse_levels(text: str) -> list[int]:
-    """Accept '3:6' (inclusive range) or '3,4,5' (explicit list)."""
+    """Accept '3:6' (inclusive range) or '3,4,5' (explicit list) of distinct levels."""
     try:
         if ":" in text:
             lo, hi = (int(tok) for tok in text.split(":", 1))
@@ -51,6 +51,8 @@ def _parse_levels(text: str) -> list[int]:
             f"expected levels like 3:6 or 3,4,5, got {text!r}") from None
     if not levels:
         raise argparse.ArgumentTypeError(f"empty level range {text!r}")
+    if len(set(levels)) != len(levels):
+        raise argparse.ArgumentTypeError(f"repeated level in {text!r}")
     return levels
 
 
@@ -351,8 +353,7 @@ def main(argv=None) -> int:
             LevelOrderError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NoConvergenceError, FactorizationFailureError, SolverFailureError,
-            NearSingularError) as exc:
+    except (NoConvergenceError, FactorizationFailureError, NearSingularError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
 

@@ -61,20 +61,12 @@ class NearSingularError(WgeigError):
         self.solution = solution
 
 
-class SolverFailureError(WgeigError):
-    """Sparse linear solve failed to reach the required residual."""
-
-
 class ZeroMassError(WgeigError):
     """Vector has a numerically zero mass-form norm."""
 
 
 class EmptyClusterError(WgeigError):
     """No exact generators supplied for an eigenfunction error."""
-
-
-class MultiplicityMismatchError(WgeigError):
-    """Cluster size does not match the exact multiplicity."""
 
 
 class NonPositiveError(WgeigError):

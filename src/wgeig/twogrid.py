@@ -22,28 +22,6 @@ from .wg_core import AssembledForms, WgFunction, WgSpace, _element_points, assem
 
 
 @dataclass
-class SipgConfig:
-    """Configuration of one two-grid run (coarse level strictly below fine)."""
-
-    kind: str
-    degree: int
-    epsilon: float = 0.1
-    coarse_level: int = 2
-    fine_level: int = 4
-    num_eigs: int = 1
-    tol: float = 1e-10
-
-    def validate(self) -> None:
-        if self.fine_level <= self.coarse_level:
-            raise ConfigError(
-                f"fine level ({self.fine_level}) must exceed coarse level "
-                f"({self.coarse_level})"
-            )
-        if self.num_eigs < 1:
-            raise ConfigError("num_eigs must be at least 1")
-
-
-@dataclass
 class SipgTarget:
     """Per-index outcome of the two-grid scheme."""
 
@@ -53,20 +31,6 @@ class SipgTarget:
     normalized: np.ndarray | None
     seconds: float
     warning: str | None = None
-
-
-@dataclass
-class SipgResult:
-    config: SipgConfig
-    coarse_space: WgSpace
-    coarse_forms: AssembledForms
-    fine_space: WgSpace
-    fine_forms: AssembledForms
-    targets: list[SipgTarget]
-
-    @property
-    def warnings(self) -> list[str]:
-        return [t.warning for t in self.targets if t.warning]
 
 
 def cross_mass_rhs(u_coarse: WgFunction, fine_space: WgSpace) -> np.ndarray:
@@ -102,38 +66,21 @@ def cross_mass_rhs(u_coarse: WgFunction, fine_space: WgSpace) -> np.ndarray:
     return rhs
 
 
-def run_sipg(config: SipgConfig,
-             fine: tuple[WgSpace, AssembledForms] | None = None) -> SipgResult:
-    """Run the two-grid scheme end to end.
+def run_sipg(fine_forms: AssembledForms, coarse_level: int, num_eigs: int,
+             tol: float = 1e-10) -> list[SipgTarget]:
+    """Run the two-grid scheme on the assembled fine forms.
 
-    A prebuilt fine (space, forms) pair may be passed to share the fine
-    assembly across several coarse levels; it is checked against the
-    configuration before any coarse work.  Near-singular shifted solves are
+    The fine space fixes the kind, degree, epsilon and fine level; the coarse
+    space repeats all but the level.  Near-singular shifted solves are
     recorded as warnings on their target and never silently ignored.
     """
-    config.validate()
-    if fine is not None:
-        fine_space, fine_forms = fine
-        have = (fine_space.mesh.level, fine_space.kind, fine_space.degree, fine_space.epsilon)
-        want = (config.fine_level, config.kind, config.degree, config.epsilon)
-        if have != want:
-            raise ConfigError(f"provided fine space (level, kind, degree, epsilon) = {have} "
-                              f"does not match the configuration {want}")
-        if fine_forms.space is not fine_space:
-            raise ConfigError("provided fine forms were assembled on another space")
-    coarse_space = WgSpace(
-        build_uniform(config.coarse_level), config.degree,
-        kind=config.kind, epsilon=config.epsilon,
-    )
-    coarse_forms = assemble(coarse_space)
-    coarse_pairs = smallest_eigs(coarse_forms, config.num_eigs, tol=config.tol)
-
-    if fine is None:
-        fine_space = WgSpace(
-            build_uniform(config.fine_level), config.degree,
-            kind=config.kind, epsilon=config.epsilon,
-        )
-        fine_forms = assemble(fine_space)
+    fine_space = fine_forms.space
+    if fine_space.mesh.level <= coarse_level:
+        raise ConfigError(f"fine level ({fine_space.mesh.level}) must exceed coarse level "
+                          f"({coarse_level})")
+    coarse_space = WgSpace(build_uniform(coarse_level), fine_space.degree,
+                           kind=fine_space.kind, epsilon=fine_space.epsilon)
+    coarse_pairs = smallest_eigs(assemble(coarse_space), num_eigs, tol=tol)
 
     targets: list[SipgTarget] = []
     B = fine_forms.B
@@ -142,7 +89,7 @@ def run_sipg(config: SipgConfig,
         rhs = cross_mass_rhs(WgFunction(coarse_space, pair.vector), fine_space)
         warning = None
         try:
-            x = solve_shifted(fine_forms, pair.value, rhs, tol=config.tol)
+            x = solve_shifted(fine_forms, pair.value, rhs, tol=tol)
         except NearSingularError as exc:
             warning = (f"index {j}: shift {pair.value!r} collided with the fine "
                        f"spectrum ({exc})")
@@ -161,12 +108,4 @@ def run_sipg(config: SipgConfig,
             index=j, coarse_value=pair.value, rayleigh=float(lam), normalized=xbar,
             seconds=time.perf_counter() - t0, warning=warning,
         ))
-
-    return SipgResult(
-        config=config,
-        coarse_space=coarse_space,
-        coarse_forms=coarse_forms,
-        fine_space=fine_space,
-        fine_forms=fine_forms,
-        targets=targets,
-    )
+    return targets

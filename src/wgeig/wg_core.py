@@ -142,11 +142,6 @@ class WgSpace:
             self._kit = _LocalKit(self)
         return self._kit
 
-    def function(self, coeffs: np.ndarray | None = None) -> "WgFunction":
-        if coeffs is None:
-            coeffs = np.zeros(self.ndof)
-        return WgFunction(self, np.asarray(coeffs, dtype=float))
-
 
 @dataclass(frozen=True)
 class BoxLevel:
@@ -294,7 +289,10 @@ class AssembledForms:
     space: WgSpace
     A: sp.csr_matrix
     B: sp.csr_matrix
-    n_interior: int
+
+    @property
+    def n_interior(self) -> int:
+        return self.space.n_interior_dofs
 
 
 def _centred_moment(p: np.ndarray) -> np.ndarray:
@@ -472,8 +470,7 @@ def assemble(space: WgSpace) -> AssembledForms:
     b_local = np.zeros((space.n_local, space.n_local))
     b_local[:nd0, :nd0] = kit.Gk
     return AssembledForms(space=space, A=_scatter_symmetric(space, kit.a_local),
-                          B=_scatter_symmetric(space, b_local),
-                          n_interior=space.n_interior_dofs)
+                          B=_scatter_symmetric(space, b_local))
 
 
 # -- interpolation and field integrals ----------------------------------------

@@ -20,13 +20,21 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dgetrf, dgetrs
 
 from wgeig import linalg
-from wgeig.errors import MultiplicityMismatchError, SolverFailureError
+from wgeig.errors import WgeigError
 from wgeig.analysis import ExactEigen, _span_distance
 from wgeig.eigsolve import EigenPair
 from wgeig.polyspace import DEFAULT_FIELD_QUAD, ElementBasis, gauss_rule
 from wgeig.wg_core import (_ELEMENT_CHUNK, BIHARMONIC, LAPLACIAN, AssembledForms, WgFunction,
                            WgSpace, _edge_dofs, _element_points, _interior_moments,
                            _scatter_symmetric, assemble, qh_project)
+
+
+class SolverFailureError(WgeigError):
+    """Sparse linear solve failed to reach the required residual."""
+
+
+class MultiplicityMismatchError(WgeigError):
+    """Cluster size does not match the exact multiplicity."""
 
 
 # -- mapped quadrature on squares and segments ------------------------------------------

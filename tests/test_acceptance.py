@@ -15,7 +15,7 @@ import wgeig as wg
 from wgeig.eigsolve import smallest_eigs
 from wgeig.mesh import build_uniform
 from wgeig.polyspace import ElementBasis
-from wgeig.twogrid import SipgConfig, run_sipg
+from wgeig.twogrid import run_sipg
 from wgeig.wg_core import _interior_moments
 
 from conftest import dense_pencil_eigs
@@ -155,14 +155,13 @@ def compute_criterion_3():
 
 
 def compute_criterion_4():
-    cfg = SipgConfig(kind="laplacian", degree=1, epsilon=0.1,
-                     coarse_level=3, fine_level=6, num_eigs=6)
-    res = run_sipg(cfg)
-    direct = smallest_eigs(res.fine_forms, 6)
+    fine_forms = wg.assemble(wg.WgSpace(build_uniform(6), 1, kind="laplacian", epsilon=0.1))
+    targets = run_sipg(fine_forms, 3, 6)
+    direct = smallest_eigs(fine_forms, 6)
     return {
-        "tilde": np.array([t.rayleigh for t in res.targets]),
+        "tilde": np.array([t.rayleigh for t in targets]),
         "direct": np.array([p.value for p in direct]),
-        "coarse": np.array([t.coarse_value for t in res.targets]),
+        "coarse": np.array([t.coarse_value for t in targets]),
     }
 
 
@@ -264,14 +263,12 @@ def test_criterion_6_full_scale_stretch():
     import resource
 
     t0 = time.perf_counter()
-    cfg = SipgConfig(kind="laplacian", degree=1, epsilon=0.1,
-                     coarse_level=4, fine_level=9, num_eigs=1)
-    res = run_sipg(cfg)
-    lam_tilde = res.targets[0].rayleigh
-    gap = 2 * np.pi**2 - lam_tilde
+    fine_space = wg.WgSpace(build_uniform(9), 1, kind="laplacian", epsilon=0.1)
+    fine_forms = wg.assemble(fine_space)
+    [target] = run_sipg(fine_forms, 4, 1)
+    gap = 2 * np.pi**2 - target.rayleigh
     gen = wg.exact_laplacian_spectrum(1)[0].generators[0]
-    energy = wg.energy_error(res.fine_space, res.fine_forms,
-                             res.targets[0].normalized, [gen])
+    energy = wg.energy_error(fine_space, fine_forms, target.normalized, [gen])
     peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024**2
     dt = time.perf_counter() - t0
     ok_gap = abs(gap - 5.9045e-4) <= 0.01 * 5.9045e-4

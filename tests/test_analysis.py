@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import wgeig as wg
-from oracles import eigen_diagnostics, l2_error, lower_bound_check, vnorm_error
+from oracles import (MultiplicityMismatchError, eigen_diagnostics, l2_error, lower_bound_check,
+                     vnorm_error)
 from wgeig.analysis import (
     BIHARMONIC_LAMBDA1,
     direct_study,
@@ -12,11 +13,7 @@ from wgeig.analysis import (
     rate_fit,
     sipg_study,
 )
-from wgeig.errors import (
-    EmptyClusterError,
-    MultiplicityMismatchError,
-    NonPositiveError,
-)
+from wgeig.errors import EmptyClusterError, NonPositiveError
 from wgeig.eigsolve import smallest_eigs
 from wgeig.mesh import build_uniform
 
@@ -210,6 +207,8 @@ def test_rate_fit_validation():
         rate_fit([0.5, 0.25], [1.0, -1.0])
     with pytest.raises(ValueError):
         rate_fit([0.5], [1.0])
+    with pytest.raises(ValueError, match="distinct"):
+        rate_fit([0.125, 0.125], [0.1, 0.2])
 
 
 def test_lower_bound_check_signs():

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -5,6 +6,7 @@ import json
 import numpy as np
 import pytest
 import scipy.io as sio
+from hypothesis import given, settings, strategies as st
 
 from wgeig.analysis import ROW_FIELDS
 from wgeig.cli import main
@@ -66,6 +68,11 @@ def test_config_errors(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "study", "--levels", "4:3")
     assert code == 2 and "empty level range '4:3'" in err
+    # A repeated level once gave a meaningless fitted order with exit 0.
+    code, out, err = run_cli(capsys, "study", "--levels", "3,3", "--num-eigs", "1")
+    assert code == 2 and out == "" and "repeated level in '3,3'" in err
+    code, out, err = run_cli(capsys, "table", "--fine-level", "4", "--coarse-levels", "2,2")
+    assert code == 2 and out == "" and "repeated level in '2,2'" in err
 
 
 @pytest.mark.parametrize("problem,degree", [("laplacian", 1), ("biharmonic", 2)])
@@ -255,7 +262,7 @@ def test_config_dumps_act_like_their_flags(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("line", ["with_direct = maybe", "output = xml", "fine_level = two",
-                                  "coarse_levels = 3:2"])
+                                  "coarse_levels = 3:2", "coarse_levels = 2,2"])
 def test_config_bad_value(capsys, tmp_path, line):
     key = line.split(" ")[0]
     rest = [f"{k} = {v}" for k, v in (("fine_level", 3), ("coarse_levels", 2)) if k != key]
@@ -264,3 +271,65 @@ def test_config_bad_value(capsys, tmp_path, line):
     code, out, err = run_cli(capsys, "table", "--config", str(cfg), "--num-eigs", "1")
     assert code == 2 and out == ""
     assert f"run.cfg:1: {key}: " in err
+
+
+SPACES = st.sampled_from([("laplacian", 1), ("laplacian", 2), ("laplacian", 3),
+                          ("biharmonic", 2), ("biharmonic", 3)])
+LEVELS = st.integers(0, 3)
+
+
+@st.composite
+def cli_runs(draw):
+    """One command line: any command, space and epsilon, levels up to 3 with
+    coarse below fine, and num_eigs from 0 to past the mass rank of the
+    coarsest level (up to 8 where that rank is large, to bound the time)."""
+    command = draw(st.sampled_from(["solve", "study", "sipg", "table"]))
+    problem, degree = draw(SPACES)
+    if command == "solve":
+        levels = [draw(LEVELS)]
+        argv = ["--level", str(levels[0])]
+    elif command == "study":
+        levels = draw(st.lists(LEVELS, min_size=1, max_size=3, unique=True))
+        argv = ["--levels", ",".join(map(str, levels))]
+    elif command == "sipg":
+        levels = sorted(draw(st.lists(LEVELS, min_size=2, max_size=2, unique=True)))
+        argv = ["--coarse-level", str(levels[0]), "--fine-level", str(levels[1])]
+    else:
+        levels = sorted(draw(st.lists(LEVELS, min_size=2, max_size=3, unique=True)))
+        argv = ["--coarse-levels", ",".join(map(str, levels[:-1])),
+                "--fine-level", str(levels[-1])]
+        if draw(st.booleans()):
+            argv.append("--with-direct")
+    rank = 4 ** min(levels) * (degree + 1) * (degree + 2) // 2
+    num_eigs = draw(st.integers(1, rank + 1 if rank <= 16 else 8) | st.just(0))
+    return [command, "--problem", problem, "--degree", str(degree),
+            "--epsilon", repr(draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))),
+            "--num-eigs", str(num_eigs),
+            "--output", "json", *argv]
+
+
+@settings(max_examples=80)
+@given(cli_runs())
+def test_every_configuration_exits_by_the_contract(argv):
+    # Exit 0 with finite values (a missing lambda_tilde only with its warning),
+    # 2 for a configuration error, 3 for a solver failure; never a traceback.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3), (argv, code, err)
+    assert "Traceback" not in err
+    if code:
+        assert out == ""
+        assert ("error:" if code == 2 else "solver failure:") in err, (argv, err)
+        return
+    doc = json.loads(out)
+    warned = [line[len("warning: "):] for line in err.splitlines()
+              if line.startswith("warning: ")]
+    assert doc["warnings"] == warned
+    assert doc["rows"]
+    for row in doc["rows"]:
+        assert row["lambda_h"] is None or np.isfinite(row["lambda_h"])
+        tilde = row["lambda_tilde"]
+        if row["H_level"] < row["h_level"] and (tilde is None or not np.isfinite(tilde)):
+            assert any(w.startswith(f"index {row['index']}:") for w in warned), (argv, row)

@@ -6,7 +6,7 @@ import wgeig.polyspace
 
 MOVED = ("Diagnostics", "eigen_diagnostics", "l2_error", "lower_bound_check", "vnorm_error",
          "norm1_matrix", "solve_source", "stabilizer_matrix", "weak_gradient_local",
-         "weak_laplacian_local")
+         "weak_laplacian_local", "SolverFailureError", "MultiplicityMismatchError")
 # The mapped square and segment rules are independent quadrature oracles of
 # the tests; the local kit integrates with its own offset rules.
 MOVED_TO_ORACLES = ("Square", "Segment", "QuadratureRule", "EdgeBasis")

@@ -5,7 +5,7 @@ import wgeig as wg
 from wgeig.errors import ConfigError, LevelOrderError, NearSingularError
 from wgeig.mesh import build_uniform
 from wgeig.polyspace import gauss_rule
-from wgeig.twogrid import SipgConfig, cross_mass_rhs, run_sipg
+from wgeig.twogrid import cross_mass_rhs, run_sipg
 from wgeig.eigsolve import EigenCluster, rayleigh_quotient, smallest_eigs, solve_shifted
 
 EXACT6 = np.array([2, 5, 5, 8, 10, 10]) * np.pi**2
@@ -17,14 +17,18 @@ def run_direct(kind, degree, epsilon, level, num_eigs):
     return EigenCluster(pairs=smallest_eigs(wg.assemble(space), num_eigs))
 
 
+def fine_lap_k1(level):
+    """Assembled Laplacian k = 1, epsilon = 0.1 forms on one fine level."""
+    return wg.assemble(wg.WgSpace(build_uniform(level), 1, kind="laplacian", epsilon=0.1))
+
+
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        SipgConfig(kind="laplacian", degree=1, coarse_level=3, fine_level=3).validate()
-    with pytest.raises(ConfigError):
-        SipgConfig(kind="laplacian", degree=1, coarse_level=4, fine_level=3).validate()
-    with pytest.raises(ConfigError):
-        SipgConfig(kind="laplacian", degree=1, coarse_level=2, fine_level=3,
-                   num_eigs=0).validate()
+    forms = fine_lap_k1(3)
+    for coarse_level in (3, 4):
+        with pytest.raises(ConfigError, match="must exceed coarse level"):
+            run_sipg(forms, coarse_level, 1)
+    with pytest.raises(ValueError):
+        run_sipg(forms, 2, 0)
 
 
 def test_cross_mass_same_level_equals_mass_product(lap_L2_k1):
@@ -118,56 +122,31 @@ def test_run_direct_biharmonic_L3():
 def test_run_sipg_basic_lower_bounds():
     # Coarse level 3 is the coarsest mesh whose spectrum is ordered like the
     # exact one (at level 2 the fourth and sixth clusters cross).
-    cfg = SipgConfig(kind="laplacian", degree=1, epsilon=0.1,
-                     coarse_level=3, fine_level=5, num_eigs=6)
-    res = run_sipg(cfg)
-    assert len(res.targets) == 6
-    for t, lam in zip(res.targets, EXACT6):
+    forms = fine_lap_k1(5)
+    targets = run_sipg(forms, 3, 6)
+    assert len(targets) == 6
+    for t, lam in zip(targets, EXACT6):
         assert lam - t.rayleigh > 0
-        assert abs(t.normalized @ (res.fine_forms.B @ t.normalized) - 1.0) < 1e-12
-    lam1_coarse = res.targets[0].coarse_value
-    assert lam1_coarse < res.targets[0].rayleigh < 2 * np.pi**2
-    assert res.warnings == []
+        assert abs(t.normalized @ (forms.B @ t.normalized) - 1.0) < 1e-12
+    lam1_coarse = targets[0].coarse_value
+    assert lam1_coarse < targets[0].rayleigh < 2 * np.pi**2
+    assert [t.warning for t in targets] == [None] * 6
 
 
-def test_run_sipg_rejects_equal_levels():
-    cfg = SipgConfig(kind="laplacian", degree=1, coarse_level=3, fine_level=3)
-    with pytest.raises(ConfigError):
-        run_sipg(cfg)
-
-
-@pytest.mark.parametrize("field,value", [("fine_level", 4), ("kind", "biharmonic"),
-                                         ("degree", 3), ("epsilon", 0.5)])
-def test_run_sipg_rejects_a_mismatched_fine_space(monkeypatch, field, value):
-    # A prebuilt fine pair that differs from the configuration in any field
-    # is refused before the coarse assembly and eigensolve run.
+def test_run_sipg_rejects_equal_levels(monkeypatch):
+    # A level order it refuses is refused before the coarse assembly and
+    # eigensolve run.
     import wgeig.twogrid as tg
 
-    fine = dict(fine_level=3, kind="laplacian", degree=2, epsilon=0.1)
-    cfg = SipgConfig(coarse_level=2, **fine)
-    fine[field] = value
-    space = wg.WgSpace(build_uniform(fine["fine_level"]), fine["degree"], kind=fine["kind"],
-                       epsilon=fine["epsilon"])
-    forms = wg.assemble(space)
+    forms = fine_lap_k1(3)
 
     def coarse_work(*args, **kwargs):
-        raise AssertionError("coarse work ran before the fine space was checked")
+        raise AssertionError("coarse work ran before the level order was checked")
 
     monkeypatch.setattr(tg, "assemble", coarse_work)
     monkeypatch.setattr(tg, "smallest_eigs", coarse_work)
-    with pytest.raises(ConfigError, match="does not match the configuration"):
-        run_sipg(cfg, fine=(space, forms))
-
-
-def test_run_sipg_rejects_forms_of_another_space():
-    # Forms assembled with epsilon = 0.5 beside a matching epsilon = 0.1 space
-    # once returned 18.33 and 39.61 for the first two targets, with no warning.
-    cfg = SipgConfig(kind="laplacian", degree=1, epsilon=0.1, coarse_level=2, fine_level=4,
-                     num_eigs=2)
-    space = wg.WgSpace(build_uniform(4), 1, kind="laplacian", epsilon=0.1)
-    other = wg.WgSpace(build_uniform(4), 1, kind="laplacian", epsilon=0.5)
-    with pytest.raises(ConfigError, match="another space"):
-        run_sipg(cfg, fine=(space, wg.assemble(other)))
+    with pytest.raises(ConfigError):
+        run_sipg(forms, 3, 1)
 
 
 def test_two_grid_consistency_same_level(lap_L3_k1):
@@ -190,15 +169,12 @@ def test_two_grid_consistency_same_level(lap_L3_k1):
 
 
 def test_accuracy_dominance_in_coarse_level():
-    fine_space = wg.WgSpace(build_uniform(5), 1, kind="laplacian", epsilon=0.1)
-    fine_forms = wg.assemble(fine_space)
+    fine_forms = fine_lap_k1(5)
     lam_h = smallest_eigs(fine_forms, 1)[0].value
     gaps = []
     for coarse_level in (2, 3, 4):
-        cfg = SipgConfig(kind="laplacian", degree=1, epsilon=0.1,
-                         coarse_level=coarse_level, fine_level=5, num_eigs=1)
-        res = run_sipg(cfg, fine=(fine_space, fine_forms))
-        gaps.append(abs(res.targets[0].rayleigh - lam_h))
+        target = run_sipg(fine_forms, coarse_level, 1)[0]
+        gaps.append(abs(target.rayleigh - lam_h))
     floor = 1e-9 * lam_h
     for a, b in zip(gaps, gaps[1:]):
         assert b <= max(a, floor) * 1.05 + floor
@@ -211,10 +187,7 @@ def test_near_singular_surfaced_as_warning(monkeypatch):
         raise NearSingularError(shift, pivot_ratio=1e-16)
 
     monkeypatch.setattr(tg, "solve_shifted", boom)
-    cfg = SipgConfig(kind="laplacian", degree=1, epsilon=0.1,
-                     coarse_level=2, fine_level=3, num_eigs=1)
-    res = run_sipg(cfg)
-    assert len(res.warnings) == 1
-    assert "collided" in res.warnings[0]
-    assert np.isnan(res.targets[0].rayleigh)
-    assert res.targets[0].normalized is None
+    [target] = run_sipg(fine_lap_k1(3), 2, 1)
+    assert "collided" in target.warning
+    assert np.isnan(target.rayleigh)
+    assert target.normalized is None
