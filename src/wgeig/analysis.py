@@ -16,6 +16,7 @@ import numpy as np
 from .eigsolve import smallest_eigs
 from .errors import EmptyClusterError, NonPositiveError
 from .mesh import build_uniform
+from .polyspace import dim_pk
 from .twogrid import run_sipg
 from .wg_core import LAPLACIAN, AssembledForms, WgSpace, assemble, qh_project
 from scipy.linalg import cho_factor, cho_solve
@@ -99,18 +100,17 @@ def _span_distance(basis: np.ndarray, w: np.ndarray, M) -> float:
     return float(np.sqrt(max(d @ (M @ d), 0.0)))
 
 
-def energy_error(space: WgSpace, forms: AssembledForms, u_bar: np.ndarray,
-                 generators) -> float:
+def energy_error(forms: AssembledForms, u_bar: np.ndarray, generators) -> float:
     """Energy distance from u_bar to the span of the interpolated generators.
 
     Minimizes over all linear combinations (direction and scale) of the
-    componentwise interpolants of the generators; for a single generator this
-    reduces to a sign and scale alignment.
+    componentwise interpolants of the generators into forms.space; for a
+    single generator this reduces to a sign and scale alignment.
     """
     gens = list(generators)
     if not gens:
         raise EmptyClusterError("no generators supplied")
-    cols = np.column_stack([qh_project(space, g).coeffs for g in gens])
+    cols = np.column_stack([qh_project(forms.space, g).coeffs for g in gens])
     return _span_distance(cols, np.asarray(u_bar, dtype=float), forms.A)
 
 
@@ -184,10 +184,15 @@ def _study_row(kind: str, degree: int, epsilon: float, H_level: int, h_level: in
     )
 
 
-def _exact_values(kind: str, num_eigs: int):
-    """(value, cluster) per index; checked before any assembly."""
+def _exact_values(kind: str, degree: int, num_eigs: int, levels: list[int]):
+    """(value, cluster) per index; num_eigs is checked before any mesh or assembly,
+    also against the mass rank 4^level dim P_k of the coarsest nonnegative level."""
     if num_eigs < 1:
         raise ValueError(f"num_eigs must be at least 1, got {num_eigs}")
+    rank = min((4 ** level * dim_pk(degree) for level in levels if level >= 0),
+               default=num_eigs)
+    if num_eigs > rank:
+        raise ValueError(f"requested {num_eigs} eigenpairs but the mass rank is {rank}")
     if kind == LAPLACIAN:
         return laplacian_eigenvalues(num_eigs)
     vals: list[tuple[float | None, None]] = [(None, None)] * num_eigs
@@ -199,7 +204,7 @@ def direct_study(kind: str, degree: int, epsilon: float, levels, num_eigs: int,
                  tol: float = 1e-10) -> StudyResult:
     """Direct eigensolves over a sweep of levels, with fitted convergence orders."""
     levels = list(levels)
-    exact = _exact_values(kind, num_eigs)
+    exact = _exact_values(kind, degree, num_eigs, levels)
     rows: list[StudyRow] = []
     errs: dict[int, list[float]] = {j: [] for j in range(1, num_eigs + 1)}
     energies: dict[int, list[float]] = {j: [] for j in range(1, num_eigs + 1)}
@@ -215,7 +220,7 @@ def direct_study(kind: str, degree: int, epsilon: float, levels, num_eigs: int,
             lam_ex, cluster = exact[j - 1]
             energy = None
             if kind == LAPLACIAN and cluster is not None:
-                energy = energy_error(space, forms, pair.vector, cluster.generators)
+                energy = energy_error(forms, pair.vector, cluster.generators)
                 energies[j].append(energy)
             row = _study_row(kind, degree, epsilon, level, level, j, lam_ex, pair.value,
                              None, energy, dt)
@@ -239,7 +244,8 @@ def sipg_study(kind: str, degree: int, epsilon: float, coarse_levels, fine_level
     The fine assembly is shared across the sweep.  With include_direct, the
     direct fine solve is run once and reported alongside for comparison.
     """
-    exact = _exact_values(kind, num_eigs)
+    coarse_levels = list(coarse_levels)
+    exact = _exact_values(kind, degree, num_eigs, coarse_levels)
     fine_space = WgSpace(build_uniform(fine_level), degree, kind=kind, epsilon=epsilon)
     fine_forms = assemble(fine_space)
     direct_pairs = None
@@ -257,8 +263,7 @@ def sipg_study(kind: str, degree: int, epsilon: float, coarse_levels, fine_level
             lam_h = None if direct_pairs is None else direct_pairs[j - 1].value
             energy = None
             if kind == LAPLACIAN and cluster is not None and t.normalized is not None:
-                energy = energy_error(fine_space, fine_forms, t.normalized,
-                                      cluster.generators)
+                energy = energy_error(fine_forms, t.normalized, cluster.generators)
             lam_tilde = t.rayleigh if np.isfinite(t.rayleigh) else None
             rows.append(_study_row(kind, degree, epsilon, coarse_level, fine_level, j,
                                    lam_ex, lam_h, lam_tilde, energy, t.seconds))

@@ -12,17 +12,18 @@ children's Schur complements merge into the box matrix by block additions over
 precomputed runs, child by child.  A solve works on the level-major positions
 of the quadtree (wg_core): each level's crosses are one reshaped slice, the
 dofs its boxes touch the tail slice after it, which takes the pair sums of
-the perimeter updates, and the way down writes each slice in place.  It
-treats a level's boxes at once, by one GEMM with a stored K_CC⁻ᵀ where the
-boxes are no fewer than the cross dofs (level 0 always), else by getrs.  An
-interior-only right-hand side is read as it is, since the interiors keep their
-ids; only the edges are permuted, into positions for a full-length right-hand
-side and back into ids for the solution.  Pivoting stays inside each cross
-block.  A is SPD iff every cross block is, and ν(M) is the sum of boxes ·
-ν(cross block) over the levels (Haynsworth).  The pivot ratio, the least pivot
-over max|M|, only flags a collapse outright: a shift exactly on an eigenvalue
-leaves it above the floor (2.4e-12 for the level 5 Laplacian at σ = λ₁,h); the
-residual after refinement shows it.
+the perimeter updates by one bincount over the perimeters' tail offsets, and
+the way down gathers the perimeters from that tail and writes each slice in
+place.  It treats a level's boxes at once, by one GEMM with a stored K_CC⁻ᵀ
+where the boxes are no fewer than the cross dofs (level 0 always), else by
+getrs.  An interior-only right-hand side is read as it is, since the interiors
+keep their ids; only the edges are permuted, into positions for a full-length
+right-hand side and back into ids for the solution.  Pivoting stays inside
+each cross block.  A is SPD iff every cross block is, and ν(M) is the sum of
+boxes · ν(cross block) over the levels (Haynsworth).  The pivot ratio, the
+least pivot over max|M|, only flags a collapse outright: a shift exactly on an
+eigenvalue leaves it above the floor (2.4e-12 for the level 5 Laplacian at
+σ = λ₁,h); the residual after refinement shows it.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class NestedLU:
         self.factors = []  # per level: the cross block, its LU and X
         self.inverses = []  # per level: K_CC⁻ᵀ, or None where getrs solves
         K = kit.a_local.copy()
-        K[:nb, :nb] -= shift * kit.b_local
+        K[:nb, :nb] -= shift * kit.Gk
         for level in self.levels:
             n_c, size = level.n_cross, level.n_cross + level.perimeter.shape[1]
             if level.merge is None:
@@ -108,22 +109,26 @@ class NestedLU:
             x[:n_int], x[n_int:ndof] = rhs[:n_int], rhs[edges]
             rhs = interiors
         R = rhs.reshape(interiors.shape)
-        U = (R @ X0).ravel()
-        x[n_int:ndof] -= first.pairs @ U
+        x[n_int:ndof] -= _pair_sums(first, R @ X0, ndof)
         np.matmul(R, inv0, out=interiors)
         for level, (_, lu, X), inv in zip(self.levels[1:], self.factors[1:], self.inverses[1:]):
             R = x[level.start:level.stop].reshape(level.boxes, level.n_cross)
-            U = (R @ X).ravel()
-            x[level.stop:ndof] -= level.pairs @ U
+            x[level.stop:ndof] -= _pair_sums(level, R @ X, ndof)
             if inv is not None:
                 np.matmul(R, inv, out=R)
             else:
                 R[...] = dgetrs(*lu, R.T)[0].T
         for level, (_, _, X) in zip(self.levels[::-1], self.factors[::-1]):
             R = x[level.start:level.stop].reshape(level.boxes, level.n_cross)
-            R -= x[level.perimeter.astype(np.intp)] @ X.T
+            R -= x[level.stop:][level.perimeter.astype(np.intp)] @ X.T
         x[edges] = x[n_int:ndof].copy()
         return x[:-1]
+
+
+def _pair_sums(level, U: np.ndarray, ndof: int) -> np.ndarray:
+    """Per tail position, the sum (0 + first) + second of the two entries of U
+    whose perimeter offsets name it; the Dirichlet sink's bin is dropped."""
+    return np.bincount(level.perimeter.ravel(), U.ravel(), minlength=ndof + 1 - level.stop)[:-1]
 
 
 def factor_spd(forms) -> NestedLU:

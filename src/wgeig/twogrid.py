@@ -87,25 +87,20 @@ def run_sipg(fine_forms: AssembledForms, coarse_level: int, num_eigs: int,
     for j, pair in enumerate(coarse_pairs, start=1):
         t0 = time.perf_counter()
         rhs = cross_mass_rhs(WgFunction(coarse_space, pair.vector), fine_space)
-        warning = None
+        warning, lam, xbar = None, float("nan"), None
         try:
             x = solve_shifted(fine_forms, pair.value, rhs, tol=tol)
         except NearSingularError as exc:
             warning = (f"index {j}: shift {pair.value!r} collided with the fine "
                        f"spectrum ({exc})")
-            if exc.solution is None:
-                targets.append(SipgTarget(
-                    index=j, coarse_value=pair.value, rayleigh=float("nan"), normalized=None,
-                    seconds=time.perf_counter() - t0, warning=warning,
-                ))
-                continue
-            # The amplified best-effort solve is still the inverse-iteration
-            # direction; report its Rayleigh value alongside the warning.
+            # The amplified best-effort solve, if any, is still the inverse-
+            # iteration direction; report its Rayleigh value alongside the warning.
             x = exc.solution
-        lam = rayleigh_quotient(fine_forms, x)
-        xbar = _fix_sign(x / np.sqrt(x @ (B @ x)), fine_forms.n_interior)
+        if x is not None:
+            lam = float(rayleigh_quotient(fine_forms, x))
+            xbar = _fix_sign(x / np.sqrt(x @ (B @ x)), fine_forms.n_interior)
         targets.append(SipgTarget(
-            index=j, coarse_value=pair.value, rayleigh=float(lam), normalized=xbar,
+            index=j, coarse_value=pair.value, rayleigh=lam, normalized=xbar,
             seconds=time.perf_counter() - t0, warning=warning,
         ))
     return targets

@@ -16,7 +16,8 @@ quadtree numbers the dofs level-major, its one permutation ``order`` mapping
 each position to a dof id: the interiors in element order, then level 1's
 crosses box by box, and so on up to the top cross.  Every level then holds
 its crosses as one contiguous range of positions, the dofs its boxes touch as
-the tail of positions after it, and its perimeters as 32-bit positions.
+the tail of positions after it, and its perimeters as 32-bit offsets into
+that tail.
 
 One scatter builds both forms: A from the local stiffness matrix, B from the
 interior Gram block Gk zero-padded to the local size.  It gathers, chunk by
@@ -152,21 +153,20 @@ class BoxLevel:
     A box's cross is what level l eliminates: the element interior at level
     0, above it the edge dofs on the box's two midlines.  The level's crosses
     fill the positions start .. stop - 1, ``n_cross`` per box.  A box's
-    perimeter holds the positions of the edge dofs on its sides, with
-    ``ndof`` for a Dirichlet dof; the top box has none.  Each perimeter dof
-    off the boundary belongs to two boxes, and these are exactly the
-    positions stop .. ndof - 1 of the higher levels: row t of the 0/1 matrix
-    ``pairs`` sums the two flat perimeter entries of position stop + t.
-    Box-local positions run over the cross, then the perimeter, and
-    ``merge[q]`` places the perimeter of child q (level l - 1) among them as
-    runs (source, target, length), one set for every box.
+    perimeter holds the edge dofs on its sides as offsets into the tail
+    stop .. ndof of the positions, with the sink offset ``ndof - stop`` for a
+    Dirichlet dof; the top box has none.  Each perimeter dof off the boundary
+    belongs to two boxes, and these are exactly the tail offsets
+    0 .. ndof - stop - 1, the positions of the higher levels.  Box-local
+    positions run over the cross, then the perimeter, and ``merge[q]`` places
+    the perimeter of child q (level l - 1) among them as runs (source,
+    target, length), one set for every box.
     """
 
     start: int
     boxes: int
     n_cross: int
     perimeter: np.ndarray
-    pairs: np.ndarray
     merge: tuple | None
 
     @property
@@ -231,10 +231,10 @@ def _box_levels(space: WgSpace) -> Quadtree:
                 [edge(0, x0 + m // 2, y0 + t), edge(1, x0 + t, y0 + m // 2)]))
             own = np.concatenate([own_cross[0], own[0]])
             children = _edge_dofs(space, below[[0, 1, n // m * 2, n // m * 2 + 1]])[1]
-            by_id = np.argsort(own)
+            local = np.empty(own.max() + 1, dtype=np.intp)  # box 0's position by id
+            local[own] = np.arange(own.size)
             size = cross.shape[1] + perimeter.shape[1]
-            merge = tuple(_runs(child, size) for child in
-                          by_id[np.searchsorted(own, children, sorter=by_id)])
+            merge = tuple(_runs(child, size) for child in local[children])
         below = sides
         crosses.append(cross)
         perimeters.append(perimeter)
@@ -245,19 +245,10 @@ def _box_levels(space: WgSpace) -> Quadtree:
     position = np.empty(ndof + 1, dtype=ids)
     position[order] = np.arange(ndof, dtype=ids)
     position[ndof] = ndof
-    # Every pair-sum operator shares one array of ones and one row pointer.
-    ones = np.ones(2 * (ndof - space.n_interior_dofs))
-    pointer = np.arange(0, len(ones) + 1, 2, dtype=ids)
     levels, start = [], 0
     for cross, perimeter, merge in zip(crosses, perimeters, merges):
         stop = start + cross.size
-        flat = position[perimeter.ravel()]
-        # Sorted by position, the Dirichlet entries (ndof) come last.
-        pairs = np.argsort(flat, kind="stable")[:2 * (ndof - stop)].astype(ids)
-        pairs = sp.csr_matrix((ones[:len(pairs)], pairs, pointer[:ndof - stop + 1]),
-                              shape=(ndof - stop, flat.size))
-        pairs.data = ones[:len(pairs.indices)]  # scipy copies a short view; share it again
-        levels.append(BoxLevel(start, *cross.shape, flat.reshape(perimeter.shape), pairs, merge))
+        levels.append(BoxLevel(start, *cross.shape, position[perimeter] - stop, merge))
         start = stop
     return Quadtree(levels, order)
 
@@ -376,8 +367,6 @@ class _LocalKit:
         self.stiff_local = 0.5 * (stiff + stiff.T)
 
         self.a_local = self.stiff_local + self.stabilizer_local(space.epsilon)
-        self.a_local = 0.5 * (self.a_local + self.a_local.T)
-        self.b_local = self.Gk
 
     def _block(self, j: int) -> slice:
         """Local columns of edge block j: traces 0..3, then normal blocks 4..7."""

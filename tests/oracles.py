@@ -437,7 +437,7 @@ class IdNestedLU:
         self.ndof = forms.space.ndof
         self.factors, self.inverses = [], []
         K = kit.a_local.copy()
-        K[:nb, :nb] -= shift * kit.b_local
+        K[:nb, :nb] -= shift * kit.Gk
         for level in self.levels:
             n_c, size = level.cross.shape[1], level.cross.shape[1] + level.perimeter.shape[1]
             if level.merge is None:

@@ -268,7 +268,7 @@ def test_criterion_6_full_scale_stretch():
     [target] = run_sipg(fine_forms, 4, 1)
     gap = 2 * np.pi**2 - target.rayleigh
     gen = wg.exact_laplacian_spectrum(1)[0].generators[0]
-    energy = wg.energy_error(fine_space, fine_forms, target.normalized, [gen])
+    energy = wg.energy_error(fine_forms, target.normalized, [gen])
     peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024**2
     dt = time.perf_counter() - t0
     ok_gap = abs(gap - 5.9045e-4) <= 0.01 * 5.9045e-4

@@ -73,7 +73,7 @@ def test_energy_error_single_generator_alignment(lap_L3_k1):
     bnorm = np.sqrt(q.coeffs @ (forms.B @ q.coeffs))
     anorm = np.sqrt(q.coeffs @ (forms.A @ q.coeffs))
     u_bar = q.coeffs / bnorm
-    err = energy_error(space, forms, u_bar, [gen])
+    err = energy_error(forms, u_bar, [gen])
     assert err <= anorm * abs(1 - 1 / bnorm) + 1e-12
 
 
@@ -82,9 +82,9 @@ def test_energy_error_sign_and_permutation_invariance(lap_L3_k1):
     pairs = smallest_eigs(forms, 3)
     gens = list(exact_laplacian_spectrum(2)[1].generators)
     u = pairs[1].vector
-    base = energy_error(space, forms, u, gens)
-    assert abs(energy_error(space, forms, -u, gens) - base) <= 1e-12 * max(base, 1)
-    assert abs(energy_error(space, forms, u, gens[::-1]) - base) <= 1e-12 * max(base, 1)
+    base = energy_error(forms, u, gens)
+    assert abs(energy_error(forms, -u, gens) - base) <= 1e-12 * max(base, 1)
+    assert abs(energy_error(forms, u, gens[::-1]) - base) <= 1e-12 * max(base, 1)
 
 
 def test_energy_error_matches_angle_sweep_oracle(lap_L3_k1):
@@ -106,7 +106,7 @@ def test_energy_error_matches_angle_sweep_oracle(lap_L3_k1):
 
     for pair in pairs[1:3]:
         w = pair.vector
-        got = energy_error(space, forms, w, cluster.generators)
+        got = energy_error(forms, w, cluster.generators)
         # brute force over 721 directions on the coefficient circle with the
         # optimal scale fitted in closed form per direction, then one local
         # 721-point refinement around the best bracket
@@ -134,13 +134,13 @@ def test_energy_error_exact_for_small_a_orthogonal_offsets():
         w = q + scale * np.sqrt((q @ (A @ q)) / (delta @ (A @ delta))) * delta
         d = w - q
         want = np.sqrt(d @ (A @ d))
-        assert abs(energy_error(space, forms, w, [gen]) - want) <= 1e-9 * want
+        assert abs(energy_error(forms, w, [gen]) - want) <= 1e-9 * want
 
 
 def test_energy_error_empty_cluster(lap_L2_k1):
     space, forms = lap_L2_k1
     with pytest.raises(EmptyClusterError):
-        energy_error(space, forms, np.zeros(space.ndof), [])
+        energy_error(forms, np.zeros(space.ndof), [])
 
 
 # -- cluster diagnostics -------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 import scipy.io as sio
 from hypothesis import given, settings, strategies as st
 
+from wgeig import analysis, twogrid, wg_core
 from wgeig.analysis import ROW_FIELDS
 from wgeig.cli import main
 
@@ -87,6 +88,26 @@ def test_nonpositive_num_eigs_is_a_usage_error(capsys, tmp_path, problem, degree
     assert code == 2 and out == ""
     assert "--num-eigs must be at least 1" in err
     assert not dump.exists()  # rejected before any mesh or assembly
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--coarse-levels", "0", "--fine-level", "2", "--with-direct"),
+    ("study", "--levels", "2,0"),
+    ("sipg", "--coarse-level", "0", "--fine-level", "2"),
+])
+def test_num_eigs_past_the_coarsest_mass_rank_is_refused_before_assembly(
+        capsys, monkeypatch, argv):
+    # The mass rank of the coarsest level is arithmetic, so the refusal comes
+    # before the fine assembly and any direct solve.
+    def refused(*args, **kwargs):
+        raise AssertionError("assembled before the mass-rank check")
+
+    monkeypatch.setattr(wg_core, "assemble", refused)
+    monkeypatch.setattr(analysis, "assemble", refused)
+    monkeypatch.setattr(twogrid, "assemble", refused)
+    code, out, err = run_cli(capsys, *argv, "--num-eigs", "4")
+    assert code == 2 and out == ""
+    assert "requested 4 eigenpairs but the mass rank is 3" in err
 
 
 def test_csv_json_equivalence(capsys, tmp_path):

@@ -50,7 +50,8 @@ def _clamped_box_eigs(forms, level):
     inside = (space.mesh.elem_ix < m) & (space.mesh.elem_iy < m)
     dof = space.local_dof_map()[inside]
     levels, order = space.quadtree
-    ids = np.setdiff1d(dof[dof >= 0], np.append(order, space.ndof)[levels[level].perimeter[0]])
+    perimeter = levels[level].stop + levels[level].perimeter[0]
+    ids = np.setdiff1d(dof[dof >= 0], np.append(order, space.ndof)[perimeter])
     A, ni = forms.A[ids][:, ids].toarray(), int(np.sum(ids < forms.n_interior))
     S = A[:ni, :ni] - A[:ni, ni:] @ np.linalg.solve(A[ni:, ni:], A[ni:, :ni])
     return sla.eigh(S, forms.B[ids[:ni]][:, ids[:ni]].toarray(), eigvals_only=True)

@@ -183,9 +183,10 @@ def test_fill_reducing_order_is_a_permutation(kind, degree, level):
     # The quadtree eliminates every dof exactly once: its level-major order
     # is a permutation of the dofs, and the crosses of the levels partition
     # the positions 0..ndof-1 level by level, one contiguous range each.  A
-    # perimeter position is a cross position of a higher level or the
-    # Dirichlet slot ndof, and the positions off the boundary are exactly the
-    # tail stop..ndof-1, each in exactly two boxes of its level.
+    # perimeter entry is the offset from stop of a cross position of a higher
+    # level, or the Dirichlet sink ndof - stop, and the offsets off the
+    # boundary are exactly the tail 0..ndof-stop-1, each in exactly two boxes
+    # of its level.
     space = wg.WgSpace(build_uniform(level), degree, kind=kind, epsilon=0.1)
     (levels, order), ndof = space.quadtree, space.ndof
     assert len(levels) == level + 1
@@ -200,15 +201,9 @@ def test_fill_reducing_order_is_a_permutation(kind, degree, level):
     assert np.array_equal(order[:n_int], np.arange(n_int))
     for i, box in enumerate(levels):
         assert box.boxes == len(box.perimeter) == 4 ** (level - i)
-        flat = box.perimeter.ravel()
-        assert np.all((flat >= box.stop) & (flat <= ndof))
-        tail = np.arange(box.stop, ndof)
-        assert np.array_equal(np.sort(flat[flat < ndof]), np.repeat(tail, 2))
-        first, second = box.pairs.indices.reshape(-1, 2).T
-        assert box.pairs.shape == (len(tail), flat.size)
-        assert np.array_equal(box.pairs.indptr, 2 * np.arange(len(tail) + 1))
-        assert np.all(box.pairs.data == 1.0) and np.all(first < second)
-        assert np.array_equal(flat[first], tail) and np.array_equal(flat[second], tail)
+        flat, sink = box.perimeter.ravel(), ndof - box.stop
+        assert np.all((flat >= 0) & (flat <= sink))
+        assert np.array_equal(np.sort(flat[flat < sink]), np.repeat(np.arange(sink), 2))
     if level >= 1:
         # The last cross is the edge dofs on the lines x = 1/2 and y = 1/2.
         mesh, k = space.mesh, space.dim_trace
@@ -232,7 +227,7 @@ def test_level_major_quadtree_matches_the_id_oracle(kind, degree, level):
     for box, want in zip(levels, id_box_levels(space), strict=True):
         cross = ids[box.start:box.stop].reshape(box.boxes, box.n_cross)
         assert np.array_equal(cross, want.cross)
-        assert np.array_equal(ids[box.perimeter], want.perimeter)
+        assert np.array_equal(ids[box.stop:][box.perimeter], want.perimeter)
         if want.merge is None:
             assert box.merge is None
             continue
@@ -249,27 +244,22 @@ def test_level_major_quadtree_matches_the_id_oracle(kind, degree, level):
                                                ("biharmonic", 2, 5)])
 def test_quadtree_keeps_one_permutation_and_32_bit_positions(kind, degree, level):
     # Below 2**31 dofs every quadtree index array is 32-bit, the rule of the
-    # assembly scatter, and no level keeps global ids: the one permutation
-    # ``order`` maps positions to ids, and the pair-sum operators share one
-    # array of ones and one row pointer.  At h=1/256, k=1 these arrays take
-    # 8.1 MB, and the int64 id arrays of the oracle's quadtree (cross,
-    # perimeter, pairs, touched) 13.0 MB; a second index copy would exceed it.
+    # assembly scatter, and no level keeps global ids or a pair-sum operator:
+    # the one permutation ``order`` maps positions to ids, and each level
+    # keeps only its perimeters as offsets into its tail.  At h=1/256, k=1
+    # these arrays take 3.4 MB, and the int64 id arrays of the oracle's
+    # quadtree (cross, perimeter, pairs, touched) 13.0 MB.
     space = wg.WgSpace(build_uniform(level), degree, kind=kind, epsilon=0.1)
     levels, order = space.quadtree
     assert [f.name for f in fields(levels[0])] == [
-        "start", "boxes", "n_cross", "perimeter", "pairs", "merge"]
+        "start", "boxes", "n_cross", "perimeter", "merge"]
     assert order.dtype == np.int32 and order.shape == (space.ndof,)
     for box in levels:
-        for index in (box.perimeter, box.pairs.indices, box.pairs.indptr):
-            assert index.dtype == np.int32
-        if box.pairs.nnz:
-            assert np.shares_memory(box.pairs.data, levels[0].pairs.data)
-        assert np.shares_memory(box.pairs.indptr, levels[0].pairs.indptr)
-    kept = order.nbytes + levels[0].pairs.data.nbytes + levels[0].pairs.indptr.nbytes + sum(
-        box.perimeter.nbytes + box.pairs.indices.nbytes for box in levels)
+        assert box.perimeter.dtype == np.int32
+    kept = order.nbytes + sum(box.perimeter.nbytes for box in levels)
     old = sum(b.cross.nbytes + b.perimeter.nbytes + b.pairs.nbytes + b.touched.nbytes
               for b in id_box_levels(space))
-    assert kept < 0.7 * old
+    assert kept < 0.4 * old
 
 
 def test_degree_validation():
@@ -593,8 +583,8 @@ def test_separable_projection_matches_2d_path(k, level):
             S, R = sep[:ni].reshape(-1, nd0), ref[:ni].reshape(-1, nd0)
             assert np.all(np.abs(S - R).max(axis=0) <= 1e-9 * np.abs(R).max(axis=0))
         for pair in pairs[start : start + cluster.multiplicity]:
-            e_sep = wg.energy_error(space, forms, pair.vector, gens)
-            e_ref = wg.energy_error(space, forms, pair.vector, plain)
+            e_sep = wg.energy_error(forms, pair.vector, gens)
+            e_ref = wg.energy_error(forms, pair.vector, plain)
             assert abs(e_sep - e_ref) <= 1e-10 * e_ref
         start += cluster.multiplicity
 
@@ -671,7 +661,7 @@ def test_box_blocks_match_the_assembled_schur_complement(kind, degree, level):
         for row in np.where(dof >= 0, dof, ndof):
             A[np.ix_(row, row)] += a
         keep = ids[np.concatenate([np.arange(box.start, box.start + box.n_cross),
-                                   box.perimeter[0]])]
+                                   box.stop + box.perimeter[0]])]
         live, rest = keep[keep < ndof], np.setdiff1d(dof[dof >= 0], keep)
         S = A[np.ix_(live, live)] - A[np.ix_(live, rest)] @ np.linalg.solve(
             A[np.ix_(rest, rest)], A[np.ix_(rest, live)])
