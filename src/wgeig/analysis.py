@@ -111,7 +111,7 @@ def energy_error(forms: AssembledForms, u_bar: np.ndarray, generators) -> float:
     if not gens:
         raise EmptyClusterError("no generators supplied")
     cols = np.column_stack([qh_project(forms.space, g).coeffs for g in gens])
-    return _span_distance(cols, np.asarray(u_bar, dtype=float), forms.A)
+    return _span_distance(cols, np.asarray(u_bar, dtype=float), forms.operator())
 
 
 # -- convergence utilities -------------------------------------------------------

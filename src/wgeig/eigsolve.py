@@ -10,10 +10,12 @@ which, unlike a symmetric one, is orthogonal to no eigenspace of the
 symmetric mesh; the second copy of a double eigenvalue enters through
 rounding and the restarts.  Each application of C is one solve with the
 stiffness factor (see linalg) on the interior-only right-hand side L z, which
-is zero on the edges, between two small GEMMs with the nb×nb blocks L and Lᵀ.
-The eigenvectors come back from the same solve, one per pair, x = A⁻¹ (L z),
-and every pair is certified by its residual; a failed gate asks ARPACK once
-more, for m + 1 pairs.
+is zero on the edges, between two small GEMMs with the nb×nb blocks L and Lᵀ
+into buffers that every application reuses.  The eigenvectors come back from
+the same solve, one per pair, x = A⁻¹ (L z), and every pair is certified by
+its residual; a failed gate asks ARPACK once more, for m + 1 pairs.  The
+residuals, the b-form normalization and the Rayleigh quotients multiply by A
+and B matrix-free (wg_core.AssembledForms), so no global matrix is built.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ def smallest_eigs(forms: AssembledForms, m: int, tol: float = 1e-10,
     ``maxiter`` caps the number of operator applications (solves with the
     stiffness factor); reaching it raises NoConvergenceError.
     """
-    A, B, n_int = forms.A, forms.B, forms.n_interior
+    A, B, n_int = forms.operator(), forms.mass, forms.n_interior
     if m < 1:
         raise ValueError("at least one eigenpair must be requested")
     if m > n_int:
@@ -88,27 +90,30 @@ def smallest_eigs(forms: AssembledForms, m: int, tol: float = 1e-10,
 
     lu, L = linalg.factor_spd(forms), np.linalg.cholesky(forms.space.kit().Gk)
     nb, applied = L.shape[0], 0
+    # Every application reuses these two, as the factor reuses its workspace.
+    scaled, result = np.empty(n_int), np.empty(n_int)
 
-    def blockwise(T, Z):
-        """blockdiag(T, ..., T) Z as one GEMM on the (columns·elements, nb) view."""
-        c = Z.size // len(Z)
-        W = (Z.reshape(-1, nb, c).transpose(2, 0, 1).reshape(-1, nb) @ T.T).reshape(c, -1).T
-        return W.reshape(Z.shape)
+    def blockwise(T, z, out):
+        """blockdiag(T, ..., T) z into out as one GEMM on the (elements, nb) view."""
+        np.matmul(z.reshape(-1, nb), T.T, out=out.reshape(-1, nb))
+        return out
 
-    def apply_c(Z):
-        """C Z = Lᵀ (A⁻¹)_II L Z (L Z is zero on the edges), counted against the cap."""
+    def apply_c(z):
+        """C z = Lᵀ (A⁻¹)_II L z (L z is zero on the edges), counted against the
+        cap; the result is overwritten by the next application."""
         nonlocal applied
-        if maxiter is not None and applied + Z.size // n_int > maxiter:
+        if maxiter is not None and applied + 1 > maxiter:
             raise NoConvergenceError(applied, np.inf)
-        applied += Z.size // n_int
-        return blockwise(L.T, lu.solve(blockwise(L, Z))[:n_int])
+        applied += 1
+        return blockwise(L.T, lu.solve(blockwise(L, z, scaled))[:n_int], result)
 
     # A failed residual gate widens the request once: when m cuts a multiple
     # eigenvalue, ARPACK's Ritz vector in the cut cluster may not have converged.
     for k in (m, m + 1) if m < n_int - 1 else (m,):
         if k >= n_int - 1:
             # ARPACK needs k < n_int - 1; C is small enough to form here.
-            theta, Z = np.linalg.eigh(apply_c(np.eye(n_int)))
+            C = np.column_stack([apply_c(e).copy() for e in np.eye(n_int)])
+            theta, Z = np.linalg.eigh(C)
         else:
             op = LinearOperator((n_int, n_int), matvec=apply_c, dtype=float)
             v0 = np.random.default_rng(_START_SEED).standard_normal(n_int)
@@ -125,7 +130,7 @@ def smallest_eigs(forms: AssembledForms, m: int, tol: float = 1e-10,
         pairs = []
         for i in range(m):
             # One solve per pair keeps the work arrays at one vector of length n.
-            x = lu.solve(blockwise(L, Z[:, i]))
+            x = lu.solve(blockwise(L, Z[:, i], scaled))
             x = x / np.sqrt(x @ (B @ x))
             x = _fix_sign(x, n_int)
             ax = A @ x
@@ -151,9 +156,8 @@ def solve_shifted(forms: AssembledForms, shift: float, rhs: np.ndarray,
     as on an eigenvalue of a box's pencil, such as the local (a_II, Gk).
     Either way NearSingularError is raised instead of garbage.
     """
-    M = forms.A - shift * forms.B
-    lu, pivot_ratio = linalg.factor_indefinite(forms, shift, M)
-    x, rel = linalg.refined_solve(lu, M, np.asarray(rhs, dtype=float), tol)
+    lu, pivot_ratio = linalg.factor_indefinite(forms, shift)
+    x, rel = linalg.refined_solve(lu, forms.operator(shift), np.asarray(rhs, dtype=float), tol)
     if pivot_ratio < linalg.PIVOT_RATIO_FLOOR or rel > tol:
         sol = x if np.all(np.isfinite(x)) else None
         raise NearSingularError(
@@ -167,8 +171,8 @@ def solve_shifted(forms: AssembledForms, shift: float, rhs: np.ndarray,
 def rayleigh_quotient(forms: AssembledForms, x: np.ndarray) -> float:
     """a-form over b-form quotient; equals the eigenvalue on eigenvectors."""
     x = np.asarray(x, dtype=float)
-    den = float(x @ (forms.B @ x))
+    den = float(x @ (forms.mass @ x))
     if den <= 1e-300:
         raise ZeroMassError("vector has no interior mass component")
-    num = float(x @ (forms.A @ x))
+    num = float(x @ (forms.operator() @ x))
     return num / den

@@ -16,12 +16,18 @@ the perimeter updates by one bincount over the perimeters' tail offsets, and
 the way down gathers the perimeters from that tail and writes each slice in
 place.  It treats a level's boxes at once, by one GEMM with a stored K_CC⁻ᵀ
 where the boxes are no fewer than the cross dofs (level 0 always), else by
-getrs.  An interior-only right-hand side is read as it is, since the interiors
-keep their ids; only the edges are permuted, into positions for a full-length
-right-hand side and back into ids for the solution.  Pivoting stays inside
-each cross block.  A is SPD iff every cross block is, and ν(M) is the sum of
-boxes · ν(cross block) over the levels (Haynsworth).  The pivot ratio, the
-least pivot over max|M|, only flags a collapse outright: a shift exactly on an
+getrs.  The interiors of a right-hand side are read as they are, since the
+interiors keep their ids; only the edges are permuted, into positions for a
+full-length right-hand side and back into ids for the solution.  A factor
+keeps the position vector and the level buffers of its solves, so a solve
+allocates only its result.  Pivoting stays inside each cross block.  A is SPD
+iff every cross block is, and ν(M) is the sum of boxes · ν(cross block) over
+the levels (Haynsworth).
+
+No global matrix is read: the factor is built from the local matrices, and
+the refinement multiplies by M matrix-free (wg_core.AssembledForms).  The
+pivot ratio, the least pivot over max|M|, takes max|M| exactly from one
+element's rows.  It only flags a collapse outright: a shift exactly on an
 eigenvalue leaves it above the floor (2.4e-12 for the level 5 Laplacian at
 σ = λ₁,h); the residual after refinement shows it.
 """
@@ -29,9 +35,9 @@ eigenvalue leaves it above the floor (2.4e-12 for the level 5 Laplacian at
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf
 
 from .errors import FactorizationFailureError, NearSingularError
@@ -47,13 +53,11 @@ class NestedLU:
     ``L`` and ``U`` count the entries of the LUs and of X, each once."""
 
     def __init__(self, forms, shift: float, on_failure):
-        kit, nb = forms.space.kit(), forms.space.dim_interior
         self.levels, self.order = forms.space.quadtree
         self.ndof = forms.space.ndof
         self.factors = []  # per level: the cross block, its LU and X
         self.inverses = []  # per level: K_CC⁻ᵀ, or None where getrs solves
-        K = kit.a_local.copy()
-        K[:nb, :nb] -= shift * kit.Gk
+        K = forms.local(shift)
         for level in self.levels:
             n_c, size = level.n_cross, level.n_cross + level.perimeter.shape[1]
             if level.merge is None:
@@ -91,6 +95,19 @@ class NestedLU:
         return sum(level.boxes * int(np.sum(np.linalg.eigvalsh(block) < 0))
                    for level, (block, _, _) in zip(self.levels, self.factors))
 
+    @cached_property
+    def _workspace(self):
+        """What every solve reuses: the solution by position, whose last entry
+        is every Dirichlet dof, one buffer for a level's perimeter gather and
+        for R @ X, one for a level's GEMM output, and the edges' ids (numpy
+        casts a 32-bit index on every gather, and one astype is cheaper).
+        Fresh temporaries of this size on every solve each fault in new pages."""
+        n_int = self.levels[0].stop
+        return (np.empty(self.ndof + 1),
+                np.empty(max(level.perimeter.size for level in self.levels)),
+                np.empty(max(level.stop - level.start for level in self.levels)),
+                self.order[n_int:].astype(np.intp))  # the interiors keep their ids
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """x = M⁻¹ rhs; a right-hand side of length n_int is zero on the edges."""
         rhs = np.ascontiguousarray(rhs, dtype=float)
@@ -100,29 +117,34 @@ class NestedLU:
         n_int, ndof = first.stop, self.ndof
         if len(rhs) not in (n_int, ndof):
             raise ValueError(f"right-hand side of length {len(rhs)}, not {n_int} or {ndof}")
-        # numpy casts a 32-bit index on every gather, and one astype is cheaper.
-        edges = self.order[n_int:].astype(np.intp)  # the interiors keep their ids
-        x = np.empty(ndof + 1)  # by position; the last entry is every Dirichlet dof
+        x, gathered, product, edges = self._workspace
         x[n_int:] = 0.0
-        interiors = x[:n_int].reshape(first.boxes, first.n_cross)
-        if len(rhs) == ndof:
-            x[:n_int], x[n_int:ndof] = rhs[:n_int], rhs[edges]
-            rhs = interiors
-        R = rhs.reshape(interiors.shape)
-        x[n_int:ndof] -= _pair_sums(first, R @ X0, ndof)
-        np.matmul(R, inv0, out=interiors)
+        if len(rhs) == ndof:  # mode="clip" fills out in place; no index is out of range
+            np.take(rhs, edges, out=x[n_int:ndof], mode="clip")
+        R = rhs[:n_int].reshape(first.boxes, first.n_cross)
+        x[n_int:ndof] -= _pair_sums(first, np.matmul(R, X0, out=_view(gathered, first)), ndof)
+        np.matmul(R, inv0, out=x[:n_int].reshape(R.shape))
         for level, (_, lu, X), inv in zip(self.levels[1:], self.factors[1:], self.inverses[1:]):
             R = x[level.start:level.stop].reshape(level.boxes, level.n_cross)
-            x[level.stop:ndof] -= _pair_sums(level, R @ X, ndof)
+            x[level.stop:ndof] -= _pair_sums(level, np.matmul(R, X, out=_view(gathered, level)),
+                                             ndof)
             if inv is not None:
-                np.matmul(R, inv, out=R)
+                R[...] = np.matmul(R, inv, out=product[:R.size].reshape(R.shape))
             else:
                 R[...] = dgetrs(*lu, R.T)[0].T
         for level, (_, _, X) in zip(self.levels[::-1], self.factors[::-1]):
             R = x[level.start:level.stop].reshape(level.boxes, level.n_cross)
-            R -= x[level.stop:][level.perimeter.astype(np.intp)] @ X.T
-        x[edges] = x[n_int:ndof].copy()
-        return x[:-1]
+            P = np.take(x[level.stop:], level.perimeter, out=_view(gathered, level), mode="clip")
+            R -= np.matmul(P, X.T, out=product[:R.size].reshape(R.shape))
+        out = np.empty(ndof)
+        out[:n_int] = x[:n_int]
+        out[edges] = x[n_int:ndof]
+        return out
+
+
+def _view(buffer: np.ndarray, level) -> np.ndarray:
+    """The head of buffer as one (boxes, perimeter) array of the level."""
+    return buffer[:level.perimeter.size].reshape(level.perimeter.shape)
 
 
 def _pair_sums(level, U: np.ndarray, ndof: int) -> np.ndarray:
@@ -140,24 +162,25 @@ def factor_spd(forms) -> NestedLU:
     return lu
 
 
-def factor_indefinite(forms, shift: float, M: sp.spmatrix):
+def factor_indefinite(forms, shift: float):
     """Factor of the symmetric, maybe indefinite M = A − shift·B, pivoting
     only inside each level's cross block.
 
-    Returns (lu, pivot_ratio); raises NearSingularError only when a cross
-    block is exactly singular.  Callers decide what a collapsed pivot ratio
-    means for them.
+    Returns (lu, pivot_ratio), the least pivot over max|M|, which
+    forms.max_abs gives exactly without assembling M; raises
+    NearSingularError only when a cross block is exactly singular.  Callers
+    decide what a collapsed pivot ratio means for them.
     """
-    scale = np.max(np.abs(M.data)) if M.nnz else 0.0
+    scale = forms.max_abs(shift)
     lu = NestedLU(forms, shift, lambda msg: NearSingularError(shift, pivot_ratio=0.0))
     pivot = min(np.min(np.abs(np.diag(factor))) for _, (factor, _), _ in lu.factors)
     pivot_ratio = float(pivot / scale) if scale > 0 else 1.0
     return lu, pivot_ratio
 
 
-def refined_solve(lu, M: sp.spmatrix, rhs: np.ndarray,
-                  tol: float) -> tuple[np.ndarray, float]:
-    """Solve M x = rhs with iterative refinement on a fixed factorization.
+def refined_solve(lu, M, rhs: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
+    """Solve M x = rhs with iterative refinement on a fixed factorization;
+    M is anything that multiplies by ``@``, such as AssembledForms.operator.
 
     Returns (x, relative residual).  Refinement makes the 2-norm residual
     criterion reachable even for strongly amplifying (near singular) shifts,
@@ -168,7 +191,6 @@ def refined_solve(lu, M: sp.spmatrix, rhs: np.ndarray,
     x = lu.solve(rhs)
     if rhs_norm == 0.0:
         return np.zeros_like(rhs), 0.0
-    M = M.tocsr()
     best_x, best_r = x, rhs - M @ x  # the residual of the last accepted iterate
     best_res = float(np.linalg.norm(best_r)) / rhs_norm
     for _ in range(MAX_REFINE):

@@ -83,7 +83,7 @@ def run_sipg(fine_forms: AssembledForms, coarse_level: int, num_eigs: int,
     coarse_pairs = smallest_eigs(assemble(coarse_space), num_eigs, tol=tol)
 
     targets: list[SipgTarget] = []
-    B = fine_forms.B
+    B = fine_forms.mass
     for j, pair in enumerate(coarse_pairs, start=1):
         t0 = time.perf_counter()
         rhs = cross_mass_rhs(WgFunction(coarse_space, pair.vector), fine_space)

@@ -19,15 +19,24 @@ its crosses as one contiguous range of positions, the dofs its boxes touch as
 the tail of positions after it, and its perimeters as 32-bit offsets into
 that tail.
 
-One scatter builds both forms: A from the local stiffness matrix, B from the
-interior Gram block Gk zero-padded to the local size.  It gathers, chunk by
-chunk of elements, the global ids of the local pairs with a nonzero entry, in
-row-major local order, and drops the pairs on a Dirichlet dof.  Each global
-entry sums at most two element terms, and two floating-point terms sum to the
-same bits in either order, so the result does not depend on the order of the
-elements; the local matrices are exactly symmetric, so A and B are too.  Zero
-local entries are not emitted and entries whose terms cancel to 0.0 are
-dropped, so A and B store no zeros.
+The forms are applied, never assembled on the solve path (AssembledForms).
+A x is one gather of x through the space's dof map, whose Dirichlet
+entries name a sink slot ndof, one GEMM with the local stiffness matrix and
+one bincount scatter; B x is one GEMM with the interior Gram block Gk on the
+element-major interiors, and zero on the edges.  Both agree with the
+assembled products to rounding, not bit for bit: a CSR row sums each entry's
+two element terms first.  The largest |entry| of A - sigma B comes exactly
+from the rows of one element whose four edges are interior.
+
+One scatter builds the CSR matrices A and B, on demand only (--dump-matrices
+and the tests): A from the local stiffness matrix, B from Gk zero-padded to
+the local size.  It gathers, chunk by chunk of elements, the global ids of
+the local pairs with a nonzero entry, in row-major local order, and drops the
+pairs on a Dirichlet dof.  Each global entry sums at most two element terms,
+and two floating-point terms sum to the same bits in either order, so the
+result does not depend on the order of the elements; the local matrices are
+exactly symmetric, so A and B are too.  Zero local entries are not emitted
+and entries whose terms cancel to 0.0 are dropped, so A and B store no zeros.
 
 The interior Gram block Gk, which is the local mass matrix, is built from the
 exact moments of the centered monomials rather than by quadrature: moments of
@@ -50,6 +59,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
+from scipy.sparse.linalg import LinearOperator
 
 from .errors import DegreeTooLowError
 from .mesh import EDGE_SIGNS, MeshLevel
@@ -125,11 +135,13 @@ class WgSpace:
         return self.dim_interior + 4 * self.dim_trace * self.num_edge_components
 
     def local_dof_map(self) -> np.ndarray:
-        """(Ne, n_local) global indices in local order; -1 marks boundary blocks."""
+        """(Ne, n_local) global indices in local order, built once; the sink
+        ``ndof`` marks boundary blocks, so a gather from a vector padded by
+        one zero reads them as 0, and a bincount scatter drops them in one
+        extra bin."""
         if self._dof_map is None:
-            edges = _edge_dofs(self, self.mesh.elem_edges)[0]
             self._dof_map = np.hstack([np.arange(self.n_interior_dofs).reshape(
-                -1, self.dim_interior), np.where(edges < self.ndof, edges, -1)])
+                -1, self.dim_interior), _edge_dofs(self, self.mesh.elem_edges)])
         return self._dof_map
 
     @cached_property
@@ -182,16 +194,23 @@ class Quadtree(NamedTuple):
     order: np.ndarray
 
 
-def _edge_dofs(space: WgSpace, edges: np.ndarray):
-    """Global ids (``ndof`` on the boundary) and boundary-blind ids of edges' dofs."""
+def _edge_dofs(space: WgSpace, edges: np.ndarray) -> np.ndarray:
+    """Global ids of each row of edges' dofs, ``ndof`` on the boundary."""
     mesh, k = space.mesh, space.dim_trace
     comp = np.arange(space.num_edge_components)[:, None, None]
-    e = edges[:, None, :, None]
-    ii = mesh.interior_index[e]
+    ii = mesh.interior_index[edges[:, None, :, None]]
     ids = np.where(ii >= 0, space.n_interior_dofs
                    + (comp * mesh.num_interior_edges + ii) * k + np.arange(k), space.ndof)
-    blind = (comp * mesh.num_edges + e) * k + np.arange(k)
-    return ids.reshape(len(edges), -1), blind.reshape(len(edges), -1)
+    return ids.reshape(len(edges), -1)
+
+
+def _blind_ids(space: WgSpace, edges: np.ndarray) -> np.ndarray:
+    """The ids of _edge_dofs as if no edge were on the boundary: distinct
+    for every dof, so a lookup table can place them."""
+    comp = np.arange(space.num_edge_components)[:, None, None]
+    k = space.dim_trace
+    blind = (comp * space.mesh.num_edges + edges[:, None, :, None]) * k + np.arange(k)
+    return blind.reshape(len(edges), -1)
 
 
 def _runs(child: np.ndarray, size: int) -> tuple:
@@ -222,15 +241,16 @@ def _box_levels(space: WgSpace) -> Quadtree:
         y0, x0, t = m * y0[:, None], m * x0[:, None], np.arange(m)
         sides = np.hstack([edge(0, x0, y0 + t), edge(0, x0 + m, y0 + t),
                            edge(1, x0 + t, y0), edge(1, x0 + t, y0 + m)])
-        perimeter, own = _edge_dofs(space, sides)
-        perimeter = perimeter[:, :0] if level == space.mesh.level else perimeter
+        perimeter = _edge_dofs(space, sides[:, :0] if level == space.mesh.level else sides)
         if level == 0:
             cross, merge = np.arange(space.n_interior_dofs).reshape(len(sides), -1), None
         else:
-            cross, own_cross = _edge_dofs(space, np.hstack(
-                [edge(0, x0 + m // 2, y0 + t), edge(1, x0 + t, y0 + m // 2)]))
-            own = np.concatenate([own_cross[0], own[0]])
-            children = _edge_dofs(space, below[[0, 1, n // m * 2, n // m * 2 + 1]])[1]
+            # Box 0's cross and sides, and its four children's sides, by blind id.
+            middle = np.hstack([edge(0, x0 + m // 2, y0 + t), edge(1, x0 + t, y0 + m // 2)])
+            cross = _edge_dofs(space, middle)
+            own = np.concatenate([_blind_ids(space, middle[:1])[0],
+                                  _blind_ids(space, sides[:1])[0]])
+            children = _blind_ids(space, below[[0, 1, n // m * 2, n // m * 2 + 1]])
             local = np.empty(own.max() + 1, dtype=np.intp)  # box 0's position by id
             local[own] = np.arange(own.size)
             size = cross.shape[1] + perimeter.shape[1]
@@ -275,15 +295,75 @@ class WgFunction:
 
 @dataclass
 class AssembledForms:
-    """Stiffness and mass pair of the pencil."""
+    """The stiffness form A and the mass form B of the pencil, applied
+    matrix-free (see the module docstring).  ``A`` and ``B`` are the CSR
+    matrices, scattered on first access and kept."""
 
     space: WgSpace
-    A: sp.csr_matrix
-    B: sp.csr_matrix
 
     @property
     def n_interior(self) -> int:
         return self.space.n_interior_dofs
+
+    def local(self, shift: float = 0.0) -> np.ndarray:
+        """The shared local matrix of A - shift B."""
+        kit, nb = self.space.kit(), self.space.dim_interior
+        K = kit.a_local.copy()
+        K[:nb, :nb] -= shift * kit.Gk
+        return K
+
+    def operator(self, shift: float = 0.0) -> LinearOperator:
+        """A - shift B: a gather by the dof map, one GEMM with the local
+        matrix and a bincount scatter, dropping the Dirichlet sink."""
+        gather, K, n = self.space.local_dof_map(), self.local(shift), self.space.ndof
+
+        def matvec(x):
+            Y = np.append(x, 0.0)[gather] @ K  # K is symmetric
+            return np.bincount(gather.ravel(), Y.ravel(), minlength=n + 1)[:-1]
+
+        return LinearOperator((n, n), matvec=matvec, rmatvec=matvec, dtype=float)
+
+    @cached_property
+    def mass(self) -> LinearOperator:
+        """B: one GEMM with Gk on the element-major interiors, zero on the edges."""
+        Gk, n, ni = self.space.kit().Gk, self.space.ndof, self.n_interior
+
+        def matvec(x):
+            y = np.zeros(n)
+            y[:ni] = (np.ravel(x)[:ni].reshape(-1, len(Gk)) @ Gk).ravel()  # Gk is symmetric
+            return y
+
+        return LinearOperator((n, n), matvec=matvec, rmatvec=matvec, dtype=float)
+
+    def max_abs(self, shift: float = 0.0) -> float:
+        """max |A - shift B| over the stored entries, exactly, without A or B.
+
+        Each entry is one element's term of the shared local matrix, or on an
+        edge's own block the sum of two, so the rows of element (1, 1), whose
+        four edges are interior, hold every value.  A dense scatter over the
+        lower-left 3 x 3 block of elements sums those rows as the CSR does.
+        A mesh of one or two elements a side has no such element: there the
+        block is the whole mesh, and all its rows count."""
+        mesh, n = self.space.mesh, self.space.mesh.n
+        near = np.flatnonzero((mesh.elem_ix < 3) & (mesh.elem_iy < 3))
+        ids, slots = np.unique(self.space.local_dof_map()[near], return_inverse=True)
+        slots, K = slots.reshape(len(near), -1), self.local(shift)
+        M = np.zeros((len(ids), len(ids)))
+        for row in slots:  # the sink takes every Dirichlet term and is dropped
+            M[np.ix_(row, row)] += K
+        free = ids < self.space.ndof
+        rows = slots[np.searchsorted(near, n + 1)] if n >= 3 else free
+        return float(np.abs(M[rows][:, free]).max())
+
+    @cached_property
+    def A(self) -> sp.csr_matrix:
+        return _scatter_symmetric(self.space, self.space.kit().a_local)
+
+    @cached_property
+    def B(self) -> sp.csr_matrix:
+        b_local = np.zeros((self.space.n_local, self.space.n_local))
+        b_local[:self.space.dim_interior, :self.space.dim_interior] = self.space.kit().Gk
+        return _scatter_symmetric(self.space, b_local)
 
 
 def _centred_moment(p: np.ndarray) -> np.ndarray:
@@ -427,16 +507,16 @@ def _scatter_symmetric(space: WgSpace, local: np.ndarray) -> sp.csr_matrix:
     """Assemble one shared symmetric local matrix over all elements: every pair
     of free local dofs with a nonzero local entry, duplicates summed by the CSR
     conversion, cancelled entries dropped (see the module docstring)."""
-    gdofs = space.local_dof_map()
+    gdofs, ndof = space.local_dof_map(), space.ndof
     I, J = np.nonzero(local)  # the local pairs, row by row
     # 32-bit ids where they fit, as in the CSR result: int64 triplets cost
-    # 40 MB more transient memory at h=1/256, where the assembly set the peak.
-    ids = np.int32 if space.ndof < 2**31 else np.int64
+    # 40 MB more transient memory at h=1/256.
+    ids = np.int32 if ndof < 2**31 else np.int64
     rows, cols, vals = [], [], []
     for start in range(0, gdofs.shape[0], _ELEMENT_CHUNK):
         G = gdofs[start : start + _ELEMENT_CHUNK].astype(ids)
         R, C = G[:, I], G[:, J]
-        free = (R >= 0) & (C >= 0)
+        free = (R < ndof) & (C < ndof)
         rows.append(R[free])
         cols.append(C[free])
         vals.append(np.broadcast_to(local[I, J], R.shape)[free])
@@ -450,16 +530,12 @@ def _scatter_symmetric(space: WgSpace, local: np.ndarray) -> sp.csr_matrix:
 
 
 def assemble(space: WgSpace) -> AssembledForms:
-    """Assemble the stiffness form A and the mass form B of the pencil.
-
-    B is the same scatter of the interior Gram block Gk, zero-padded to the
-    local size: it lives on the interior unknowns only."""
-    kit = space.kit()
-    nd0 = space.dim_interior
-    b_local = np.zeros((space.n_local, space.n_local))
-    b_local[:nd0, :nd0] = kit.Gk
-    return AssembledForms(space=space, A=_scatter_symmetric(space, kit.a_local),
-                          B=_scatter_symmetric(space, b_local))
+    """The stiffness form A and the mass form B of the pencil.  Only what
+    their products read is built here, the local kit and the dof map; no
+    global matrix is."""
+    space.kit()
+    space.local_dof_map()
+    return AssembledForms(space)
 
 
 # -- interpolation and field integrals ----------------------------------------

@@ -51,19 +51,28 @@ class CountingLU:
         return getattr(self.lu, name)
 
 
-def dense_pencil_eigs(forms, m):
-    """Independent oracle: dense Schur condensation onto the interior block,
-    then a dense generalized symmetric eigensolve."""
+def condensed_pencil_eigs(A, B, ni, m):
+    """Independent oracle: the m smallest eigenvalues of the sparse pencil
+    (A, B) whose mass B lives on the first ni unknowns.  Dense Schur
+    condensation onto them and a dense generalized symmetric eigensolve give
+    the eigenvectors; each value is the Rayleigh quotient of its vector,
+    extended to the other unknowns, on the sparse pencil, whose error is the
+    square of the vector's.  The dense values alone are off by up to 5e-14
+    relative and move with the BLAS thread count (Laplacian k=3, h=1/8:
+    78.91622861258486 with one thread, ...185 with two)."""
     import scipy.linalg as sla
 
-    A = forms.A.toarray()
-    B = forms.B.toarray()
-    ni = forms.n_interior
-    AII = A[:ni, :ni]
-    AIE = A[:ni, ni:]
-    AEE = A[ni:, ni:]
+    dense = A.toarray()
+    AII, AIE, AEE = dense[:ni, :ni], dense[:ni, ni:], dense[ni:, ni:]
     S = AII - AIE @ np.linalg.solve(AEE, AIE.T)
-    return sla.eigh(S, B[:ni, :ni], eigvals_only=True)[:m]
+    _, Z = sla.eigh(S, B[:ni, :ni].toarray(), subset_by_index=[0, min(m, ni) - 1])
+    X = np.vstack([Z, -np.linalg.solve(AEE, AIE.T @ Z)])
+    return np.sort(np.sum(X * (A @ X), axis=0) / np.sum(X * (B @ X), axis=0))
+
+
+def dense_pencil_eigs(forms, m):
+    """The m smallest eigenvalues of (A, B) by condensed_pencil_eigs."""
+    return condensed_pencil_eigs(forms.A, forms.B, forms.n_interior, m)
 
 
 def local_interior_eigs(space):

@@ -25,7 +25,7 @@ from wgeig.analysis import ExactEigen, _span_distance
 from wgeig.eigsolve import EigenPair
 from wgeig.polyspace import DEFAULT_FIELD_QUAD, ElementBasis, gauss_rule
 from wgeig.wg_core import (_ELEMENT_CHUNK, BIHARMONIC, LAPLACIAN, AssembledForms, WgFunction,
-                           WgSpace, _edge_dofs, _element_points, _interior_moments,
+                           WgSpace, _element_points, _interior_moments,
                            _scatter_symmetric, assemble, qh_project)
 
 
@@ -182,8 +182,7 @@ def l2_project_edge(f, segment: Segment, degree: int, npts: int = DEFAULT_FIELD_
 
 def local_vector(u: WgFunction, element: int) -> np.ndarray:
     """Local coefficients of one element; boundary edge blocks read as 0."""
-    row = u.space.local_dof_map()[element]
-    return np.where(row >= 0, u.coeffs[np.maximum(row, 0)], 0.0)
+    return np.append(u.coeffs, 0.0)[u.space.local_dof_map()[element]]
 
 
 def weak_gradient_local(space: WgSpace, local_coeffs: np.ndarray) -> np.ndarray:
@@ -369,7 +368,7 @@ def masked_scatter(space: WgSpace, local: np.ndarray) -> sp.csr_matrix:
         G = gdofs[start : start + _ELEMENT_CHUNK].astype(ids)
         R = np.broadcast_to(G[:, :, None], (G.shape[0], n_loc, n_loc))
         C = np.broadcast_to(G[:, None, :], R.shape)
-        mask = (R >= 0) & (C >= 0) & nonzero
+        mask = (R < space.ndof) & (C < space.ndof) & nonzero
         rows.append(R[mask])
         cols.append(C[mask])
         vals.append(np.broadcast_to(local, R.shape)[mask])
@@ -392,6 +391,25 @@ class IdBoxLevel(NamedTuple):
     touched: np.ndarray
 
 
+def id_edge_dofs(space: WgSpace, edges: np.ndarray):
+    """Global ids (``ndof`` on the boundary) and boundary-blind ids of every
+    row of edges' dofs, component, then edge, then basis function."""
+    mesh, k = space.mesh, space.dim_trace
+    comp = np.arange(space.num_edge_components)[:, None, None]
+    e = edges[:, None, :, None]
+    ii = mesh.interior_index[e]
+    ids = np.where(ii >= 0, space.n_interior_dofs
+                   + (comp * mesh.num_interior_edges + ii) * k + np.arange(k), space.ndof)
+    blind = (comp * mesh.num_edges + e) * k + np.arange(k)
+    return ids.reshape(len(edges), -1), blind.reshape(len(edges), -1)
+
+
+def id_dof_map(space: WgSpace) -> np.ndarray:
+    """WgSpace.local_dof_map from the ids of every element's edges."""
+    edges = id_edge_dofs(space, space.mesh.elem_edges)[0]
+    return np.hstack([np.arange(space.n_interior_dofs).reshape(-1, space.dim_interior), edges])
+
+
 def id_box_levels(space: WgSpace) -> list[IdBoxLevel]:
     """George's nested dissection of the uniform mesh on dof ids, built from
     the mesh's edge numbering independently of WgSpace.quadtree."""
@@ -407,14 +425,14 @@ def id_box_levels(space: WgSpace) -> list[IdBoxLevel]:
         y0, x0, t = m * y0[:, None], m * x0[:, None], np.arange(m)
         sides = np.hstack([edge(0, x0, y0 + t), edge(0, x0 + m, y0 + t),
                            edge(1, x0 + t, y0), edge(1, x0 + t, y0 + m)])
-        perimeter, own = _edge_dofs(space, sides)
+        perimeter, own = id_edge_dofs(space, sides)
         if level == 0:
             cross, merge = np.arange(space.n_interior_dofs).reshape(len(sides), -1), None
         else:
-            cross, own_cross = _edge_dofs(space, np.hstack(
+            cross, own_cross = id_edge_dofs(space, np.hstack(
                 [edge(0, x0 + m // 2, y0 + t), edge(1, x0 + t, y0 + m // 2)]))
             own = np.concatenate([own_cross[0], own[0]])
-            children = _edge_dofs(space, below[[0, 1, n // m * 2, n // m * 2 + 1]])[1]
+            children = id_edge_dofs(space, below[[0, 1, n // m * 2, n // m * 2 + 1]])[1]
             order = np.argsort(own)
             merge = order[np.searchsorted(own, children, sorter=order)]
         below = sides

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from wgeig import analysis, twogrid, wg_core
 from wgeig.analysis import ROW_FIELDS
 from wgeig.cli import main
+from wgeig.mesh import build_uniform
 
 
 def run_cli(capsys, *argv):
@@ -255,6 +256,45 @@ def test_dumps(capsys, tmp_path):
     forms = wg.assemble(space)
     assert np.abs((A - forms.A)).max() < 1e-15
     assert np.abs((B - forms.B)).max() < 1e-15
+
+
+@pytest.mark.parametrize("kind,degree", [("laplacian", 1), ("biharmonic", 2)])
+def test_dumped_matrices_are_the_gathered_scatter(capsys, tmp_path, kind, degree):
+    # --dump-matrices still writes the CSR of the gathered pair scatter,
+    # byte for byte the files that scatter writes.
+    code, _, _ = run_cli(capsys, "solve", "--problem", kind, "--degree", str(degree),
+                         "--level", "2", "--num-eigs", "1", "--dump-matrices",
+                         str(tmp_path / "mats"))
+    assert code == 0
+    space = wg_core.WgSpace(build_uniform(2), degree, kind=kind, epsilon=0.1)
+    kit, nb = space.kit(), space.dim_interior
+    b_local = np.zeros((space.n_local, space.n_local))
+    b_local[:nb, :nb] = kit.Gk
+    for name, local in (("stiffness", kit.a_local), ("mass", b_local)):
+        sio.mmwrite(tmp_path / f"{name}.mtx", wg_core._scatter_symmetric(space, local))
+        want = (tmp_path / f"{name}.mtx").read_bytes()
+        assert (tmp_path / "mats" / f"{name}.mtx").read_bytes() == want
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--level", "3", "--num-eigs", "2"),
+    ("study", "--levels", "1:3", "--num-eigs", "2"),
+    ("sipg", "--problem", "biharmonic", "--degree", "2", "--coarse-level", "1",
+     "--fine-level", "3", "--num-eigs", "2"),
+    ("table", "--fine-level", "3", "--coarse-levels", "1,2", "--with-direct",
+     "--num-eigs", "2"),
+])
+def test_no_solve_path_builds_a_global_matrix(capsys, monkeypatch, argv):
+    # Every product on the solve path is matrix-free, and the pivot ratio's
+    # scale comes from one element's rows: with the global scatter refused,
+    # each command still exits 0 with its rows.
+    def refuse(space, local):
+        raise AssertionError("a global sparse matrix was assembled")
+
+    monkeypatch.setattr(wg_core, "_scatter_symmetric", refuse)
+    code, out, err = run_cli(capsys, *argv, "--output", "csv")
+    assert code == 0 and err == ""
+    assert parse_csv(out)
 
 
 def test_config_with_direct_acts_like_its_flag(capsys, tmp_path):

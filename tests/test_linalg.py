@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
@@ -12,7 +11,7 @@ from wgeig.eigsolve import smallest_eigs, solve_shifted
 from wgeig.errors import FactorizationFailureError, NearSingularError
 from wgeig.mesh import build_uniform
 
-from conftest import CountingLU, dense_pencil_eigs, local_interior_eigs
+from conftest import CountingLU, condensed_pencil_eigs, dense_pencil_eigs, local_interior_eigs
 from oracles import IdNestedLU
 
 
@@ -51,10 +50,9 @@ def _clamped_box_eigs(forms, level):
     dof = space.local_dof_map()[inside]
     levels, order = space.quadtree
     perimeter = levels[level].stop + levels[level].perimeter[0]
-    ids = np.setdiff1d(dof[dof >= 0], np.append(order, space.ndof)[perimeter])
-    A, ni = forms.A[ids][:, ids].toarray(), int(np.sum(ids < forms.n_interior))
-    S = A[:ni, :ni] - A[:ni, ni:] @ np.linalg.solve(A[ni:, ni:], A[ni:, :ni])
-    return sla.eigh(S, forms.B[ids[:ni]][:, ids[:ni]].toarray(), eigvals_only=True)
+    ids = np.setdiff1d(dof[dof < space.ndof], np.append(order, space.ndof)[perimeter])
+    ni = int(np.sum(ids < forms.n_interior))
+    return condensed_pencil_eigs(forms.A[ids][:, ids], forms.B[ids][:, ids], ni, ni)
 
 
 class _CountingCSR(sp.csr_matrix):
@@ -79,7 +77,7 @@ def test_shifted_factorization_keeps_symmetric_fill(lap_L5_k1):
     assert forms.A.shape[0] == 5056
     sigma = 1.01 * pairs[1].value
     M = forms.A - sigma * forms.B
-    lu, pivot_ratio = linalg.factor_indefinite(forms, sigma, M)
+    lu, pivot_ratio = linalg.factor_indefinite(forms, sigma)
     # An ordering that ignores the symmetry of A - σB fills in 3.65 times as
     # much as the SPD factorization of A on this pattern.
     assert _fill(lu) <= 1.5 * _fill(linalg.factor_spd(forms))
@@ -96,7 +94,7 @@ def test_refinement_measures_each_residual_once(lap_L5_k1):
     forms, pairs = lap_L5_k1
     sigma = 1.01 * pairs[1].value
     M = _CountingCSR(forms.A - sigma * forms.B)
-    lu, _ = linalg.factor_indefinite(forms, sigma, M)
+    lu, _ = linalg.factor_indefinite(forms, sigma)
     counted = CountingLU(lu)
     rhs = forms.B @ np.ones(M.shape[0])
     x, residual = linalg.refined_solve(counted, M, rhs, tol=1e-14)
@@ -129,7 +127,7 @@ def test_biharmonic_shifted_fill_matches_spd_fill():
     space = wg.WgSpace(build_uniform(4), 2, kind="biharmonic", epsilon=0.1)
     forms = wg.assemble(space)
     sigma = 1.01 * smallest_eigs(forms, 2)[1].value
-    lu, _ = linalg.factor_indefinite(forms, sigma, forms.A - sigma * forms.B)
+    lu, _ = linalg.factor_indefinite(forms, sigma)
     # 0.998 for the skeleton factors; 0.999 for the full matrices under nested
     # dissection, 1.0001 under minimum degree, and 1.62 when B carried entries
     # outside the pattern of A.
@@ -156,7 +154,7 @@ def test_shifted_solves_match_minimum_degree_oracle(lap_L5_k1):
     for pair in smallest_eigs(wg.assemble(coarse), 6):
         rhs = wg.cross_mass_rhs(wg.WgFunction(coarse, pair.vector), forms.space)
         M = forms.A - pair.value * forms.B
-        lu, _ = linalg.factor_indefinite(forms, pair.value, M)
+        lu, _ = linalg.factor_indefinite(forms, pair.value)
         oracle = _minimum_degree_splu(M, 0.01)
         # The inertia counts the eigenvalues below σ.
         negative.append(lu.inertia())
@@ -183,7 +181,7 @@ def test_condensed_solves_match_full_oracle(kind, degree):
     rhs = np.random.default_rng(7).standard_normal((forms.A.shape[0], 3))
     for sigma in shifts:
         M = forms.A - sigma * forms.B
-        lu, _ = linalg.factor_indefinite(forms, sigma, M)
+        lu, _ = linalg.factor_indefinite(forms, sigma)
         want = splu(M.tocsc()).solve(rhs)
         got = lu.solve(rhs)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want), sigma
@@ -216,7 +214,7 @@ def test_condensed_inertia_matches_dense_count(kind, degree, level, sigma, local
     space = wg.WgSpace(build_uniform(level), degree, kind=kind, epsilon=0.1)
     forms = wg.assemble(space)
     M = forms.A - sigma * forms.B
-    lu, _ = linalg.factor_indefinite(forms, sigma, M)
+    lu, _ = linalg.factor_indefinite(forms, sigma)
     counts = _negative_pivots(lu)
     assert counts[0] == space.mesh.num_elements * local
     assert sum(counts[1:]) == skeleton
@@ -235,7 +233,7 @@ def test_nested_solves_match_full_oracle_on_every_level_count(kind, degree, leve
     rhs = np.random.default_rng(3).standard_normal((forms.A.shape[0], 2))
     for sigma in (0.0, 0.5 * (mu[0] + mu[1]), 1.5 * mu[-1]):
         M = forms.A - sigma * forms.B
-        lu, _ = linalg.factor_indefinite(forms, sigma, M)
+        lu, _ = linalg.factor_indefinite(forms, sigma)
         want = splu(M.tocsc()).solve(rhs)
         assert np.linalg.norm(lu.solve(rhs) - want) <= 1e-10 * np.linalg.norm(want), sigma
         one = lu.solve(rhs[:, 0])
@@ -290,7 +288,7 @@ def test_level_major_factor_is_bitwise_the_id_oracle(kind, degree, level):
     mu = local_interior_eigs(space)
     rhs = np.random.default_rng(3).standard_normal((forms.A.shape[0], 2))
     for sigma in (0.0, 0.5 * (mu[0] + mu[1]), 1.5 * mu[-1]):
-        lu, _ = linalg.factor_indefinite(forms, sigma, forms.A - sigma * forms.B)
+        lu, _ = linalg.factor_indefinite(forms, sigma)
         _assert_bitwise_the_id_oracle(forms, sigma, lu, rhs)
 
 
@@ -325,7 +323,7 @@ def test_spd_factor_checks_every_level(kind, degree):
     forms = wg.assemble(space)
     with pytest.raises(FactorizationFailureError, match="not positive definite"):
         linalg.factor_spd(forms)
-    lu, _ = linalg.factor_indefinite(forms, 0.0, forms.A)
+    lu, _ = linalg.factor_indefinite(forms, 0.0)
     assert _negative_pivots(lu)[0] == 0 and lu.inertia() == 1
 
 
@@ -337,7 +335,7 @@ def test_inertia_matches_dense_count_above_the_local_spectrum(kind, degree):
     distinct = mu[np.flatnonzero(np.diff(mu) > 1e-6 * mu[-1])]
     for sigma in np.append(distinct + 0.5 * np.diff(np.append(distinct, mu[-1])), 1.5 * mu[-1]):
         M = forms.A - sigma * forms.B
-        lu, _ = linalg.factor_indefinite(forms, sigma, M)
+        lu, _ = linalg.factor_indefinite(forms, sigma)
         assert lu.inertia() == int(np.sum(np.linalg.eigvalsh(M.toarray()) < 0)), sigma
 
 
@@ -362,7 +360,7 @@ def test_biharmonic_box_eigenvalue_never_gives_a_silent_wrong_solution():
             assert shift == sigma
             continue
         assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want), shift
-    _, pivot_ratio = linalg.factor_indefinite(forms, sigma, forms.A - sigma * forms.B)
+    _, pivot_ratio = linalg.factor_indefinite(forms, sigma)
     assert pivot_ratio < 1e-12
 
 

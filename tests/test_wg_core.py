@@ -10,6 +10,7 @@ from oracles import (
     Square,
     element_mass_matrix,
     id_box_levels,
+    id_dof_map,
     l2_error,
     l2_project_element,
     local_vector,
@@ -424,7 +425,7 @@ def test_assembly_matches_dense_elementwise_oracle(kind, degree, level):
     A = np.zeros((ndof + 1, ndof + 1))
     B = np.zeros_like(A)
     terms = np.zeros(A.shape, dtype=int)
-    for row in np.where(space.local_dof_map() >= 0, space.local_dof_map(), ndof):
+    for row in space.local_dof_map():
         A[np.ix_(row, row)] += kit.a_local
         B[np.ix_(row, row)] += b_local
         terms[np.ix_(row, row)] += kit.a_local != 0.0
@@ -457,6 +458,53 @@ def test_gathered_pair_scatter_matches_the_masked_scatter(kind, degree, level):
         for got, expected in ((M.indptr, want.indptr), (M.indices, want.indices),
                               (M.data, want.data)):
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+_KINDS_K1_3 = [("laplacian", 1), ("laplacian", 2), ("laplacian", 3), ("biharmonic", 2),
+               ("biharmonic", 3)]
+
+
+@pytest.mark.parametrize("kind,degree", _KINDS_K1_3)
+@pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
+def test_matrix_free_products_match_the_csr(kind, degree, level):
+    # A x, B x and (A - σB) x without a global matrix against the CSR
+    # products: the same sums, grouped by element rather than by row, so
+    # they agree to rounding (1e-16 relative measured), for vectors,
+    # blocks of columns and products from the left.
+    space = wg.WgSpace(build_uniform(level), degree, kind=kind, epsilon=0.1)
+    forms, ni = wg.assemble(space), space.n_interior_dofs
+    rng = np.random.default_rng(level)
+    x, X = rng.standard_normal(space.ndof), rng.standard_normal((space.ndof, 3))
+    for op, csr in ((forms.operator(), forms.A), (forms.mass, forms.B),
+                    (forms.operator(19.7), forms.A - 19.7 * forms.B),
+                    (forms.operator(-3.0), forms.A + 3.0 * forms.B)):
+        for got, want in ((op @ x, csr @ x), (op @ X, csr @ X), (x @ op, csr.T @ x)):
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+    assert not np.any((forms.mass @ x)[ni:])
+
+
+@pytest.mark.parametrize("kind,degree", _KINDS_K1_3)
+@pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
+def test_max_abs_is_the_csr_maximum_bit_for_bit(kind, degree, level):
+    # The scale of the pivot ratio, max|A - σB|, from one element's rows
+    # equals the maximum over the CSR entries exactly: 200 cases in all.
+    for epsilon in (0.1, 0.7):
+        space = wg.WgSpace(build_uniform(level), degree, kind=kind, epsilon=epsilon)
+        forms = wg.assemble(space)
+        for sigma in (0.0, 19.7, 1234.5, -3.0):
+            want = np.max(np.abs((forms.A - sigma * forms.B).data))
+            assert forms.max_abs(sigma) == want, (epsilon, sigma)
+
+
+@pytest.mark.parametrize("kind,degree", [("laplacian", 1), ("laplacian", 3), ("biharmonic", 2)])
+@pytest.mark.parametrize("level", [0, 1, 2, 3, 5])
+def test_dof_map_is_bitwise_the_id_oracle(kind, degree, level):
+    # The dof map from global ids alone equals the map built beside the
+    # boundary-blind ids of every element, as intp for numpy's gathers.
+    space = wg.WgSpace(build_uniform(level), degree, kind=kind, epsilon=0.1)
+    want, got = id_dof_map(space), space.local_dof_map()
+    assert got.dtype == want.dtype == np.intp and got.tobytes() == want.tobytes()
 
 
 def test_mass_matrix_lives_on_interior_only(lap_L3_k1):
@@ -537,7 +585,7 @@ def test_qh_project_zero_and_polynomial(lap_L2_k1):
         vloc = local_vector(q, element)
         want = local_interpolant(space, element, lambda x, y: 2.0 * x - y + 0.5)
         gmap = space.local_dof_map()[element]
-        kept = gmap >= 0
+        kept = gmap < space.ndof
         assert np.abs(vloc[kept] - want[kept]).max() < 1e-13
 
 
@@ -658,11 +706,11 @@ def test_box_blocks_match_the_assembled_schur_complement(kind, degree, level):
         inside = (space.mesh.elem_ix < 2 ** i) & (space.mesh.elem_iy < 2 ** i)
         dof = space.local_dof_map()[inside]
         A = np.zeros((ndof + 1, ndof + 1))
-        for row in np.where(dof >= 0, dof, ndof):
+        for row in dof:
             A[np.ix_(row, row)] += a
         keep = ids[np.concatenate([np.arange(box.start, box.start + box.n_cross),
                                    box.stop + box.perimeter[0]])]
-        live, rest = keep[keep < ndof], np.setdiff1d(dof[dof >= 0], keep)
+        live, rest = keep[keep < ndof], np.setdiff1d(dof[dof < ndof], keep)
         S = A[np.ix_(live, live)] - A[np.ix_(live, rest)] @ np.linalg.solve(
             A[np.ix_(rest, rest)], A[np.ix_(rest, live)])
         n_c = len(block)
