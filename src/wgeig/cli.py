@@ -256,7 +256,7 @@ def _cmd_twogrid(args) -> int:
         include_direct = True
     else:
         coarse_levels = _required(args, "coarse_levels")
-        fine_levels = args.fine_levels or [_required(args, "fine_level")]
+        fine_levels = _required(args, "fine_level")
         meta["coarse_levels"] = ",".join(map(str, coarse_levels))
         meta["fine_levels"] = ",".join(map(str, fine_levels))
         include_direct = args.with_direct
@@ -324,8 +324,8 @@ def _build_parser():
     add = command("study", _cmd_direct, "direct sweep over levels with fitted orders")
     add("--levels", type=_parse_levels, help="level sweep, e.g. 3:6 or 3,4,5")
     add = command("table", _cmd_twogrid, "coarse-level sweep at fixed fine level(s)")
-    add("--fine-level", type=int)
-    add("--fine-levels", type=_parse_levels, help="several fine levels (two-block table shape)")
+    add("--fine-level", type=_parse_levels,
+        help="fine level, or several, e.g. 7, 3,4 or 3:4 (one block each)")
     add("--coarse-levels", type=_parse_levels, help="e.g. 3,4,5 or 3:5")
     add("--with-direct", action="store_true",
         help="also run the direct fine solve for comparison columns")

@@ -70,7 +70,9 @@ class EigenCluster:
         return groups
 
 
-def _fix_sign(x: np.ndarray, n_interior: int) -> np.ndarray:
+def _b_normalized(x: np.ndarray, B, n_interior: int) -> np.ndarray:
+    """x scaled to unit b-norm, its largest interior entry made positive."""
+    x = x / np.sqrt(x @ (B @ x))
     lead = int(np.argmax(np.abs(x[:n_interior])))
     return -x if x[lead] < 0.0 else x
 
@@ -130,9 +132,7 @@ def smallest_eigs(forms: AssembledForms, m: int, tol: float = 1e-10,
         pairs = []
         for i in range(m):
             # One solve per pair keeps the work arrays at one vector of length n.
-            x = lu.solve(blockwise(L, Z[:, i], scaled))
-            x = x / np.sqrt(x @ (B @ x))
-            x = _fix_sign(x, n_int)
+            x = _b_normalized(lu.solve(blockwise(L, Z[:, i], scaled)), B, n_int)
             ax = A @ x
             resid = float(np.linalg.norm(ax - lam[i] * (B @ x)) / np.linalg.norm(ax))
             pairs.append(EigenPair(value=float(lam[i]), vector=x, residual=resid))

@@ -9,20 +9,17 @@ four copies of the perimeter Schur complement below.  Each level factors its
 cross block (the edge dofs on a box's midlines) by one dense LU; a cross never
 touches the boundary, and a Dirichlet dof only drops a row and a column.  The
 children's Schur complements merge into the box matrix by block additions over
-precomputed runs, child by child.  A solve works on the level-major positions
-of the quadtree (wg_core): each level's crosses are one reshaped slice, the
-dofs its boxes touch the tail slice after it, which takes the pair sums of
-the perimeter updates by one bincount over the perimeters' tail offsets, and
-the way down gathers the perimeters from that tail and writes each slice in
-place.  It treats a level's boxes at once, by one GEMM with a stored K_CC⁻ᵀ
-where the boxes are no fewer than the cross dofs (level 0 always), else by
-getrs.  The interiors of a right-hand side are read as they are, since the
-interiors keep their ids; only the edges are permuted, into positions for a
-full-length right-hand side and back into ids for the solution.  A factor
-keeps the position vector and the level buffers of its solves, so a solve
-allocates only its result.  Pivoting stays inside each cross block.  A is SPD
-iff every cross block is, and ν(M) is the sum of boxes · ν(cross block) over
-the levels (Haynsworth).
+precomputed runs, child by child.  The dofs are numbered level-major by the
+quadtree (wg_core), so a solve permutes nothing: each level's crosses are one
+reshaped slice, the dofs its boxes touch the tail slice after it, which takes
+the pair sums of the perimeter updates by one bincount over the perimeters'
+tail offsets, and the way down gathers the perimeters from that tail and
+writes each slice in place.  It treats a level's boxes at once, by one GEMM
+with a stored K_CC⁻ᵀ where the boxes are no fewer than the cross dofs (level
+0 always), else by getrs.  A factor keeps the solution vector and the level
+buffers of its solves, so a solve allocates only its result.  Pivoting stays
+inside each cross block.  A is SPD iff every cross block is, and ν(M) is the
+sum of boxes · ν(cross block) over the levels (Haynsworth).
 
 No global matrix is read: the factor is built from the local matrices, and
 the refinement multiplies by M matrix-free (wg_core.AssembledForms).  The
@@ -53,7 +50,7 @@ class NestedLU:
     ``L`` and ``U`` count the entries of the LUs and of X, each once."""
 
     def __init__(self, forms, shift: float, on_failure):
-        self.levels, self.order = forms.space.quadtree
+        self.levels = forms.space.quadtree.levels
         self.ndof = forms.space.ndof
         self.factors = []  # per level: the cross block, its LU and X
         self.inverses = []  # per level: K_CC⁻ᵀ, or None where getrs solves
@@ -97,34 +94,26 @@ class NestedLU:
 
     @cached_property
     def _workspace(self):
-        """What every solve reuses: the solution by position, whose last entry
-        is every Dirichlet dof, one buffer for a level's perimeter gather and
-        for R @ X, one for a level's GEMM output, and the edges' ids (numpy
-        casts a 32-bit index on every gather, and one astype is cheaper).
-        Fresh temporaries of this size on every solve each fault in new pages."""
-        n_int = self.levels[0].stop
+        """What every solve reuses: the solution, whose last entry is every
+        Dirichlet dof, one buffer for a level's perimeter gather and for
+        R @ X, and one for a level's GEMM output.  Fresh temporaries of this
+        size on every solve each fault in new pages."""
         return (np.empty(self.ndof + 1),
                 np.empty(max(level.perimeter.size for level in self.levels)),
-                np.empty(max(level.stop - level.start for level in self.levels)),
-                self.order[n_int:].astype(np.intp))  # the interiors keep their ids
+                np.empty(max(level.stop - level.start for level in self.levels)))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """x = M⁻¹ rhs; a right-hand side of length n_int is zero on the edges."""
         rhs = np.ascontiguousarray(rhs, dtype=float)
         if rhs.ndim == 2:
             return np.apply_along_axis(self.solve, 0, rhs)
-        first, (_, _, X0), inv0 = self.levels[0], self.factors[0], self.inverses[0]
-        n_int, ndof = first.stop, self.ndof
+        n_int, ndof = self.levels[0].stop, self.ndof
         if len(rhs) not in (n_int, ndof):
             raise ValueError(f"right-hand side of length {len(rhs)}, not {n_int} or {ndof}")
-        x, gathered, product, edges = self._workspace
-        x[n_int:] = 0.0
-        if len(rhs) == ndof:  # mode="clip" fills out in place; no index is out of range
-            np.take(rhs, edges, out=x[n_int:ndof], mode="clip")
-        R = rhs[:n_int].reshape(first.boxes, first.n_cross)
-        x[n_int:ndof] -= _pair_sums(first, np.matmul(R, X0, out=_view(gathered, first)), ndof)
-        np.matmul(R, inv0, out=x[:n_int].reshape(R.shape))
-        for level, (_, lu, X), inv in zip(self.levels[1:], self.factors[1:], self.inverses[1:]):
+        x, gathered, product = self._workspace
+        x[:len(rhs)] = rhs
+        x[len(rhs):] = 0.0
+        for level, (_, lu, X), inv in zip(self.levels, self.factors, self.inverses):
             R = x[level.start:level.stop].reshape(level.boxes, level.n_cross)
             x[level.stop:ndof] -= _pair_sums(level, np.matmul(R, X, out=_view(gathered, level)),
                                              ndof)
@@ -136,10 +125,7 @@ class NestedLU:
             R = x[level.start:level.stop].reshape(level.boxes, level.n_cross)
             P = np.take(x[level.stop:], level.perimeter, out=_view(gathered, level), mode="clip")
             R -= np.matmul(P, X.T, out=product[:R.size].reshape(R.shape))
-        out = np.empty(ndof)
-        out[:n_int] = x[:n_int]
-        out[edges] = x[n_int:ndof]
-        return out
+        return x[:ndof].copy()
 
 
 def _view(buffer: np.ndarray, level) -> np.ndarray:

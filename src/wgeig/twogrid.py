@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigsolve import _fix_sign, rayleigh_quotient, smallest_eigs, solve_shifted
+from .eigsolve import _b_normalized, rayleigh_quotient, smallest_eigs, solve_shifted
 from .errors import ConfigError, NearSingularError
 from .mesh import build_uniform, containment_map
 from .polyspace import pk_exponents
@@ -83,7 +83,6 @@ def run_sipg(fine_forms: AssembledForms, coarse_level: int, num_eigs: int,
     coarse_pairs = smallest_eigs(assemble(coarse_space), num_eigs, tol=tol)
 
     targets: list[SipgTarget] = []
-    B = fine_forms.mass
     for j, pair in enumerate(coarse_pairs, start=1):
         t0 = time.perf_counter()
         rhs = cross_mass_rhs(WgFunction(coarse_space, pair.vector), fine_space)
@@ -98,7 +97,7 @@ def run_sipg(fine_forms: AssembledForms, coarse_level: int, num_eigs: int,
             x = exc.solution
         if x is not None:
             lam = float(rayleigh_quotient(fine_forms, x))
-            xbar = _fix_sign(x / np.sqrt(x @ (B @ x)), fine_forms.n_interior)
+            xbar = _b_normalized(x, fine_forms.mass, fine_forms.n_interior)
         targets.append(SipgTarget(
             index=j, coarse_value=pair.value, rayleigh=lam, normalized=xbar,
             seconds=time.perf_counter() - t0, warning=warning,

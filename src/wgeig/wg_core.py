@@ -9,15 +9,16 @@ symmetric positive definite and the mass form positive semidefinite.
 On a uniform square mesh with centered, h-scaled bases, every element shares
 one set of local matrices, and assembly reduces to a deterministic vectorized
 scatter of that single pattern.  The same holds for every box of the uniform
-quadtree that the factorizations (linalg) eliminate level by level: edge dofs
-are numbered by component, then edge, then basis function, and one set of
-runs per level merges four boxes into their parent (WgSpace.quadtree).  The
-quadtree numbers the dofs level-major, its one permutation ``order`` mapping
-each position to a dof id: the interiors in element order, then level 1's
-crosses box by box, and so on up to the top cross.  Every level then holds
-its crosses as one contiguous range of positions, the dofs its boxes touch as
-the tail of positions after it, and its perimeters as 32-bit offsets into
-that tail.
+quadtree that the factorizations (linalg) eliminate level by level, and one
+set of runs per level merges four boxes into their parent (WgSpace.quadtree).
+The quadtree's level-major order numbers the dofs: the interiors in element
+order, then level 1's crosses box by box, and so on up to the top cross.
+Every level then holds its crosses as one contiguous range of dofs, the dofs
+its boxes touch as the tail after it, and its perimeters as 32-bit offsets
+into that tail; the dof map is level 0, each element's interior and then its
+perimeter.  Only qh_project builds coefficients in the edge-major layout (the
+interiors, then edge dofs by component, interior edge and basis function),
+and it permutes them by ``order``, which maps each dof to its layout id.
 
 The forms are applied, never assembled on the solve path (AssembledForms).
 A x is one gather of x through the space's dof map, whose Dirichlet
@@ -84,9 +85,12 @@ class WgSpace:
     Local degree-of-freedom order on each element: the interior block of
     dimension (k+1)(k+2)/2, then trace blocks of dimension k per edge in
     (left, right, bottom, top) order, then normal-derivative blocks in the
-    same order for the fourth-order problem.  Globally, interior blocks come
-    first (element-major), then trace blocks (interior-edge-major), then
-    normal blocks.
+    same order for the fourth-order problem.  Globally, the dofs follow the
+    level-major order of the quadtree: the interior blocks first
+    (element-major), then the crosses of level 1's 2 x 2 boxes, box by box,
+    and so on up to the two midlines of the square.  A cross runs over its
+    vertical midline, then its horizontal one, by component, then edge, then
+    basis function.
     """
 
     mesh: MeshLevel
@@ -135,13 +139,15 @@ class WgSpace:
         return self.dim_interior + 4 * self.dim_trace * self.num_edge_components
 
     def local_dof_map(self) -> np.ndarray:
-        """(Ne, n_local) global indices in local order, built once; the sink
-        ``ndof`` marks boundary blocks, so a gather from a vector padded by
-        one zero reads them as 0, and a bincount scatter drops them in one
+        """(Ne, n_local) global indices in local order, built once: level 0 of
+        the quadtree, each element's interior and then its perimeter.  The
+        sink ``ndof`` marks boundary blocks, so a gather from a vector padded
+        by one zero reads them as 0, and a bincount scatter drops them in one
         extra bin."""
         if self._dof_map is None:
-            self._dof_map = np.hstack([np.arange(self.n_interior_dofs).reshape(
-                -1, self.dim_interior), _edge_dofs(self, self.mesh.elem_edges)])
+            first = self.quadtree.levels[0]
+            self._dof_map = np.hstack([np.arange(first.stop).reshape(-1, first.n_cross),
+                                       first.perimeter.astype(np.intp) + first.stop])
         return self._dof_map
 
     @cached_property
@@ -158,21 +164,21 @@ class WgSpace:
 
 @dataclass(frozen=True)
 class BoxLevel:
-    """The 2^l x 2^l boxes of quadtree level l, as positions in the level-major
-    order of the factor (Quadtree): level 0's crosses, then level 1's box by
-    box, and so on up to the top cross.
+    """The 2^l x 2^l boxes of quadtree level l, in the level-major dof
+    numbering (Quadtree): level 0's crosses, then level 1's box by box, and
+    so on up to the top cross.
 
     A box's cross is what level l eliminates: the element interior at level
     0, above it the edge dofs on the box's two midlines.  The level's crosses
-    fill the positions start .. stop - 1, ``n_cross`` per box.  A box's
-    perimeter holds the edge dofs on its sides as offsets into the tail
-    stop .. ndof of the positions, with the sink offset ``ndof - stop`` for a
-    Dirichlet dof; the top box has none.  Each perimeter dof off the boundary
-    belongs to two boxes, and these are exactly the tail offsets
-    0 .. ndof - stop - 1, the positions of the higher levels.  Box-local
-    positions run over the cross, then the perimeter, and ``merge[q]`` places
-    the perimeter of child q (level l - 1) among them as runs (source,
-    target, length), one set for every box.
+    are the dofs start .. stop - 1, ``n_cross`` per box.  A box's perimeter
+    holds the edge dofs on its sides as offsets into the tail stop .. ndof of
+    the dofs, with the sink offset ``ndof - stop`` for a Dirichlet dof; a top
+    box above level 0 has none.  Each perimeter dof off the boundary belongs
+    to two boxes, and these are exactly the tail offsets 0 .. ndof - stop - 1,
+    the dofs of the higher levels.  Box-local positions run over the cross,
+    then the perimeter, and ``merge[q]`` places the perimeter of child q
+    (level l - 1) among them as runs (source, target, length), one set for
+    every box.
     """
 
     start: int
@@ -188,14 +194,14 @@ class BoxLevel:
 
 class Quadtree(NamedTuple):
     """The box levels of the nested-dissection factor and ``order``, which
-    maps each level-major position to its dof id."""
+    maps each dof to its id in the edge-major layout of qh_project."""
 
     levels: list[BoxLevel]
     order: np.ndarray
 
 
 def _edge_dofs(space: WgSpace, edges: np.ndarray) -> np.ndarray:
-    """Global ids of each row of edges' dofs, ``ndof`` on the boundary."""
+    """Layout ids of each row of edges' dofs (Quadtree), ``ndof`` on the boundary."""
     mesh, k = space.mesh, space.dim_trace
     comp = np.arange(space.num_edge_components)[:, None, None]
     ii = mesh.interior_index[edges[:, None, :, None]]
@@ -241,7 +247,7 @@ def _box_levels(space: WgSpace) -> Quadtree:
         y0, x0, t = m * y0[:, None], m * x0[:, None], np.arange(m)
         sides = np.hstack([edge(0, x0, y0 + t), edge(0, x0 + m, y0 + t),
                            edge(1, x0 + t, y0), edge(1, x0 + t, y0 + m)])
-        perimeter = _edge_dofs(space, sides[:, :0] if level == space.mesh.level else sides)
+        perimeter = _edge_dofs(space, sides[:, :0] if 0 < level == space.mesh.level else sides)
         if level == 0:
             cross, merge = np.arange(space.n_interior_dofs).reshape(len(sides), -1), None
         else:
@@ -259,7 +265,8 @@ def _box_levels(space: WgSpace) -> Quadtree:
         crosses.append(cross)
         perimeters.append(perimeter)
         merges.append(merge)
-    # 32-bit positions and ids where they fit, as in _scatter_symmetric.
+    # 32-bit dofs and layout ids where they fit, as in _scatter_symmetric;
+    # position maps each layout id to its dof.
     ids = np.int32 if ndof < 2**31 else np.int64
     order = np.concatenate([cross.ravel() for cross in crosses]).astype(ids)
     position = np.empty(ndof + 1, dtype=ids)
@@ -531,8 +538,8 @@ def _scatter_symmetric(space: WgSpace, local: np.ndarray) -> sp.csr_matrix:
 
 def assemble(space: WgSpace) -> AssembledForms:
     """The stiffness form A and the mass form B of the pencil.  Only what
-    their products read is built here, the local kit and the dof map; no
-    global matrix is."""
+    their products read is built here, the local kit and the dof map (with
+    the quadtree, whose level 0 it is); no global matrix is."""
     space.kit()
     space.local_dof_map()
     return AssembledForms(space)
@@ -622,7 +629,7 @@ def qh_project(space: WgSpace, f, grad=None, npts: int = DEFAULT_FIELD_QUAD) -> 
     if space.kind == BIHARMONIC and grad is None:
         raise ValueError("the fourth-order projection needs the gradient of f")
     kit = space.kit()
-    coeffs = np.zeros(space.ndof)
+    coeffs = np.zeros(space.ndof)  # in the edge-major layout of Quadtree.order
 
     factors = getattr(f, "factors", None)
     if factors is None:
@@ -644,4 +651,4 @@ def qh_project(space: WgSpace, f, grad=None, npts: int = DEFAULT_FIELD_QUAD) -> 
         normal = _edge_projections(space, normal_derivative, npts)
         off = base + space.mesh.num_interior_edges * k
         coeffs[off : off + normal.size] = normal.ravel()
-    return WgFunction(space, coeffs)
+    return WgFunction(space, coeffs[space.quadtree.order])

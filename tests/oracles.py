@@ -291,14 +291,16 @@ def vnorm_error(u_h: WgFunction, u, grad_u, lap_u,
     qbu = cho_solve(kit.Ge_cho, ((u_vals * w1[None, :]) @ psi_ref).T).T
 
     k = space.dim_trace
+    layout = np.empty_like(u_h.coeffs)  # the edge-major layout: interiors, traces, normals
+    layout[space.quadtree.order] = u_h.coeffs
     trace_c = np.zeros((mesh.num_edges, k))
     normal_c = np.zeros((mesh.num_edges, k))
     ii = mesh.interior_index
     inter = ii >= 0
     base = space.n_interior_dofs
-    trace_c[inter] = u_h.coeffs[base : base + mesh.num_interior_edges * k].reshape(-1, k)[ii[inter]]
+    trace_c[inter] = layout[base : base + mesh.num_interior_edges * k].reshape(-1, k)[ii[inter]]
     nbase = base + mesh.num_interior_edges * k
-    normal_c[inter] = u_h.coeffs[nbase : nbase + mesh.num_interior_edges * k].reshape(-1, k)[ii[inter]]
+    normal_c[inter] = layout[nbase : nbase + mesh.num_interior_edges * k].reshape(-1, k)[ii[inter]]
 
     side_pts = (
         (np.zeros(nq), off),   # left
@@ -352,7 +354,7 @@ def lower_bound_check(errors) -> list[bool]:
     return [bool(e >= 0.0) for e in errors]
 
 
-# -- the assembly scatter and the nested-dissection factor on dof ids ------------------
+# -- the assembly scatter and the nested-dissection factor on layout ids ---------------
 
 
 def masked_scatter(space: WgSpace, local: np.ndarray) -> sp.csr_matrix:
@@ -379,7 +381,7 @@ def masked_scatter(space: WgSpace, local: np.ndarray) -> sp.csr_matrix:
 
 
 class IdBoxLevel(NamedTuple):
-    """A quadtree level as global dof ids: every box's cross and perimeter
+    """A quadtree level as layout ids: every box's cross and perimeter
     (``ndof`` for a Dirichlet dof), the merge map of each child's perimeter
     into the box-local positions, the sorted ``touched`` ids off the boundary
     and ``pairs``, their two flat perimeter positions."""
@@ -405,14 +407,17 @@ def id_edge_dofs(space: WgSpace, edges: np.ndarray):
 
 
 def id_dof_map(space: WgSpace) -> np.ndarray:
-    """WgSpace.local_dof_map from the ids of every element's edges."""
+    """The dof map in the edge-major layout of qh_project, Quadtree.order's
+    ids: the interiors, then each element's edge ids."""
     edges = id_edge_dofs(space, space.mesh.elem_edges)[0]
     return np.hstack([np.arange(space.n_interior_dofs).reshape(-1, space.dim_interior), edges])
 
 
 def id_box_levels(space: WgSpace) -> list[IdBoxLevel]:
-    """George's nested dissection of the uniform mesh on dof ids, built from
-    the mesh's edge numbering independently of WgSpace.quadtree."""
+    """George's nested dissection of the uniform mesh on the ids of the
+    edge-major layout (id_dof_map), built from the mesh's edge numbering
+    independently of WgSpace.quadtree.  A top level above 0 has no
+    perimeter; level 0 keeps its own, all Dirichlet on one element."""
     n = space.mesh.n
 
     def edge(horizontal, i, j):
@@ -436,7 +441,7 @@ def id_box_levels(space: WgSpace) -> list[IdBoxLevel]:
             order = np.argsort(own)
             merge = order[np.searchsorted(own, children, sorter=order)]
         below = sides
-        perimeter = perimeter[:, :0] if level == space.mesh.level else perimeter
+        perimeter = perimeter[:, :0] if 0 < level == space.mesh.level else perimeter
         flat = perimeter.ravel()
         pairs = np.argsort(flat, kind="stable")
         pairs = pairs[flat[pairs] < space.ndof].reshape(-1, 2).T
@@ -445,9 +450,10 @@ def id_box_levels(space: WgSpace) -> list[IdBoxLevel]:
 
 
 class IdNestedLU:
-    """The nested-dissection factor of M = A - shift B on dof ids: four
+    """The nested-dissection factor of M = A - shift B on layout ids: four
     children merged by np.ix_ scatters, every cross gathered and scattered
-    by id.  Same arithmetic as linalg.NestedLU, so the same bits."""
+    by id.  Same arithmetic as linalg.NestedLU, so the same bits, its
+    vectors permuted by Quadtree.order."""
 
     def __init__(self, forms: AssembledForms, shift: float):
         kit, nb = forms.space.kit(), forms.space.dim_interior

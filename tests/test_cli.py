@@ -172,6 +172,24 @@ def test_config_file_unknown_key(capsys, tmp_path, line):
     assert f"run.cfg:2: unknown key '{key}'" in err
 
 
+def test_table_fine_level_takes_a_level_list(capsys, tmp_path):
+    # table's --fine-level takes one level or several, as a list or a range;
+    # there is no --fine-levels, as a flag or as a config key.
+    table = ["table", "--problem", "biharmonic", "--degree", "2", "--coarse-levels", "2",
+             "--num-eigs", "1", "--output", "csv"]
+    code, by_list, _ = run_cli(capsys, *table, "--fine-level", "3,4")
+    assert code == 0
+    code, by_range, _ = run_cli(capsys, *table, "--fine-level", "3:4")
+    assert code == 0 and without_seconds(by_range) == without_seconds(by_list)
+    code, out, _ = run_cli(capsys, *table, "--fine-levels", "3,4")
+    assert code == 2 and out == ""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("coarse_levels = 2\nfine_levels = 3,4\n")
+    code, out, err = run_cli(capsys, "table", "--config", str(cfg), "--num-eigs", "1")
+    assert code == 2 and out == ""
+    assert "run.cfg:2: unknown key 'fine_levels'" in err
+
+
 @pytest.mark.parametrize("repeat", ["num_eigs = 3", "num-eigs = 3"])
 def test_config_file_repeated_key(capsys, tmp_path, repeat):
     cfg = tmp_path / "run.cfg"
@@ -224,7 +242,7 @@ def test_table_grid_and_two_block(capsys):
 
     code, out, _ = run_cli(
         capsys, "table", "--problem", "biharmonic", "--degree", "2",
-        "--fine-levels", "3,4", "--coarse-levels", "2", "--num-eigs", "1",
+        "--fine-level", "3,4", "--coarse-levels", "2", "--num-eigs", "1",
         "--output", "csv",
     )
     assert code == 0

@@ -48,9 +48,8 @@ def _clamped_box_eigs(forms, level):
     space, m = forms.space, 1 << level
     inside = (space.mesh.elem_ix < m) & (space.mesh.elem_iy < m)
     dof = space.local_dof_map()[inside]
-    levels, order = space.quadtree
-    perimeter = levels[level].stop + levels[level].perimeter[0]
-    ids = np.setdiff1d(dof[dof < space.ndof], np.append(order, space.ndof)[perimeter])
+    box = space.quadtree.levels[level]
+    ids = np.setdiff1d(dof[dof < space.ndof], box.stop + box.perimeter[0])
     ni = int(np.sum(ids < forms.n_interior))
     return condensed_pencil_eigs(forms.A[ids][:, ids], forms.B[ids][:, ids], ni, ni)
 
@@ -262,8 +261,9 @@ def _bitwise(got, want):
 def _assert_bitwise_the_id_oracle(forms, sigma, lu, rhs):
     # The factor (cross blocks, LUs with their pivots, X, the stored
     # inverses) and solves with full-length, interior-only and 2-D
-    # right-hand sides equal the id-valued factor and solve bit for bit.
-    oracle = IdNestedLU(forms, sigma)
+    # right-hand sides equal the id-valued factor and solve bit for bit,
+    # the oracle's vectors permuted from layout ids into dofs.
+    oracle, order = IdNestedLU(forms, sigma), forms.space.quadtree.order
     assert len(lu.factors) == len(oracle.factors)
     for (block, (factor, piv), X), (want_block, (want_factor, want_piv), want_X) in zip(
             lu.factors, oracle.factors):
@@ -272,10 +272,11 @@ def _assert_bitwise_the_id_oracle(forms, sigma, lu, rhs):
             assert _bitwise(got, want), sigma
     for inv, want in zip(lu.inverses, oracle.inverses, strict=True):
         assert (inv is None and want is None) or _bitwise(inv, want), sigma
-    inner = rhs[:forms.n_interior, 1]
+    inner = rhs[:forms.n_interior, 1]  # the interiors keep their layout ids
     for r in (rhs[:, 0], inner, np.append(inner, np.zeros(forms.space.ndof - len(inner)))):
-        assert _bitwise(lu.solve(r), oracle.solve(r)), sigma
-    assert _bitwise(lu.solve(rhs), np.column_stack([oracle.solve(r) for r in rhs.T])), sigma
+        assert _bitwise(lu.solve(r[order[:len(r)]]), oracle.solve(r)[order]), sigma
+    assert _bitwise(lu.solve(rhs[order]),
+                    np.column_stack([oracle.solve(r)[order] for r in rhs.T])), sigma
 
 
 @pytest.mark.parametrize("kind,degree", [("laplacian", 1), ("laplacian", 3), ("biharmonic", 2)])

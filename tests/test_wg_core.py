@@ -194,9 +194,14 @@ def test_fill_reducing_order_is_a_permutation(kind, degree, level):
     assert np.array_equal(np.sort(order), np.arange(ndof))
     assert [box.start for box in levels] == [0] + [box.stop for box in levels[:-1]]
     assert levels[-1].stop == ndof
-    assert levels[-1].boxes == 1 and levels[-1].perimeter.size == 0
-    # Level 0's crosses are the interiors in element order, so the solve
-    # reads an interior-only right-hand side as it is (linalg).
+    assert levels[-1].boxes == 1
+    if level == 0:  # level 0 keeps its perimeter, all Dirichlet on one element
+        assert np.array_equal(levels[0].perimeter,
+                              np.zeros((1, space.n_local - space.dim_interior)))
+    else:
+        assert levels[-1].perimeter.size == 0
+    # Level 0's crosses are the interiors in element order, which keep their
+    # layout ids.
     n_int = space.n_interior_dofs
     assert (levels[0].stop, levels[0].n_cross) == (n_int, space.dim_interior)
     assert np.array_equal(order[:n_int], np.arange(n_int))
@@ -219,9 +224,10 @@ def test_fill_reducing_order_is_a_permutation(kind, degree, level):
 @pytest.mark.parametrize("kind,degree", [("laplacian", 1), ("laplacian", 3), ("biharmonic", 2)])
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
 def test_level_major_quadtree_matches_the_id_oracle(kind, degree, level):
-    # Through the one permutation, every box's cross and perimeter are the
-    # dof ids of the quadtree built on ids, and the merge runs place each
-    # child's perimeter where its merge map does.
+    # Read through ``order`` as layout ids, every box's cross and perimeter
+    # are those of the quadtree built on layout ids (level 0 keeps its
+    # perimeter, all Dirichlet on one element), and the merge runs place
+    # each child's perimeter where its merge map does.
     space = wg.WgSpace(build_uniform(level), degree, kind=kind, epsilon=0.1)
     (levels, order), ndof = space.quadtree, space.ndof
     ids = np.append(order, ndof)  # the Dirichlet slot maps to itself
@@ -246,7 +252,7 @@ def test_level_major_quadtree_matches_the_id_oracle(kind, degree, level):
 def test_quadtree_keeps_one_permutation_and_32_bit_positions(kind, degree, level):
     # Below 2**31 dofs every quadtree index array is 32-bit, the rule of the
     # assembly scatter, and no level keeps global ids or a pair-sum operator:
-    # the one permutation ``order`` maps positions to ids, and each level
+    # the one permutation ``order`` maps dofs to layout ids, and each level
     # keeps only its perimeters as offsets into its tail.  At h=1/256, k=1
     # these arrays take 3.4 MB, and the int64 id arrays of the oracle's
     # quadtree (cross, perimeter, pairs, touched) 13.0 MB.
@@ -500,11 +506,27 @@ def test_max_abs_is_the_csr_maximum_bit_for_bit(kind, degree, level):
 @pytest.mark.parametrize("kind,degree", [("laplacian", 1), ("laplacian", 3), ("biharmonic", 2)])
 @pytest.mark.parametrize("level", [0, 1, 2, 3, 5])
 def test_dof_map_is_bitwise_the_id_oracle(kind, degree, level):
-    # The dof map from global ids alone equals the map built beside the
-    # boundary-blind ids of every element, as intp for numpy's gathers.
+    # The dof map, read in layout ids through the quadtree's order, equals
+    # the map built from the ids of every element's edges, as intp for
+    # numpy's gathers.
     space = wg.WgSpace(build_uniform(level), degree, kind=kind, epsilon=0.1)
     want, got = id_dof_map(space), space.local_dof_map()
-    assert got.dtype == want.dtype == np.intp and got.tobytes() == want.tobytes()
+    ids = np.append(space.quadtree.order, space.ndof).astype(np.intp)  # the sink maps to itself
+    assert got.dtype == want.dtype == np.intp and ids[got].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind,degree", [("laplacian", 1), ("laplacian", 3), ("biharmonic", 2)])
+@pytest.mark.parametrize("level", [0, 2, 3])
+def test_dof_map_is_level_zero_of_the_quadtree(kind, degree, level):
+    # The quadtree's level-major order numbers the dofs: each row of the dof
+    # map is an element's interior, then its perimeter at level 0, whose
+    # Dirichlet sink offset ndof - stop names the sink ndof.
+    space = wg.WgSpace(build_uniform(level), degree, kind=kind, epsilon=0.1)
+    first, got = space.quadtree.levels[0], space.local_dof_map()
+    assert first.perimeter.shape == (space.mesh.num_elements, space.n_local - first.n_cross)
+    want = np.hstack([np.arange(first.stop).reshape(first.boxes, first.n_cross),
+                      first.stop + first.perimeter])
+    assert got.dtype == np.intp and np.array_equal(got, want)
 
 
 def test_mass_matrix_lives_on_interior_only(lap_L3_k1):
@@ -695,12 +717,10 @@ def test_box_blocks_match_the_assembled_schur_complement(kind, degree, level):
     # For box 0 of every quadtree level, the cross block and X = K_CC⁻¹ K_CP
     # of the factor, merged from four copies of the level below, equal the
     # Schur complement of the box's own elements, assembled by the dof map,
-    # onto the box's cross and perimeter (Dirichlet perimeter dofs dropped),
-    # whose positions map to dof ids through the quadtree's one permutation.
+    # onto the box's cross and perimeter (Dirichlet perimeter dofs dropped).
     space = wg.WgSpace(build_uniform(level), degree, kind=kind, epsilon=0.1)
     lu, ndof = linalg.factor_spd(wg.assemble(space)), space.ndof
-    levels, order = space.quadtree
-    ids = np.append(order, ndof)  # the Dirichlet slot maps to itself
+    levels = space.quadtree.levels
     a = space.kit().a_local
     for i, (box, (block, _, X)) in enumerate(zip(levels, lu.factors)):
         inside = (space.mesh.elem_ix < 2 ** i) & (space.mesh.elem_iy < 2 ** i)
@@ -708,8 +728,8 @@ def test_box_blocks_match_the_assembled_schur_complement(kind, degree, level):
         A = np.zeros((ndof + 1, ndof + 1))
         for row in dof:
             A[np.ix_(row, row)] += a
-        keep = ids[np.concatenate([np.arange(box.start, box.start + box.n_cross),
-                                   box.stop + box.perimeter[0]])]
+        keep = np.concatenate([np.arange(box.start, box.start + box.n_cross),
+                               box.stop + box.perimeter[0]])
         live, rest = keep[keep < ndof], np.setdiff1d(dof[dof < ndof], keep)
         S = A[np.ix_(live, live)] - A[np.ix_(live, rest)] @ np.linalg.solve(
             A[np.ix_(rest, rest)], A[np.ix_(rest, live)])
