@@ -26,7 +26,7 @@ _EXPORTS = {
     "mesh": ("MeshLevel", "build_uniform", "containment_map"),
     "twogrid": ("cross_mass_rhs", "run_sipg"),
     "wg_core": (
-        "BIHARMONIC", "LAPLACIAN", "AssembledForms", "WgFunction", "WgSpace",
+        "BIHARMONIC", "LAPLACIAN", "WgFunction", "WgSpace",
         "assemble", "qh_project",
     ),
     "errors": (

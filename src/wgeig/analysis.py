@@ -18,7 +18,7 @@ from .errors import EmptyClusterError, NonPositiveError
 from .mesh import build_uniform
 from .polyspace import dim_pk
 from .twogrid import run_sipg
-from .wg_core import LAPLACIAN, AssembledForms, WgSpace, assemble, qh_project
+from .wg_core import LAPLACIAN, WgSpace, assemble, qh_project
 from scipy.linalg import cho_factor, cho_solve
 
 # First clamped-plate eigenvalue on the unit square (literature reference).
@@ -100,18 +100,18 @@ def _span_distance(basis: np.ndarray, w: np.ndarray, M) -> float:
     return float(np.sqrt(max(d @ (M @ d), 0.0)))
 
 
-def energy_error(forms: AssembledForms, u_bar: np.ndarray, generators) -> float:
+def energy_error(space: WgSpace, u_bar: np.ndarray, generators) -> float:
     """Energy distance from u_bar to the span of the interpolated generators.
 
     Minimizes over all linear combinations (direction and scale) of the
-    componentwise interpolants of the generators into forms.space; for a
+    componentwise interpolants of the generators into the space; for a
     single generator this reduces to a sign and scale alignment.
     """
     gens = list(generators)
     if not gens:
         raise EmptyClusterError("no generators supplied")
-    cols = np.column_stack([qh_project(forms.space, g).coeffs for g in gens])
-    return _span_distance(cols, np.asarray(u_bar, dtype=float), forms.operator())
+    cols = np.column_stack([qh_project(space, g).coeffs for g in gens])
+    return _span_distance(cols, np.asarray(u_bar, dtype=float), space.operator())
 
 
 # -- convergence utilities -------------------------------------------------------
@@ -211,16 +211,15 @@ def direct_study(kind: str, degree: int, epsilon: float, levels, num_eigs: int,
     hs: list[float] = []
     for level in levels:
         t0 = time.perf_counter()
-        space = WgSpace(build_uniform(level), degree, kind=kind, epsilon=epsilon)
-        forms = assemble(space)
-        pairs = smallest_eigs(forms, num_eigs, tol=tol)
+        space = assemble(WgSpace(build_uniform(level), degree, kind=kind, epsilon=epsilon))
+        pairs = smallest_eigs(space, num_eigs, tol=tol)
         dt = time.perf_counter() - t0
         hs.append(space.mesh.h)
         for j, pair in enumerate(pairs, start=1):
             lam_ex, cluster = exact[j - 1]
             energy = None
             if kind == LAPLACIAN and cluster is not None:
-                energy = energy_error(forms, pair.vector, cluster.generators)
+                energy = energy_error(space, pair.vector, cluster.generators)
                 energies[j].append(energy)
             row = _study_row(kind, degree, epsilon, level, level, j, lam_ex, pair.value,
                              None, energy, dt)
@@ -246,16 +245,16 @@ def sipg_study(kind: str, degree: int, epsilon: float, coarse_levels, fine_level
     """
     coarse_levels = list(coarse_levels)
     exact = _exact_values(kind, degree, num_eigs, coarse_levels)
-    fine_space = WgSpace(build_uniform(fine_level), degree, kind=kind, epsilon=epsilon)
-    fine_forms = assemble(fine_space)
+    fine_space = assemble(WgSpace(build_uniform(fine_level), degree, kind=kind,
+                                  epsilon=epsilon))
     direct_pairs = None
     if include_direct:
-        direct_pairs = smallest_eigs(fine_forms, num_eigs, tol=tol)
+        direct_pairs = smallest_eigs(fine_space, num_eigs, tol=tol)
 
     rows: list[StudyRow] = []
     warnings: list[str] = []
     for coarse_level in coarse_levels:
-        for t in run_sipg(fine_forms, coarse_level, num_eigs, tol=tol):
+        for t in run_sipg(fine_space, coarse_level, num_eigs, tol=tol):
             j = t.index
             if t.warning:
                 warnings.append(t.warning)
@@ -263,7 +262,7 @@ def sipg_study(kind: str, degree: int, epsilon: float, coarse_levels, fine_level
             lam_h = None if direct_pairs is None else direct_pairs[j - 1].value
             energy = None
             if kind == LAPLACIAN and cluster is not None and t.normalized is not None:
-                energy = energy_error(fine_forms, t.normalized, cluster.generators)
+                energy = energy_error(fine_space, t.normalized, cluster.generators)
             lam_tilde = t.rayleigh if np.isfinite(t.rayleigh) else None
             rows.append(_study_row(kind, degree, epsilon, coarse_level, fine_level, j,
                                    lam_ex, lam_h, lam_tilde, energy, t.seconds))

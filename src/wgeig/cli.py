@@ -200,6 +200,9 @@ def _common_meta(args) -> dict:
             ("command", "problem", "degree", "epsilon", "num_eigs", "tol", "output")}
     if meta["num_eigs"] < 1:
         raise ValueError("--num-eigs must be at least 1")
+    for key in ("tol", "epsilon"):  # NaN fails both comparisons
+        if not 0.0 < meta[key] < 1.0:
+            raise ValueError(f"--{key} must lie in (0, 1), got {meta[key]}")
     if args.out_file:
         meta["out_file"] = args.out_file
     return meta
@@ -209,7 +212,7 @@ def _maybe_dump(args, meta: dict, level: int) -> None:
     if not args.dump_mesh and not args.dump_matrices:
         return
     from .mesh import build_uniform
-    from .wg_core import WgSpace, assemble
+    from .wg_core import WgSpace
 
     mesh = build_uniform(level)
     if args.dump_mesh:
@@ -218,10 +221,9 @@ def _maybe_dump(args, meta: dict, level: int) -> None:
         import scipy.io as sio
 
         space = WgSpace(mesh, meta["degree"], kind=meta["problem"], epsilon=meta["epsilon"])
-        forms = assemble(space)
         os.makedirs(args.dump_matrices, exist_ok=True)
-        sio.mmwrite(os.path.join(args.dump_matrices, "stiffness.mtx"), forms.A)
-        sio.mmwrite(os.path.join(args.dump_matrices, "mass.mtx"), forms.B)
+        sio.mmwrite(os.path.join(args.dump_matrices, "stiffness.mtx"), space.A)
+        sio.mmwrite(os.path.join(args.dump_matrices, "mass.mtx"), space.B)
 
 
 def _cmd_direct(args) -> int:

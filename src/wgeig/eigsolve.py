@@ -15,7 +15,8 @@ into buffers that every application reuses.  The eigenvectors come back from
 the same solve, one per pair, x = A⁻¹ (L z), and every pair is certified by
 its residual; a failed gate asks ARPACK once more, for m + 1 pairs.  The
 residuals, the b-form normalization and the Rayleigh quotients multiply by A
-and B matrix-free (wg_core.AssembledForms), so no global matrix is built.
+and B matrix-free (WgSpace.operator and WgSpace.mass), so no global matrix is
+built.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import (
     NoConvergenceError,
     ZeroMassError,
 )
-from .wg_core import AssembledForms
+from .wg_core import WgSpace
 
 _START_SEED = 20240901
 
@@ -70,27 +71,27 @@ class EigenCluster:
         return groups
 
 
-def _b_normalized(x: np.ndarray, B, n_interior: int) -> np.ndarray:
+def _b_normalized(space: WgSpace, x: np.ndarray) -> np.ndarray:
     """x scaled to unit b-norm, its largest interior entry made positive."""
-    x = x / np.sqrt(x @ (B @ x))
-    lead = int(np.argmax(np.abs(x[:n_interior])))
+    x = x / np.sqrt(x @ (space.mass @ x))
+    lead = int(np.argmax(np.abs(x[:space.n_interior_dofs])))
     return -x if x[lead] < 0.0 else x
 
 
-def smallest_eigs(forms: AssembledForms, m: int, tol: float = 1e-10,
+def smallest_eigs(space: WgSpace, m: int, tol: float = 1e-10,
                   maxiter: int | None = None) -> list[EigenPair]:
     """The m smallest pencil eigenvalues with b-form-orthonormal vectors.
 
     ``maxiter`` caps the number of operator applications (solves with the
     stiffness factor); reaching it raises NoConvergenceError.
     """
-    A, B, n_int = forms.operator(), forms.mass, forms.n_interior
+    A, B, n_int = space.operator(), space.mass, space.n_interior_dofs
     if m < 1:
         raise ValueError("at least one eigenpair must be requested")
     if m > n_int:
         raise ValueError(f"requested {m} eigenpairs but the mass rank is {n_int}")
 
-    lu, L = linalg.factor_spd(forms), np.linalg.cholesky(forms.space.kit().Gk)
+    lu, L = linalg.factor_spd(space), np.linalg.cholesky(space.kit().Gk)
     nb, applied = L.shape[0], 0
     # Every application reuses these two, as the factor reuses its workspace.
     scaled, result = np.empty(n_int), np.empty(n_int)
@@ -132,7 +133,7 @@ def smallest_eigs(forms: AssembledForms, m: int, tol: float = 1e-10,
         pairs = []
         for i in range(m):
             # One solve per pair keeps the work arrays at one vector of length n.
-            x = _b_normalized(lu.solve(blockwise(L, Z[:, i], scaled)), B, n_int)
+            x = _b_normalized(space, lu.solve(blockwise(L, Z[:, i], scaled)))
             ax = A @ x
             resid = float(np.linalg.norm(ax - lam[i] * (B @ x)) / np.linalg.norm(ax))
             pairs.append(EigenPair(value=float(lam[i]), vector=x, residual=resid))
@@ -142,7 +143,7 @@ def smallest_eigs(forms: AssembledForms, m: int, tol: float = 1e-10,
     raise NoConvergenceError(applied, worst)
 
 
-def solve_shifted(forms: AssembledForms, shift: float, rhs: np.ndarray,
+def solve_shifted(space: WgSpace, shift: float, rhs: np.ndarray,
                   tol: float = 1e-10) -> np.ndarray:
     """Solve (A - shift B) x = rhs with the nested-dissection factor (linalg).
 
@@ -156,8 +157,8 @@ def solve_shifted(forms: AssembledForms, shift: float, rhs: np.ndarray,
     as on an eigenvalue of a box's pencil, such as the local (a_II, Gk).
     Either way NearSingularError is raised instead of garbage.
     """
-    lu, pivot_ratio = linalg.factor_indefinite(forms, shift)
-    x, rel = linalg.refined_solve(lu, forms.operator(shift), np.asarray(rhs, dtype=float), tol)
+    lu, pivot_ratio = linalg.factor_indefinite(space, shift)
+    x, rel = linalg.refined_solve(lu, space.operator(shift), np.asarray(rhs, dtype=float), tol)
     if pivot_ratio < linalg.PIVOT_RATIO_FLOOR or rel > tol:
         sol = x if np.all(np.isfinite(x)) else None
         raise NearSingularError(
@@ -168,11 +169,11 @@ def solve_shifted(forms: AssembledForms, shift: float, rhs: np.ndarray,
     return x
 
 
-def rayleigh_quotient(forms: AssembledForms, x: np.ndarray) -> float:
+def rayleigh_quotient(space: WgSpace, x: np.ndarray) -> float:
     """a-form over b-form quotient; equals the eigenvalue on eigenvectors."""
     x = np.asarray(x, dtype=float)
-    den = float(x @ (forms.mass @ x))
+    den = float(x @ (space.mass @ x))
     if den <= 1e-300:
         raise ZeroMassError("vector has no interior mass component")
-    num = float(x @ (forms.operator() @ x))
+    num = float(x @ (space.operator() @ x))
     return num / den

@@ -21,9 +21,9 @@ buffers of its solves, so a solve allocates only its result.  Pivoting stays
 inside each cross block.  A is SPD iff every cross block is, and ν(M) is the
 sum of boxes · ν(cross block) over the levels (Haynsworth).
 
-No global matrix is read: the factor is built from the local matrices, and
-the refinement multiplies by M matrix-free (wg_core.AssembledForms).  The
-pivot ratio, the least pivot over max|M|, takes max|M| exactly from one
+No global matrix is read: the factor is built from the space's local
+matrices, and the refinement multiplies by M matrix-free (WgSpace.operator).
+The pivot ratio, the least pivot over max|M|, takes max|M| exactly from one
 element's rows.  It only flags a collapse outright: a shift exactly on an
 eigenvalue leaves it above the floor (2.4e-12 for the level 5 Laplacian at
 σ = λ₁,h); the residual after refinement shows it.
@@ -49,12 +49,12 @@ class NestedLU:
     the cross block K_CC of the one box matrix K, its LU and X = K_CC⁻¹ K_CP;
     ``L`` and ``U`` count the entries of the LUs and of X, each once."""
 
-    def __init__(self, forms, shift: float, on_failure):
-        self.levels = forms.space.quadtree.levels
-        self.ndof = forms.space.ndof
+    def __init__(self, space, shift: float, on_failure):
+        self.levels = space.quadtree.levels
+        self.ndof = space.ndof
         self.factors = []  # per level: the cross block, its LU and X
         self.inverses = []  # per level: K_CC⁻ᵀ, or None where getrs solves
-        K = forms.local(shift)
+        K = space.local(shift)
         for level in self.levels:
             n_c, size = level.n_cross, level.n_cross + level.perimeter.shape[1]
             if level.merge is None:
@@ -139,26 +139,26 @@ def _pair_sums(level, U: np.ndarray, ndof: int) -> np.ndarray:
     return np.bincount(level.perimeter.ravel(), U.ravel(), minlength=ndof + 1 - level.stop)[:-1]
 
 
-def factor_spd(forms) -> NestedLU:
-    """Factor the stiffness matrix A of ``forms``; raise if it is not SPD."""
-    lu = NestedLU(forms, 0.0, FactorizationFailureError)
+def factor_spd(space) -> NestedLU:
+    """Factor the stiffness matrix A of ``space``; raise if it is not SPD."""
+    lu = NestedLU(space, 0.0, FactorizationFailureError)
     if any(dpotrf(block)[1] for block, _, _ in lu.factors):
         raise FactorizationFailureError(
             "matrix is not positive definite (nonpositive pivot encountered)")
     return lu
 
 
-def factor_indefinite(forms, shift: float):
+def factor_indefinite(space, shift: float):
     """Factor of the symmetric, maybe indefinite M = A − shift·B, pivoting
     only inside each level's cross block.
 
     Returns (lu, pivot_ratio), the least pivot over max|M|, which
-    forms.max_abs gives exactly without assembling M; raises
+    space.max_abs gives exactly without assembling M; raises
     NearSingularError only when a cross block is exactly singular.  Callers
     decide what a collapsed pivot ratio means for them.
     """
-    scale = forms.max_abs(shift)
-    lu = NestedLU(forms, shift, lambda msg: NearSingularError(shift, pivot_ratio=0.0))
+    scale = space.max_abs(shift)
+    lu = NestedLU(space, shift, lambda msg: NearSingularError(shift, pivot_ratio=0.0))
     pivot = min(np.min(np.abs(np.diag(factor))) for _, (factor, _), _ in lu.factors)
     pivot_ratio = float(pivot / scale) if scale > 0 else 1.0
     return lu, pivot_ratio
@@ -166,7 +166,7 @@ def factor_indefinite(forms, shift: float):
 
 def refined_solve(lu, M, rhs: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
     """Solve M x = rhs with iterative refinement on a fixed factorization;
-    M is anything that multiplies by ``@``, such as AssembledForms.operator.
+    M is anything that multiplies by ``@``, such as WgSpace.operator.
 
     Returns (x, relative residual).  Refinement makes the 2-norm residual
     criterion reachable even for strongly amplifying (near singular) shifts,

@@ -18,7 +18,7 @@ from .eigsolve import _b_normalized, rayleigh_quotient, smallest_eigs, solve_shi
 from .errors import ConfigError, NearSingularError
 from .mesh import build_uniform, containment_map
 from .polyspace import pk_exponents
-from .wg_core import AssembledForms, WgFunction, WgSpace, _element_points, assemble
+from .wg_core import WgFunction, WgSpace, _element_points, assemble
 
 
 @dataclass
@@ -66,15 +66,14 @@ def cross_mass_rhs(u_coarse: WgFunction, fine_space: WgSpace) -> np.ndarray:
     return rhs
 
 
-def run_sipg(fine_forms: AssembledForms, coarse_level: int, num_eigs: int,
+def run_sipg(fine_space: WgSpace, coarse_level: int, num_eigs: int,
              tol: float = 1e-10) -> list[SipgTarget]:
-    """Run the two-grid scheme on the assembled fine forms.
+    """Run the two-grid scheme on the assembled fine space.
 
     The fine space fixes the kind, degree, epsilon and fine level; the coarse
     space repeats all but the level.  Near-singular shifted solves are
     recorded as warnings on their target and never silently ignored.
     """
-    fine_space = fine_forms.space
     if fine_space.mesh.level <= coarse_level:
         raise ConfigError(f"fine level ({fine_space.mesh.level}) must exceed coarse level "
                           f"({coarse_level})")
@@ -88,7 +87,7 @@ def run_sipg(fine_forms: AssembledForms, coarse_level: int, num_eigs: int,
         rhs = cross_mass_rhs(WgFunction(coarse_space, pair.vector), fine_space)
         warning, lam, xbar = None, float("nan"), None
         try:
-            x = solve_shifted(fine_forms, pair.value, rhs, tol=tol)
+            x = solve_shifted(fine_space, pair.value, rhs, tol=tol)
         except NearSingularError as exc:
             warning = (f"index {j}: shift {pair.value!r} collided with the fine "
                        f"spectrum ({exc})")
@@ -96,8 +95,8 @@ def run_sipg(fine_forms: AssembledForms, coarse_level: int, num_eigs: int,
             # iteration direction; report its Rayleigh value alongside the warning.
             x = exc.solution
         if x is not None:
-            lam = float(rayleigh_quotient(fine_forms, x))
-            xbar = _b_normalized(x, fine_forms.mass, fine_forms.n_interior)
+            lam = float(rayleigh_quotient(fine_space, x))
+            xbar = _b_normalized(fine_space, x)
         targets.append(SipgTarget(
             index=j, coarse_value=pair.value, rayleigh=lam, normalized=xbar,
             seconds=time.perf_counter() - t0, warning=warning,

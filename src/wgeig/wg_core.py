@@ -1,4 +1,4 @@
-"""Weak Galerkin spaces, weak differential operators, and form assembly.
+"""Weak Galerkin spaces, their weak differential operators and forms.
 
 A weak function carries an interior polynomial of degree k per element, a
 trace polynomial of degree k-1 per interior edge, and (for the fourth-order
@@ -20,7 +20,8 @@ perimeter.  Only qh_project builds coefficients in the edge-major layout (the
 interiors, then edge dofs by component, interior edge and basis function),
 and it permutes them by ``order``, which maps each dof to its layout id.
 
-The forms are applied, never assembled on the solve path (AssembledForms).
+A space holds the stiffness form A and the mass form B of its pencil, applied
+and never assembled on the solve path (WgSpace.operator, WgSpace.mass).
 A x is one gather of x through the space's dof map, whose Dirichlet
 entries name a sink slot ndof, one GEMM with the local stiffness matrix and
 one bincount scatter; B x is one GEMM with the interior Gram block Gk on the
@@ -31,13 +32,14 @@ from the rows of one element whose four edges are interior.
 
 One scatter builds the CSR matrices A and B, on demand only (--dump-matrices
 and the tests): A from the local stiffness matrix, B from Gk zero-padded to
-the local size.  It gathers, chunk by chunk of elements, the global ids of
-the local pairs with a nonzero entry, in row-major local order, and drops the
-pairs on a Dirichlet dof.  Each global entry sums at most two element terms,
-and two floating-point terms sum to the same bits in either order, so the
-result does not depend on the order of the elements; the local matrices are
-exactly symmetric, so A and B are too.  Zero local entries are not emitted
-and entries whose terms cancel to 0.0 are dropped, so A and B store no zeros.
+the local size.  It gathers the global ids of the local pairs with a nonzero
+entry, in row-major local order, into a matrix of order ndof + 1 and drops
+the last row and column, the Dirichlet sink of the products.  Each global
+entry sums at most two element terms, and two floating-point terms sum to the
+same bits in either order, so the result does not depend on the order of the
+elements; the local matrices are exactly symmetric, so A and B are too.  Zero
+local entries are not emitted and entries whose terms cancel to 0.0 are
+dropped, so A and B store no zeros.
 
 The interior Gram block Gk, which is the local mass matrix, is built from the
 exact moments of the centered monomials rather than by quadrature: moments of
@@ -91,6 +93,10 @@ class WgSpace:
     and so on up to the two midlines of the square.  A cross runs over its
     vertical midline, then its horizontal one, by component, then edge, then
     basis function.
+
+    The space also holds the two forms of the pencil, applied matrix-free
+    (``operator``, ``mass``; see the module docstring).  ``A`` and ``B`` are
+    the CSR matrices, scattered on first access and kept.
     """
 
     mesh: MeshLevel
@@ -160,6 +166,66 @@ class WgSpace:
         if self._kit is None:
             self._kit = _LocalKit(self)
         return self._kit
+
+    def local(self, shift: float = 0.0) -> np.ndarray:
+        """The shared local matrix of A - shift B."""
+        kit, nb = self.kit(), self.dim_interior
+        K = kit.a_local.copy()
+        K[:nb, :nb] -= shift * kit.Gk
+        return K
+
+    def operator(self, shift: float = 0.0) -> LinearOperator:
+        """A - shift B: a gather by the dof map, one GEMM with the local
+        matrix and a bincount scatter, dropping the Dirichlet sink."""
+        gather, K, n = self.local_dof_map(), self.local(shift), self.ndof
+
+        def matvec(x):
+            Y = np.append(x, 0.0)[gather] @ K  # K is symmetric
+            return np.bincount(gather.ravel(), Y.ravel(), minlength=n + 1)[:-1]
+
+        return LinearOperator((n, n), matvec=matvec, rmatvec=matvec, dtype=float)
+
+    @cached_property
+    def mass(self) -> LinearOperator:
+        """B: one GEMM with Gk on the element-major interiors, zero on the edges."""
+        Gk, n, ni = self.kit().Gk, self.ndof, self.n_interior_dofs
+
+        def matvec(x):
+            y = np.zeros(n)
+            y[:ni] = (np.ravel(x)[:ni].reshape(-1, len(Gk)) @ Gk).ravel()  # Gk is symmetric
+            return y
+
+        return LinearOperator((n, n), matvec=matvec, rmatvec=matvec, dtype=float)
+
+    def max_abs(self, shift: float = 0.0) -> float:
+        """max |A - shift B| over the stored entries, exactly, without A or B.
+
+        Each entry is one element's term of the shared local matrix, or on an
+        edge's own block the sum of two, so the rows of element (1, 1), whose
+        four edges are interior, hold every value.  A dense scatter over the
+        lower-left 3 x 3 block of elements sums those rows as the CSR does.
+        A mesh of one or two elements a side has no such element: there the
+        block is the whole mesh, and all its rows count."""
+        mesh, n = self.mesh, self.mesh.n
+        near = np.flatnonzero((mesh.elem_ix < 3) & (mesh.elem_iy < 3))
+        ids, slots = np.unique(self.local_dof_map()[near], return_inverse=True)
+        slots, K = slots.reshape(len(near), -1), self.local(shift)
+        M = np.zeros((len(ids), len(ids)))
+        for row in slots:  # the sink takes every Dirichlet term and is dropped
+            M[np.ix_(row, row)] += K
+        free = ids < self.ndof
+        rows = slots[np.searchsorted(near, n + 1)] if n >= 3 else free
+        return float(np.abs(M[rows][:, free]).max())
+
+    @cached_property
+    def A(self) -> sp.csr_matrix:
+        return _scatter_symmetric(self, self.kit().a_local)
+
+    @cached_property
+    def B(self) -> sp.csr_matrix:
+        b_local = np.zeros((self.n_local, self.n_local))
+        b_local[:self.dim_interior, :self.dim_interior] = self.kit().Gk
+        return _scatter_symmetric(self, b_local)
 
 
 @dataclass(frozen=True)
@@ -298,79 +364,6 @@ class WgFunction:
         """Interior coefficients reshaped to (num_elements, dim_interior)."""
         nd0 = self.space.dim_interior
         return self.coeffs[: self.space.n_interior_dofs].reshape(-1, nd0)
-
-
-@dataclass
-class AssembledForms:
-    """The stiffness form A and the mass form B of the pencil, applied
-    matrix-free (see the module docstring).  ``A`` and ``B`` are the CSR
-    matrices, scattered on first access and kept."""
-
-    space: WgSpace
-
-    @property
-    def n_interior(self) -> int:
-        return self.space.n_interior_dofs
-
-    def local(self, shift: float = 0.0) -> np.ndarray:
-        """The shared local matrix of A - shift B."""
-        kit, nb = self.space.kit(), self.space.dim_interior
-        K = kit.a_local.copy()
-        K[:nb, :nb] -= shift * kit.Gk
-        return K
-
-    def operator(self, shift: float = 0.0) -> LinearOperator:
-        """A - shift B: a gather by the dof map, one GEMM with the local
-        matrix and a bincount scatter, dropping the Dirichlet sink."""
-        gather, K, n = self.space.local_dof_map(), self.local(shift), self.space.ndof
-
-        def matvec(x):
-            Y = np.append(x, 0.0)[gather] @ K  # K is symmetric
-            return np.bincount(gather.ravel(), Y.ravel(), minlength=n + 1)[:-1]
-
-        return LinearOperator((n, n), matvec=matvec, rmatvec=matvec, dtype=float)
-
-    @cached_property
-    def mass(self) -> LinearOperator:
-        """B: one GEMM with Gk on the element-major interiors, zero on the edges."""
-        Gk, n, ni = self.space.kit().Gk, self.space.ndof, self.n_interior
-
-        def matvec(x):
-            y = np.zeros(n)
-            y[:ni] = (np.ravel(x)[:ni].reshape(-1, len(Gk)) @ Gk).ravel()  # Gk is symmetric
-            return y
-
-        return LinearOperator((n, n), matvec=matvec, rmatvec=matvec, dtype=float)
-
-    def max_abs(self, shift: float = 0.0) -> float:
-        """max |A - shift B| over the stored entries, exactly, without A or B.
-
-        Each entry is one element's term of the shared local matrix, or on an
-        edge's own block the sum of two, so the rows of element (1, 1), whose
-        four edges are interior, hold every value.  A dense scatter over the
-        lower-left 3 x 3 block of elements sums those rows as the CSR does.
-        A mesh of one or two elements a side has no such element: there the
-        block is the whole mesh, and all its rows count."""
-        mesh, n = self.space.mesh, self.space.mesh.n
-        near = np.flatnonzero((mesh.elem_ix < 3) & (mesh.elem_iy < 3))
-        ids, slots = np.unique(self.space.local_dof_map()[near], return_inverse=True)
-        slots, K = slots.reshape(len(near), -1), self.local(shift)
-        M = np.zeros((len(ids), len(ids)))
-        for row in slots:  # the sink takes every Dirichlet term and is dropped
-            M[np.ix_(row, row)] += K
-        free = ids < self.space.ndof
-        rows = slots[np.searchsorted(near, n + 1)] if n >= 3 else free
-        return float(np.abs(M[rows][:, free]).max())
-
-    @cached_property
-    def A(self) -> sp.csr_matrix:
-        return _scatter_symmetric(self.space, self.space.kit().a_local)
-
-    @cached_property
-    def B(self) -> sp.csr_matrix:
-        b_local = np.zeros((self.space.n_local, self.space.n_local))
-        b_local[:self.space.dim_interior, :self.space.dim_interior] = self.space.kit().Gk
-        return _scatter_symmetric(self.space, b_local)
 
 
 def _centred_moment(p: np.ndarray) -> np.ndarray:
@@ -512,37 +505,27 @@ class _LocalKit:
 
 def _scatter_symmetric(space: WgSpace, local: np.ndarray) -> sp.csr_matrix:
     """Assemble one shared symmetric local matrix over all elements: every pair
-    of free local dofs with a nonzero local entry, duplicates summed by the CSR
-    conversion, cancelled entries dropped (see the module docstring)."""
-    gdofs, ndof = space.local_dof_map(), space.ndof
+    of local dofs with a nonzero local entry, duplicates summed by the CSR
+    conversion, the sink row and column and cancelled entries dropped (see
+    the module docstring)."""
+    ndof = space.ndof
     I, J = np.nonzero(local)  # the local pairs, row by row
-    # 32-bit ids where they fit, as in the CSR result: int64 triplets cost
-    # 40 MB more transient memory at h=1/256.
-    ids = np.int32 if ndof < 2**31 else np.int64
-    rows, cols, vals = [], [], []
-    for start in range(0, gdofs.shape[0], _ELEMENT_CHUNK):
-        G = gdofs[start : start + _ELEMENT_CHUNK].astype(ids)
-        R, C = G[:, I], G[:, J]
-        free = (R < ndof) & (C < ndof)
-        rows.append(R[free])
-        cols.append(C[free])
-        vals.append(np.broadcast_to(local[I, J], R.shape)[free])
-    # Free the last gathers and each list once joined: the CSR conversion sets
-    # the peak, 29 MB lower at h=1/256 (21 MB for biharmonic k=2 at h=1/64).
-    del R, C, free
-    rows, cols, vals = (np.concatenate(part) for part in (rows, cols, vals))
-    M = sp.csr_matrix((vals, (rows, cols)), shape=(space.ndof, space.ndof))
+    # 32-bit ids where they fit, as in the CSR result.
+    G = space.local_dof_map().astype(np.int32 if ndof < 2**31 else np.int64)
+    vals = np.broadcast_to(local[I, J], (len(G), len(I))).ravel()
+    M = sp.csr_matrix((vals, (G[:, I].ravel(), G[:, J].ravel())), shape=(ndof + 1, ndof + 1))
+    M = M[:-1, :-1]
     M.eliminate_zeros()
     return M
 
 
-def assemble(space: WgSpace) -> AssembledForms:
-    """The stiffness form A and the mass form B of the pencil.  Only what
-    their products read is built here, the local kit and the dof map (with
-    the quadtree, whose level 0 it is); no global matrix is."""
+def assemble(space: WgSpace) -> WgSpace:
+    """Build what the products of the forms read, the local kit and the dof
+    map (with the quadtree, whose level 0 it is), and return the space; no
+    global matrix is built."""
     space.kit()
     space.local_dof_map()
-    return AssembledForms(space)
+    return space
 
 
 # -- interpolation and field integrals ----------------------------------------

@@ -70,9 +70,9 @@ def condensed_pencil_eigs(A, B, ni, m):
     return np.sort(np.sum(X * (A @ X), axis=0) / np.sum(X * (B @ X), axis=0))
 
 
-def dense_pencil_eigs(forms, m):
+def dense_pencil_eigs(space, m):
     """The m smallest eigenvalues of (A, B) by condensed_pencil_eigs."""
-    return condensed_pencil_eigs(forms.A, forms.B, forms.n_interior, m)
+    return condensed_pencil_eigs(space.A, space.B, space.n_interior_dofs, m)
 
 
 def local_interior_eigs(space):

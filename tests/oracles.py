@@ -24,9 +24,9 @@ from wgeig.errors import WgeigError
 from wgeig.analysis import ExactEigen, _span_distance
 from wgeig.eigsolve import EigenPair
 from wgeig.polyspace import DEFAULT_FIELD_QUAD, ElementBasis, gauss_rule
-from wgeig.wg_core import (_ELEMENT_CHUNK, BIHARMONIC, LAPLACIAN, AssembledForms, WgFunction,
-                           WgSpace, _element_points, _interior_moments,
-                           _scatter_symmetric, assemble, qh_project)
+from wgeig.wg_core import (_ELEMENT_CHUNK, BIHARMONIC, LAPLACIAN, WgFunction, WgSpace,
+                           _element_points, _interior_moments, _scatter_symmetric,
+                           qh_project)
 
 
 class SolverFailureError(WgeigError):
@@ -226,15 +226,12 @@ def norm1_matrix(space: WgSpace):
     return _scatter_symmetric(space, 0.5 * (local + local.T))
 
 
-def solve_source(space: WgSpace, f, forms: AssembledForms | None = None,
-                 tol: float = 1e-10) -> WgFunction:
+def solve_source(space: WgSpace, f, tol: float = 1e-10) -> WgFunction:
     """Solve the discrete source problem a_w(u_h, v) = (f, v_0)."""
-    if forms is None:
-        forms = assemble(space)
     rhs = np.zeros(space.ndof)
     rhs[: space.n_interior_dofs] = _interior_moments(space, f, DEFAULT_FIELD_QUAD).ravel()
-    lu = linalg.factor_spd(forms)
-    x, rel = linalg.refined_solve(lu, forms.A, rhs, tol)
+    lu = linalg.factor_spd(space)
+    x, rel = linalg.refined_solve(lu, space.A, rhs, tol)
     if rel > tol:
         raise SolverFailureError(
             f"source solve stalled at relative residual {rel:.3e} (tol {tol:.1e})"
@@ -330,8 +327,8 @@ class Diagnostics(NamedTuple):
     gamma: float
 
 
-def eigen_diagnostics(pairs: list[EigenPair], exact: ExactEigen, space: WgSpace,
-                      forms: AssembledForms) -> Diagnostics:
+def eigen_diagnostics(pairs: list[EigenPair], exact: ExactEigen,
+                      space: WgSpace) -> Diagnostics:
     """Cluster diagnostics: value spread and best-approximation distances.
 
     delta/sigma are the largest/smallest absolute eigenvalue errors over the
@@ -344,8 +341,8 @@ def eigen_diagnostics(pairs: list[EigenPair], exact: ExactEigen, space: WgSpace,
         )
     errs = [abs(exact.value - p.value) for p in pairs]
     cols = np.column_stack([qh_project(space, g).coeffs for g in exact.generators])
-    eta = max(_span_distance(cols, p.vector, forms.B) for p in pairs)
-    gamma = max(_span_distance(cols, p.vector, forms.A) for p in pairs)
+    eta = max(_span_distance(cols, p.vector, space.B) for p in pairs)
+    gamma = max(_span_distance(cols, p.vector, space.A) for p in pairs)
     return Diagnostics(delta=max(errs), sigma=min(errs), eta=eta, gamma=gamma)
 
 
@@ -455,10 +452,10 @@ class IdNestedLU:
     by id.  Same arithmetic as linalg.NestedLU, so the same bits, its
     vectors permuted by Quadtree.order."""
 
-    def __init__(self, forms: AssembledForms, shift: float):
-        kit, nb = forms.space.kit(), forms.space.dim_interior
-        self.levels = id_box_levels(forms.space)
-        self.ndof = forms.space.ndof
+    def __init__(self, space: WgSpace, shift: float):
+        kit, nb = space.kit(), space.dim_interior
+        self.levels = id_box_levels(space)
+        self.ndof = space.ndof
         self.factors, self.inverses = [], []
         K = kit.a_local.copy()
         K[:nb, :nb] -= shift * kit.Gk

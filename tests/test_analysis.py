@@ -150,7 +150,7 @@ def test_diagnostics_multiplicity_one(lap_L3_k1):
     space, forms = lap_L3_k1
     pairs = smallest_eigs(forms, 1)
     exact = exact_laplacian_spectrum(1)[0]
-    d = eigen_diagnostics(pairs, exact, space, forms)
+    d = eigen_diagnostics(pairs, exact, space)
     assert d.delta == d.sigma == abs(exact.value - pairs[0].value)
     assert d.sigma <= d.delta
     assert d.eta > 0 and d.gamma > 0
@@ -164,7 +164,7 @@ def test_diagnostics_synthetic_offsets(lap_L3_k1):
         wg.EigenPair(value=exact.value + 1e-3, vector=pairs[0].vector, residual=0.0),
         wg.EigenPair(value=exact.value - 1e-3, vector=pairs[1].vector, residual=0.0),
     ]
-    d = eigen_diagnostics(synthetic, exact, space, forms)
+    d = eigen_diagnostics(synthetic, exact, space)
     assert abs(d.delta - 1e-3) < 1e-12
     assert abs(d.sigma - 1e-3) < 1e-12
 
@@ -174,7 +174,7 @@ def test_diagnostics_multiplicity_mismatch(lap_L3_k1):
     pairs = smallest_eigs(forms, 1)
     exact = exact_laplacian_spectrum(2)[1]  # multiplicity 2
     with pytest.raises(MultiplicityMismatchError):
-        eigen_diagnostics(pairs, exact, space, forms)
+        eigen_diagnostics(pairs, exact, space)
 
 
 def test_diagnostics_delta_decay_second_cluster():
@@ -184,7 +184,7 @@ def test_diagnostics_delta_decay_second_cluster():
         forms = wg.assemble(space)
         pairs = smallest_eigs(forms, 3)
         exact = exact_laplacian_spectrum(2)[1]
-        d = eigen_diagnostics(pairs[1:3], exact, space, forms)
+        d = eigen_diagnostics(pairs[1:3], exact, space)
         assert d.sigma <= d.delta
         assert np.isfinite(d.eta) and np.isfinite(d.gamma)
         deltas.append(d.delta)

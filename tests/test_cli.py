@@ -2,6 +2,10 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,6 +92,26 @@ def test_nonpositive_num_eigs_is_a_usage_error(capsys, tmp_path, problem, degree
                              "--num-eigs", count, "--dump-mesh", str(dump))
     assert code == 2 and out == ""
     assert "--num-eigs must be at least 1" in err
+    assert not dump.exists()  # rejected before any mesh or assembly
+
+
+@pytest.mark.parametrize("key", ["tol", "epsilon"])
+@pytest.mark.parametrize("value", ["0", "-1", "1", "nan", "inf"])
+@pytest.mark.parametrize("by_file", [False, True])
+def test_out_of_range_tol_or_epsilon_is_a_usage_error(capsys, tmp_path, key, value, by_file):
+    # --tol 0, -1 and nan once ran the whole eigensolve and exited 3, and
+    # --tol inf switched off every residual gate and exited 0.
+    dump = tmp_path / "mesh.json"
+    argv = ["solve", "--level", "2", "--num-eigs", "1", "--dump-mesh", str(dump)]
+    if by_file:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        argv += ["--config", str(cfg)]
+    else:
+        argv += [f"--{key}", value]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"--{key} must lie in (0, 1)" in err
     assert not dump.exists()  # rejected before any mesh or assembly
 
 
@@ -412,3 +436,22 @@ def test_every_configuration_exits_by_the_contract(argv):
         tilde = row["lambda_tilde"]
         if row["H_level"] < row["h_level"] and (tilde is None or not np.isfinite(tilde)):
             assert any(w.startswith(f"index {row['index']}:") for w in warned), (argv, row)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("solve", "--level", "1", "--num-eigs", "1", "--output", "csv"), 0),
+    (("solve", "--level", "1", "--num-eigs", "1", "--tol", "0"), 2),
+])
+def test_module_entry_point_exits_with_the_status(argv, code):
+    # python -m wgeig runs main_entry, as the installed wgeig script does,
+    # and hands main's status to sys.exit.
+    src = str(Path(wg_core.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    run = subprocess.run([sys.executable, "-m", "wgeig", *argv], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert run.returncode == code, run.stderr
+    if code == 0:
+        assert len(parse_csv(run.stdout)) == 1 and run.stderr == ""
+    else:
+        assert run.stdout == "" and "--tol must lie in (0, 1)" in run.stderr

@@ -119,7 +119,7 @@ def _small_requests(draw):
          ("biharmonic", 2), ("biharmonic", 3)]))
     level = draw(st.integers(1, 2))
     forms = _small_forms(kind, degree, level)
-    m = draw(st.integers(1, min(6, forms.n_interior - 2)))
+    m = draw(st.integers(1, min(6, forms.n_interior_dofs - 2)))
     return forms, m
 
 
@@ -138,7 +138,7 @@ def test_sweep_matches_dense_oracle(case):
 def test_dense_path_near_full_rank(extra):
     # m >= n_interior - 1 is beyond ARPACK; the reduced operator is formed.
     forms = _small_forms("laplacian", 1, 1)
-    m = forms.n_interior - extra
+    m = forms.n_interior_dofs - extra
     pairs = smallest_eigs(forms, m)
     got = np.array([p.value for p in pairs])
     want = dense_pencil_eigs(forms, m)
@@ -160,7 +160,7 @@ def test_request_validation(lap_L2_k1):
     with pytest.raises(ValueError):
         smallest_eigs(forms, 0)
     with pytest.raises(ValueError):
-        smallest_eigs(forms, forms.n_interior + 1)
+        smallest_eigs(forms, forms.n_interior_dofs + 1)
 
 
 def test_no_convergence_error(lap_L3_k1):
@@ -239,7 +239,7 @@ def test_every_operator_application_is_one_counted_solve(monkeypatch):
     forms = _small_forms("laplacian", 1, 3)
     pairs = smallest_eigs(forms, 6)
     assert len(factors) == 1 and len(applications) > 6
-    assert factors[0].shapes == [(forms.n_interior,)] * (len(applications) + len(pairs))
+    assert factors[0].shapes == [(forms.n_interior_dofs,)] * (len(applications) + len(pairs))
 
 
 def test_cluster_grouping():
@@ -276,7 +276,7 @@ def test_shift_from_coarse_amplifies(lap_L3_k1):
     lam_c = smallest_eigs(wg.assemble(coarse), 1)[0].value
     rng = np.random.default_rng(9)
     rhs = np.zeros(forms.A.shape[0])
-    rhs[: forms.n_interior] = rng.standard_normal(forms.n_interior)
+    rhs[: forms.n_interior_dofs] = rng.standard_normal(forms.n_interior_dofs)
     x = solve_shifted(forms, lam_c, rhs)
     M = forms.A - lam_c * forms.B
     assert np.linalg.norm(M @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
@@ -336,6 +336,6 @@ def test_rayleigh_bounded_below_by_smallest():
 def test_rayleigh_zero_mass(lap_L2_k1):
     _, forms = lap_L2_k1
     x = np.zeros(forms.A.shape[0])
-    x[forms.n_interior :] = 1.0  # pure edge vector carries no mass
+    x[forms.n_interior_dofs :] = 1.0  # pure edge vector carries no mass
     with pytest.raises(ZeroMassError):
         rayleigh_quotient(forms, x)

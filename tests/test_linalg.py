@@ -25,9 +25,9 @@ def _minimum_degree_splu(M, diag_pivot_thresh):
                 options={"SymmetricMode": True})
 
 
-def _skeleton_schur_complement(forms):
+def _skeleton_schur_complement(space):
     """Oracle: A_EE - A_EI A_II⁻¹ A_IE from the assembled blocks of A, in dof order."""
-    A, ni, nb = forms.A.tocsr(), forms.n_interior, forms.space.dim_interior
+    A, ni, nb = space.A.tocsr(), space.n_interior_dofs, space.dim_interior
     AII = A[:ni, :ni].tocoo()
     blocks = np.zeros((ni // nb, nb, nb))
     blocks[AII.row // nb, AII.row % nb, AII.col % nb] = AII.data
@@ -42,16 +42,16 @@ def _negative_pivots(lu):
             for level, (block, _, _) in zip(lu.levels, lu.factors)]
 
 
-def _clamped_box_eigs(forms, level):
+def _clamped_box_eigs(space, level):
     """Eigenvalues of (A, B) on the dofs strictly inside box 0 of a quadtree
     level, its perimeter clamped: the edges condensed out densely."""
-    space, m = forms.space, 1 << level
+    m = 1 << level
     inside = (space.mesh.elem_ix < m) & (space.mesh.elem_iy < m)
     dof = space.local_dof_map()[inside]
     box = space.quadtree.levels[level]
     ids = np.setdiff1d(dof[dof < space.ndof], box.stop + box.perimeter[0])
-    ni = int(np.sum(ids < forms.n_interior))
-    return condensed_pencil_eigs(forms.A[ids][:, ids], forms.B[ids][:, ids], ni, ni)
+    ni = int(np.sum(ids < space.n_interior_dofs))
+    return condensed_pencil_eigs(space.A[ids][:, ids], space.B[ids][:, ids], ni, ni)
 
 
 class _CountingCSR(sp.csr_matrix):
@@ -151,7 +151,7 @@ def test_shifted_solves_match_minimum_degree_oracle(lap_L5_k1):
     coarse = wg.WgSpace(build_uniform(2), 1, kind="laplacian", epsilon=0.1)
     negative, oracle_negative = [], []
     for pair in smallest_eigs(wg.assemble(coarse), 6):
-        rhs = wg.cross_mass_rhs(wg.WgFunction(coarse, pair.vector), forms.space)
+        rhs = wg.cross_mass_rhs(wg.WgFunction(coarse, pair.vector), forms)
         M = forms.A - pair.value * forms.B
         lu, _ = linalg.factor_indefinite(forms, pair.value)
         oracle = _minimum_degree_splu(M, 0.01)
@@ -242,7 +242,7 @@ def test_nested_solves_match_full_oracle_on_every_level_count(kind, degree, leve
         assert lu.inertia() == dense, sigma
         # An interior-only right-hand side r is [r; 0]: level 0 reads it as
         # a view, and a one-element mesh has more interior dofs than boxes.
-        r = rhs[:forms.n_interior, 1]
+        r = rhs[:forms.n_interior_dofs, 1]
         padded = np.append(r, np.zeros(M.shape[0] - len(r)))
         inner = lu.solve(r)
         assert np.array_equal(inner, lu.solve(padded)), sigma
@@ -258,12 +258,12 @@ def _bitwise(got, want):
     return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def _assert_bitwise_the_id_oracle(forms, sigma, lu, rhs):
+def _assert_bitwise_the_id_oracle(space, sigma, lu, rhs):
     # The factor (cross blocks, LUs with their pivots, X, the stored
     # inverses) and solves with full-length, interior-only and 2-D
     # right-hand sides equal the id-valued factor and solve bit for bit,
     # the oracle's vectors permuted from layout ids into dofs.
-    oracle, order = IdNestedLU(forms, sigma), forms.space.quadtree.order
+    oracle, order = IdNestedLU(space, sigma), space.quadtree.order
     assert len(lu.factors) == len(oracle.factors)
     for (block, (factor, piv), X), (want_block, (want_factor, want_piv), want_X) in zip(
             lu.factors, oracle.factors):
@@ -272,8 +272,8 @@ def _assert_bitwise_the_id_oracle(forms, sigma, lu, rhs):
             assert _bitwise(got, want), sigma
     for inv, want in zip(lu.inverses, oracle.inverses, strict=True):
         assert (inv is None and want is None) or _bitwise(inv, want), sigma
-    inner = rhs[:forms.n_interior, 1]  # the interiors keep their layout ids
-    for r in (rhs[:, 0], inner, np.append(inner, np.zeros(forms.space.ndof - len(inner)))):
+    inner = rhs[:space.n_interior_dofs, 1]  # the interiors keep their layout ids
+    for r in (rhs[:, 0], inner, np.append(inner, np.zeros(space.ndof - len(inner)))):
         assert _bitwise(lu.solve(r[order[:len(r)]]), oracle.solve(r)[order]), sigma
     assert _bitwise(lu.solve(rhs[order]),
                     np.column_stack([oracle.solve(r)[order] for r in rhs.T])), sigma

@@ -167,7 +167,15 @@ def test_dof_counts(lap_L2_k1):
     space, forms = lap_L2_k1
     assert space.ndof == 16 * 3 + 24 * 1 == 72
     assert forms.A.shape == (72, 72)
-    assert forms.n_interior == 48
+    assert forms.n_interior_dofs == 48
+
+
+def test_assemble_returns_the_space():
+    # A space carries its own forms: assemble builds what their products read
+    # and hands the space back, with no second object in between.
+    space = wg.WgSpace(build_uniform(1), 1, kind="laplacian", epsilon=0.1)
+    assert wg.assemble(space) is space
+    assert "AssembledForms" not in wg.__all__
 
 
 def test_biharmonic_dof_count(bih_L2_k2):
@@ -411,7 +419,7 @@ def test_assembled_symmetry_and_definiteness(lap_L2_k1, bih_L1_k2):
         assert evals.min() > 0
         bvals = np.linalg.eigvalsh(forms.B.toarray())
         assert bvals.min() > -1e-14
-        ni = forms.n_interior
+        ni = forms.n_interior_dofs
         assert np.linalg.eigvalsh(forms.B.toarray()[:ni, :ni]).min() > 0
 
 
@@ -532,7 +540,7 @@ def test_dof_map_is_level_zero_of_the_quadtree(kind, degree, level):
 def test_mass_matrix_lives_on_interior_only(lap_L3_k1):
     space, forms = lap_L3_k1
     coo = forms.B.tocoo()
-    ni = forms.n_interior
+    ni = forms.n_interior_dofs
     assert coo.row.max() < ni and coo.col.max() < ni
 
 
@@ -664,14 +672,14 @@ def test_separable_projection_matches_2d_path(k, level):
 
 def test_solve_source_zero(lap_L2_k1):
     space, forms = lap_L2_k1
-    u = solve_source(space, lambda x, y: np.zeros_like(x), forms=forms)
+    u = solve_source(space, lambda x, y: np.zeros_like(x))
     assert np.abs(u.coeffs).max() < 1e-14
 
 
 def test_solve_source_residual(lap_L3_k1):
     space, forms = lap_L3_k1
     f = lambda x, y: np.exp(x) * (1 + y)
-    u = solve_source(space, f, forms=forms)
+    u = solve_source(space, f)
     from wgeig.wg_core import _interior_moments
 
     rhs = np.zeros(space.ndof)
