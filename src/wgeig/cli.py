@@ -12,7 +12,8 @@ its flag.  The file's values are checked when it is read: a flag key takes
 unknown or repeated key is a configuration error naming the file and line.
 Outputs are deterministic apart from the timing column.
 
-Exit status: 0 success, 2 configuration error, 3 solver failure.
+Exit status: 0 success, 2 configuration error (an output or dump path that
+cannot be written among them), 3 solver failure.
 """
 
 from __future__ import annotations
@@ -179,13 +180,23 @@ def _write_table_grid(result, stream) -> None:
             stream.write("  ".join(c.rjust(w) for c, w in zip(r, widths)) + "\n")
 
 
+@contextlib.contextmanager
+def _writing():
+    """An output or dump path that cannot be written is a configuration error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _emit(result, meta: dict) -> None:
     fmt = meta["output"]
     out_file = meta.get("out_file")
-    with open(out_file, "w") if out_file else contextlib.nullcontext(sys.stdout) as stream:
-        _write_rows(result, fmt, stream, meta)
-        if meta["command"] == "table" and fmt == "human":
-            _write_table_grid(result, stream)
+    with _writing():
+        with open(out_file, "w") if out_file else contextlib.nullcontext(sys.stdout) as stream:
+            _write_rows(result, fmt, stream, meta)
+            if meta["command"] == "table" and fmt == "human":
+                _write_table_grid(result, stream)
 
 
 def _required(args, key: str):
@@ -204,6 +215,12 @@ def _common_meta(args) -> dict:
         if not 0.0 < meta[key] < 1.0:
             raise ValueError(f"--{key} must lie in (0, 1), got {meta[key]}")
     if args.out_file:
+        # Refused here, not after the whole solve has run.
+        if os.path.isdir(args.out_file):
+            raise ValueError(f"--out-file {args.out_file} is a directory")
+        folder = os.path.dirname(args.out_file)
+        if folder and not os.path.isdir(folder):
+            raise ValueError(f"--out-file {args.out_file}: no directory {folder}")
         meta["out_file"] = args.out_file
     return meta
 
@@ -215,15 +232,16 @@ def _maybe_dump(args, meta: dict, level: int) -> None:
     from .wg_core import WgSpace
 
     mesh = build_uniform(level)
-    if args.dump_mesh:
-        mesh.dump_json(args.dump_mesh)
-    if args.dump_matrices:
-        import scipy.io as sio
+    with _writing():
+        if args.dump_mesh:
+            mesh.dump_json(args.dump_mesh)
+        if args.dump_matrices:
+            import scipy.io as sio
 
-        space = WgSpace(mesh, meta["degree"], kind=meta["problem"], epsilon=meta["epsilon"])
-        os.makedirs(args.dump_matrices, exist_ok=True)
-        sio.mmwrite(os.path.join(args.dump_matrices, "stiffness.mtx"), space.A)
-        sio.mmwrite(os.path.join(args.dump_matrices, "mass.mtx"), space.B)
+            space = WgSpace(mesh, meta["degree"], kind=meta["problem"], epsilon=meta["epsilon"])
+            os.makedirs(args.dump_matrices, exist_ok=True)
+            sio.mmwrite(os.path.join(args.dump_matrices, "stiffness.mtx"), space.A)
+            sio.mmwrite(os.path.join(args.dump_matrices, "mass.mtx"), space.B)
 
 
 def _cmd_direct(args) -> int:

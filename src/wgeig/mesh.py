@@ -30,20 +30,20 @@ class MeshLevel:
     Elements are ordered lexicographically by (iy, ix).  Vertical edges come
     first, ordered by (j, i) with i in 0..n and j in 0..n-1; horizontal edges
     follow, ordered by (j, i) with i in 0..n-1 and j in 0..n.
+
+    The level is all a mesh stores: every index array is integer arithmetic
+    on it, rebuilt on each read, so a caller that needs one twice binds it.
     """
 
     level: int
-    n: int
-    h: float
-    elem_ix: np.ndarray
-    elem_iy: np.ndarray
-    edge_orient: np.ndarray      # 0 = vertical (normal +x), 1 = horizontal (+y)
-    edge_i: np.ndarray
-    edge_j: np.ndarray
-    boundary_flags: np.ndarray
-    elem_edges: np.ndarray       # (Ne, 4) edge ids in (left, right, bottom, top) order
-    interior_index: np.ndarray   # position among interior edges, -1 on the boundary
-    interior_edges: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return 1 << self.level
+
+    @property
+    def h(self) -> float:
+        return 2.0 ** (-self.level)
 
     @property
     def num_elements(self) -> int:
@@ -51,15 +51,70 @@ class MeshLevel:
 
     @property
     def num_edges(self) -> int:
-        return self.edge_orient.size
+        return 2 * self.n * (self.n + 1)
 
     @property
     def num_boundary_edges(self) -> int:
-        return int(self.boundary_flags.sum())
+        return 4 * self.n
 
     @property
     def num_interior_edges(self) -> int:
-        return self.interior_edges.size
+        return 2 * self.n * (self.n - 1)
+
+    @property
+    def elem_ix(self) -> np.ndarray:
+        return np.arange(self.num_elements) % self.n
+
+    @property
+    def elem_iy(self) -> np.ndarray:
+        return np.arange(self.num_elements) // self.n
+
+    @property
+    def edge_orient(self) -> np.ndarray:
+        """0 = vertical (normal +x), 1 = horizontal (+y)."""
+        return np.repeat(np.arange(2, dtype=np.int8), self.num_edges // 2)
+
+    def _edge_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(i, j) of the vertical edges, x = i*h with id j*(n+1) + i, then of
+        the horizontal ones, y = j*h with id n(n+1) + j*n + i."""
+        n, ids = self.n, np.arange(self.num_edges // 2)
+        return ids % (n + 1), ids // (n + 1), ids % n, ids // n
+
+    @property
+    def edge_i(self) -> np.ndarray:
+        vi, _, hi, _ = self._edge_cells()
+        return np.concatenate([vi, hi])
+
+    @property
+    def edge_j(self) -> np.ndarray:
+        _, vj, _, hj = self._edge_cells()
+        return np.concatenate([vj, hj])
+
+    @property
+    def boundary_flags(self) -> np.ndarray:
+        vi, _, _, hj = self._edge_cells()
+        n = self.n
+        return np.concatenate([(vi == 0) | (vi == n), (hj == 0) | (hj == n)])
+
+    @property
+    def elem_edges(self) -> np.ndarray:
+        """(Ne, 4) edge ids in (left, right, bottom, top) order."""
+        n, ix, iy = self.n, self.elem_ix, self.elem_iy
+        left = iy * (n + 1) + ix
+        bottom = n * (n + 1) + iy * n + ix
+        return np.column_stack([left, left + 1, bottom, bottom + n])
+
+    @property
+    def interior_edges(self) -> np.ndarray:
+        return np.nonzero(~self.boundary_flags)[0]
+
+    @property
+    def interior_index(self) -> np.ndarray:
+        """Position among the interior edges, -1 on the boundary."""
+        index = np.full(self.num_edges, -1, dtype=np.int64)
+        inner = self.interior_edges
+        index[inner] = np.arange(inner.size)
+        return index
 
     def element_centers(self) -> tuple[np.ndarray, np.ndarray]:
         return (self.elem_ix + 0.5) * self.h, (self.elem_iy + 0.5) * self.h
@@ -68,9 +123,9 @@ class MeshLevel:
         return self.elem_ix * self.h, self.elem_iy * self.h
 
     def edge_midpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        vertical = self.edge_orient == 0
-        mx = np.where(vertical, self.edge_i * self.h, (self.edge_i + 0.5) * self.h)
-        my = np.where(vertical, (self.edge_j + 0.5) * self.h, self.edge_j * self.h)
+        vertical, i, j, h = self.edge_orient == 0, self.edge_i, self.edge_j, self.h
+        mx = np.where(vertical, i * h, (i + 0.5) * h)
+        my = np.where(vertical, (j + 0.5) * h, j * h)
         return mx, my
 
     def to_debug_dict(self) -> dict:
@@ -105,58 +160,12 @@ class MeshLevel:
 
 
 def build_uniform(level: int) -> MeshLevel:
-    """Build the uniform mesh at the given refinement level (h = 2^-level)."""
+    """The uniform mesh at the given refinement level (h = 2^-level)."""
     if level < 0:
         raise ValueError(f"level must be nonnegative, got {level}")
     if level > MAX_LEVEL:
         raise CapacityError(f"level {level} exceeds the supported maximum {MAX_LEVEL}")
-
-    n = 1 << level
-    h = 2.0 ** (-level)
-
-    idx = np.arange(n * n)
-    elem_ix = idx % n
-    elem_iy = idx // n
-
-    # Vertical edges: x = i*h, y in [j*h, (j+1)*h]; id = j*(n+1) + i.
-    nv = n * (n + 1)
-    vid = np.arange(nv)
-    vi = vid % (n + 1)
-    vj = vid // (n + 1)
-    # Horizontal edges: y = j*h, x in [i*h, (i+1)*h]; id = nv + j*n + i.
-    hid = np.arange(nv)
-    hi = hid % n
-    hj = hid // n
-
-    edge_orient = np.concatenate([np.zeros(nv, dtype=np.int8), np.ones(nv, dtype=np.int8)])
-    edge_i = np.concatenate([vi, hi])
-    edge_j = np.concatenate([vj, hj])
-    boundary = np.concatenate([(vi == 0) | (vi == n), (hj == 0) | (hj == n)])
-
-    left = elem_iy * (n + 1) + elem_ix
-    right = left + 1
-    bottom = nv + elem_iy * n + elem_ix
-    top = nv + (elem_iy + 1) * n + elem_ix
-    elem_edges = np.column_stack([left, right, bottom, top])
-
-    interior_index = np.full(edge_orient.size, -1, dtype=np.int64)
-    interior_edges = np.nonzero(~boundary)[0]
-    interior_index[interior_edges] = np.arange(interior_edges.size)
-
-    return MeshLevel(
-        level=level,
-        n=n,
-        h=h,
-        elem_ix=elem_ix,
-        elem_iy=elem_iy,
-        edge_orient=edge_orient,
-        edge_i=edge_i,
-        edge_j=edge_j,
-        boundary_flags=boundary,
-        elem_edges=elem_edges,
-        interior_index=interior_index,
-        interior_edges=interior_edges,
-    )
+    return MeshLevel(level)
 
 
 def containment_map(coarse: MeshLevel, fine: MeshLevel) -> np.ndarray:

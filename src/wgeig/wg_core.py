@@ -206,8 +206,8 @@ class WgSpace:
         lower-left 3 x 3 block of elements sums those rows as the CSR does.
         A mesh of one or two elements a side has no such element: there the
         block is the whole mesh, and all its rows count."""
-        mesh, n = self.mesh, self.mesh.n
-        near = np.flatnonzero((mesh.elem_ix < 3) & (mesh.elem_iy < 3))
+        n, corner = self.mesh.n, np.arange(min(self.mesh.n, 3))
+        near = (corner[:, None] * n + corner).ravel()  # elements are ordered by (iy, ix)
         ids, slots = np.unique(self.local_dof_map()[near], return_inverse=True)
         slots, K = slots.reshape(len(near), -1), self.local(shift)
         M = np.zeros((len(ids), len(ids)))
@@ -266,13 +266,14 @@ class Quadtree(NamedTuple):
     order: np.ndarray
 
 
-def _edge_dofs(space: WgSpace, edges: np.ndarray) -> np.ndarray:
-    """Layout ids of each row of edges' dofs (Quadtree), ``ndof`` on the boundary."""
-    mesh, k = space.mesh, space.dim_trace
+def _edge_dofs(space: WgSpace, edges: np.ndarray, interior_index: np.ndarray) -> np.ndarray:
+    """Layout ids of each row of edges' dofs (Quadtree), ``ndof`` on the
+    boundary, from the mesh's interior_index."""
+    k = space.dim_trace
     comp = np.arange(space.num_edge_components)[:, None, None]
-    ii = mesh.interior_index[edges[:, None, :, None]]
+    ii = interior_index[edges[:, None, :, None]]
     ids = np.where(ii >= 0, space.n_interior_dofs
-                   + (comp * mesh.num_interior_edges + ii) * k + np.arange(k), space.ndof)
+                   + (comp * space.mesh.num_interior_edges + ii) * k + np.arange(k), space.ndof)
     return ids.reshape(len(edges), -1)
 
 
@@ -302,6 +303,7 @@ def _box_levels(space: WgSpace) -> Quadtree:
     increasing coordinate (at level 0 the local order of WgSpace); a cross
     runs along its vertical midline, then its horizontal one."""
     n, ndof = space.mesh.n, space.ndof
+    interior_index = space.mesh.interior_index  # rebuilt on every read, so read once
 
     def edge(horizontal, i, j):
         return horizontal * n * (n + 1) + j * (n + 1 - horizontal) + i
@@ -313,13 +315,14 @@ def _box_levels(space: WgSpace) -> Quadtree:
         y0, x0, t = m * y0[:, None], m * x0[:, None], np.arange(m)
         sides = np.hstack([edge(0, x0, y0 + t), edge(0, x0 + m, y0 + t),
                            edge(1, x0 + t, y0), edge(1, x0 + t, y0 + m)])
-        perimeter = _edge_dofs(space, sides[:, :0] if 0 < level == space.mesh.level else sides)
+        perimeter = _edge_dofs(space, sides[:, :0] if 0 < level == space.mesh.level else sides,
+                               interior_index)
         if level == 0:
             cross, merge = np.arange(space.n_interior_dofs).reshape(len(sides), -1), None
         else:
             # Box 0's cross and sides, and its four children's sides, by blind id.
             middle = np.hstack([edge(0, x0 + m // 2, y0 + t), edge(1, x0 + t, y0 + m // 2)])
-            cross = _edge_dofs(space, middle)
+            cross = _edge_dofs(space, middle, interior_index)
             own = np.concatenate([_blind_ids(space, middle[:1])[0],
                                   _blind_ids(space, sides[:1])[0]])
             children = _blind_ids(space, below[[0, 1, n // m * 2, n // m * 2 + 1]])

@@ -1,8 +1,9 @@
-"""Verification helpers that no solver path calls: mapped quadrature on
-squares and segments with local L2 projections, the weak operators on one
-element, the stabilizer and reference-norm matrices, a source solve, field
-error norms, cluster diagnostics, and the earlier forms of the assembly
-scatter and of the nested-dissection factor on global dof ids.
+"""Verification helpers that no solver path calls: the stored index arrays
+of a uniform mesh, mapped quadrature on squares and segments with local L2
+projections, the weak operators on one element, the stabilizer and
+reference-norm matrices, a source solve, field error norms, cluster
+diagnostics, and the earlier forms of the assembly scatter and of the
+nested-dissection factor on global dof ids.
 
 They check the package from outside, so they live with the tests.  The square
 and segment rules place points in absolute coordinates, independently of the
@@ -35,6 +36,59 @@ class SolverFailureError(WgeigError):
 
 class MultiplicityMismatchError(WgeigError):
     """Cluster size does not match the exact multiplicity."""
+
+
+# -- the index arrays of a uniform mesh, built as one stored set ------------------------
+
+
+def reference_mesh(level: int) -> dict:
+    """The index arrays of MeshLevel, and its three edge counts, by the
+    construction that once stored them all at build time."""
+    n = 1 << level
+
+    idx = np.arange(n * n)
+    elem_ix = idx % n
+    elem_iy = idx // n
+
+    # Vertical edges: x = i*h, y in [j*h, (j+1)*h]; id = j*(n+1) + i.
+    nv = n * (n + 1)
+    vid = np.arange(nv)
+    vi = vid % (n + 1)
+    vj = vid // (n + 1)
+    # Horizontal edges: y = j*h, x in [i*h, (i+1)*h]; id = nv + j*n + i.
+    hid = np.arange(nv)
+    hi = hid % n
+    hj = hid // n
+
+    edge_orient = np.concatenate([np.zeros(nv, dtype=np.int8), np.ones(nv, dtype=np.int8)])
+    edge_i = np.concatenate([vi, hi])
+    edge_j = np.concatenate([vj, hj])
+    boundary = np.concatenate([(vi == 0) | (vi == n), (hj == 0) | (hj == n)])
+
+    left = elem_iy * (n + 1) + elem_ix
+    right = left + 1
+    bottom = nv + elem_iy * n + elem_ix
+    top = nv + (elem_iy + 1) * n + elem_ix
+    elem_edges = np.column_stack([left, right, bottom, top])
+
+    interior_index = np.full(edge_orient.size, -1, dtype=np.int64)
+    interior_edges = np.nonzero(~boundary)[0]
+    interior_index[interior_edges] = np.arange(interior_edges.size)
+
+    return {
+        "elem_ix": elem_ix,
+        "elem_iy": elem_iy,
+        "edge_orient": edge_orient,
+        "edge_i": edge_i,
+        "edge_j": edge_j,
+        "boundary_flags": boundary,
+        "elem_edges": elem_edges,
+        "interior_index": interior_index,
+        "interior_edges": interior_edges,
+        "num_edges": edge_orient.size,
+        "num_boundary_edges": int(boundary.sum()),
+        "num_interior_edges": interior_edges.size,
+    }
 
 
 # -- mapped quadrature on squares and segments ------------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.io as sio
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wgeig import analysis, twogrid, wg_core
 from wgeig.analysis import ROW_FIELDS
@@ -133,6 +133,26 @@ def test_num_eigs_past_the_coarsest_mass_rank_is_refused_before_assembly(
     code, out, err = run_cli(capsys, *argv, "--num-eigs", "4")
     assert code == 2 and out == ""
     assert "requested 4 eigenpairs but the mass rank is 3" in err
+
+
+@pytest.mark.parametrize("option,path", [
+    ("--out-file", "missing/x.csv"),
+    ("--out-file", "."),
+    ("--dump-matrices", "file/mats"),
+    ("--dump-mesh", "missing/mesh.json"),
+])
+def test_unwritable_output_is_a_usage_error(capsys, monkeypatch, tmp_path, option, path):
+    # Each once exited 1 with a traceback, the --out-file ones after the
+    # whole solve had run.  A file stands where the dump directory would go.
+    def refused(*args, **kwargs):
+        raise AssertionError("eigensolve ran before the output path was refused")
+
+    monkeypatch.setattr(analysis, "smallest_eigs", refused)
+    (tmp_path / "file").write_text("")
+    code, out, err = run_cli(capsys, "solve", "--level", "1", "--num-eigs", "1",
+                             option, str(tmp_path / path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_csv_json_equivalence(capsys, tmp_path):
@@ -413,6 +433,10 @@ def cli_runs(draw):
 
 @settings(max_examples=80)
 @given(cli_runs())
+# Exit 0 with collision warnings on targets 1-3, so the JSON warnings are
+# matched against the stderr lines on every run.
+@example(["sipg", "--problem", "laplacian", "--degree", "4", "--epsilon", "0.1",
+          "--num-eigs", "6", "--output", "json", "--coarse-level", "2", "--fine-level", "3"])
 def test_every_configuration_exits_by_the_contract(argv):
     # Exit 0 with finite values (a missing lambda_tilde only with its warning),
     # 2 for a configuration error, 3 for a solver failure; never a traceback.

@@ -1,10 +1,14 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from oracles import reference_mesh
+from wgeig import analysis, wg_core
+from wgeig.eigsolve import smallest_eigs
 from wgeig.errors import CapacityError, LevelOrderError
-from wgeig.mesh import EDGE_SIGNS, build_uniform, containment_map
+from wgeig.mesh import EDGE_SIGNS, MeshLevel, build_uniform, containment_map
 
 
 @pytest.mark.parametrize("level,elems,edges,bdry", [
@@ -96,3 +100,28 @@ def test_ordering_reproducible(tmp_path):
     doc = json.loads(pa.read_text())
     assert doc["num_elements"] == 64
     assert len(doc["edges"]) == 144
+
+
+@pytest.mark.parametrize("level", range(7))
+def test_arrays_match_the_stored_construction(level):
+    # Each index array is rebuilt on every read, with the values and dtypes
+    # the mesh once stored; the edge counts are closed forms.
+    m = build_uniform(level)
+    for name, want in reference_mesh(level).items():
+        got = getattr(m, name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+        else:
+            assert got == want, name
+
+
+def test_a_mesh_is_its_level():
+    assert [f.name for f in dataclasses.fields(MeshLevel)] == ["level"]
+    assert build_uniform(3) == build_uniform(3) != build_uniform(2)
+    assert hash(build_uniform(3)) == hash(build_uniform(3))
+    mesh = build_uniform(4)
+    space = wg_core.assemble(wg_core.WgSpace(mesh, 1, kind="laplacian", epsilon=0.1))
+    pair = smallest_eigs(space, 1)[0]
+    analysis.energy_error(space, pair.vector, analysis.exact_laplacian_spectrum(1)[0].generators)
+    assert not any(isinstance(v, np.ndarray) for v in vars(mesh).values())
