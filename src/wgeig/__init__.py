@@ -20,14 +20,12 @@ _EXPORTS = {
         "laplacian_eigenvalues", "rate_fit", "sipg_study",
     ),
     "eigsolve": (
-        "EigenCluster", "EigenPair", "rayleigh_quotient", "smallest_eigs",
-        "solve_shifted",
+        "EigenPair", "rayleigh_quotient", "smallest_eigs", "solve_shifted",
     ),
-    "mesh": ("MeshLevel", "build_uniform", "containment_map"),
+    "mesh": ("MeshLevel", "build_uniform"),
     "twogrid": ("cross_mass_rhs", "run_sipg"),
     "wg_core": (
-        "BIHARMONIC", "LAPLACIAN", "WgFunction", "WgSpace",
-        "assemble", "qh_project",
+        "BIHARMONIC", "LAPLACIAN", "WgSpace", "assemble", "qh_project",
     ),
     "errors": (
         "WgeigError", "CapacityError", "ConfigError", "DegreeTooLowError",

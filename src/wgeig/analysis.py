@@ -110,7 +110,7 @@ def energy_error(space: WgSpace, u_bar: np.ndarray, generators) -> float:
     gens = list(generators)
     if not gens:
         raise EmptyClusterError("no generators supplied")
-    cols = np.column_stack([qh_project(space, g).coeffs for g in gens])
+    cols = np.column_stack([qh_project(space, g) for g in gens])
     return _span_distance(cols, np.asarray(u_bar, dtype=float), space.operator())
 
 

@@ -47,30 +47,6 @@ class EigenPair:
     residual: float
 
 
-@dataclass
-class EigenCluster:
-    """Ascending eigenpairs with grouping of numerically multiple values."""
-
-    pairs: list[EigenPair]
-    cluster_tol: float = 1e-6
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([p.value for p in self.pairs])
-
-    def groups(self) -> list[list[int]]:
-        """Indices grouped by relative gap below the cluster tolerance."""
-        groups: list[list[int]] = []
-        for i, pair in enumerate(self.pairs):
-            if groups and abs(pair.value - self.pairs[groups[-1][-1]].value) <= (
-                self.cluster_tol * max(1.0, abs(pair.value))
-            ):
-                groups[-1].append(i)
-            else:
-                groups.append([i])
-        return groups
-
-
 def _b_normalized(space: WgSpace, x: np.ndarray) -> np.ndarray:
     """x scaled to unit b-norm, its largest interior entry made positive."""
     x = x / np.sqrt(x @ (space.mass @ x))

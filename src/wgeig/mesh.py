@@ -2,8 +2,10 @@
 
 All geometry is dyadic: an entity is identified by integer cell coordinates
 plus the level, so containment between nested levels is exact integer
-arithmetic.  Every edge carries a fixed unit normal, +x for vertical edges
-and +y for horizontal edges, independent of which elements touch it.
+arithmetic.  Fine cell (ix, iy) lies in coarse cell (ix >> d, iy >> d), d
+levels up, as its child (iy mod 2^d, ix mod 2^d).  Every edge carries a fixed
+unit normal, +x for vertical edges and +y for horizontal edges, independent
+of which elements touch it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, LevelOrderError
+from .errors import CapacityError
 
 MAX_LEVEL = 20
 
@@ -116,9 +118,6 @@ class MeshLevel:
         index[inner] = np.arange(inner.size)
         return index
 
-    def element_centers(self) -> tuple[np.ndarray, np.ndarray]:
-        return (self.elem_ix + 0.5) * self.h, (self.elem_iy + 0.5) * self.h
-
     def element_origins(self) -> tuple[np.ndarray, np.ndarray]:
         return self.elem_ix * self.h, self.elem_iy * self.h
 
@@ -167,16 +166,3 @@ def build_uniform(level: int) -> MeshLevel:
         raise CapacityError(f"level {level} exceeds the supported maximum {MAX_LEVEL}")
     return MeshLevel(level)
 
-
-def containment_map(coarse: MeshLevel, fine: MeshLevel) -> np.ndarray:
-    """Map each fine element to the coarse element that contains it.
-
-    Pure integer arithmetic: fine cell (ix, iy) lies in coarse cell
-    (ix >> d, iy >> d) with d the level difference.
-    """
-    if fine.level < coarse.level:
-        raise LevelOrderError(
-            f"fine level {fine.level} is coarser than coarse level {coarse.level}"
-        )
-    d = fine.level - coarse.level
-    return (fine.elem_iy >> d) * coarse.n + (fine.elem_ix >> d)

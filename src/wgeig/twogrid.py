@@ -5,20 +5,26 @@ linear system per target index on the fine mesh with the coarse eigenvalue as
 the shift and the coarse eigenvector as mass-form right-hand side, and step 3
 evaluates the Rayleigh quotient of the amplified solution.  The scheme is
 one-shot: steps 2 and 3 are never iterated.
+
+The fine mesh refines the coarse one, so the right-hand side needs no
+quadrature: on each fine element the coarse interior polynomial is a P_k
+polynomial of that element, fixed by the element's position among the
+children of its coarse element (cross_mass_rhs).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
 from .eigsolve import _b_normalized, rayleigh_quotient, smallest_eigs, solve_shifted
-from .errors import ConfigError, NearSingularError
-from .mesh import build_uniform, containment_map
+from .errors import ConfigError, LevelOrderError, NearSingularError
+from .mesh import build_uniform
 from .polyspace import pk_exponents
-from .wg_core import WgFunction, WgSpace, _element_points, assemble
+from .wg_core import WgSpace, assemble
 
 
 @dataclass
@@ -33,36 +39,43 @@ class SipgTarget:
     warning: str | None = None
 
 
-def cross_mass_rhs(u_coarse: WgFunction, fine_space: WgSpace) -> np.ndarray:
+def cross_mass_rhs(coarse_space: WgSpace, u_coarse: np.ndarray,
+                   fine_space: WgSpace) -> np.ndarray:
     """Mass-form pairing of a coarse interior field against the fine basis.
 
-    Exact Gauss quadrature per fine element: the coarse interior polynomial
-    restricted to a nested fine element is again a degree-k polynomial.  Fine
-    edge entries are zero because the mass form sees interior components only.
+    The fine mesh refines the coarse one by d levels, so a fine element is
+    child p = (py, px) of the 2^d x 2^d children of its coarse element, and
+    the coarse interior polynomial restricted to it is a P_k polynomial of
+    the child.  With r = 2^-d, the coarse scaled coordinate is o_p + r s,
+    where o_p = (p + 1/2) r - 1/2 and s is the child's scaled coordinate, so
+    the binomial expansion T_p maps coarse monomial coefficients to the
+    child's, and the pairing is c T_p Gk, exact up to rounding.  Fine edge
+    entries are zero because the mass form sees interior components only.
     """
-    coarse_space = u_coarse.space
     if coarse_space.degree != fine_space.degree or coarse_space.kind != fine_space.kind:
         raise ValueError("coarse and fine spaces must share degree and kind")
-    cmap = containment_map(coarse_space.mesh, fine_space.mesh)
+    d = fine_space.mesh.level - coarse_space.mesh.level
+    if d < 0:
+        raise LevelOrderError(f"fine level {fine_space.mesh.level} is coarser than "
+                              f"coarse level {coarse_space.mesh.level}")
+    u_coarse = np.asarray(u_coarse, dtype=float)
+    if u_coarse.shape != (coarse_space.ndof,):
+        raise ValueError(f"coefficient length {u_coarse.shape} does not match "
+                         f"space dimension {coarse_space.ndof}")
 
-    kit = fine_space.kit()
-    k = fine_space.degree
-    ox, oy, w, phi_ref = kit.element_quad(k + 1)
-    ccx, ccy = coarse_space.mesh.element_centers()
-    H = coarse_space.mesh.h
-    cc = u_coarse.interior_matrix()
-    exponents = pk_exponents(k)
-    out = np.empty((fine_space.mesh.num_elements, fine_space.dim_interior))
-    for sl, X, Y in _element_points(fine_space, ox, oy):
-        cm = cmap[sl]
-        X = (X - ccx[cm][:, None]) / H
-        Y = (Y - ccy[cm][:, None]) / H
-        vals = np.zeros_like(X)
-        for col, (a, b) in enumerate(exponents):
-            vals += cc[cm, col][:, None] * (X**a) * (Y**b)
-        out[sl] = (vals * w[None, :]) @ phi_ref
+    k, m, r = fine_space.degree, 1 << d, 2.0 ** -d
+    a, b = np.array(pk_exponents(k)).T
+    o = (np.arange(m) + 0.5) * r - 0.5
+    # Tx[p, i, j] is the coefficient of s^j in (o_p + r s)^i, for i, j <= k.
+    i, j = np.arange(k + 1)[:, None], np.arange(k + 1)
+    Tx = np.vectorize(comb)(i, j) * o[:, None, None] ** np.maximum(i - j, 0) * r ** j
+    T = Tx[:, None, b[:, None], b] * Tx[None, :, a[:, None], a]  # (py, px, alpha, gamma)
+    M = T @ fine_space.kit().Gk
+    N, nb = coarse_space.mesh.n, coarse_space.dim_interior
+    C = u_coarse[: coarse_space.n_interior_dofs].reshape(N, N, nb)
+    fine = np.einsum("yxa,pqab->ypxqb", C, M, optimize=True)  # element-major
     rhs = np.zeros(fine_space.ndof)
-    rhs[: fine_space.n_interior_dofs] = out.ravel()
+    rhs[: fine_space.n_interior_dofs] = fine.ravel()
     return rhs
 
 
@@ -84,7 +97,7 @@ def run_sipg(fine_space: WgSpace, coarse_level: int, num_eigs: int,
     targets: list[SipgTarget] = []
     for j, pair in enumerate(coarse_pairs, start=1):
         t0 = time.perf_counter()
-        rhs = cross_mass_rhs(WgFunction(coarse_space, pair.vector), fine_space)
+        rhs = cross_mass_rhs(coarse_space, pair.vector, fine_space)
         warning, lam, xbar = None, float("nan"), None
         try:
             x = solve_shifted(fine_space, pair.value, rhs, tol=tol)

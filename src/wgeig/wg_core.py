@@ -16,9 +16,11 @@ order, then level 1's crosses box by box, and so on up to the top cross.
 Every level then holds its crosses as one contiguous range of dofs, the dofs
 its boxes touch as the tail after it, and its perimeters as 32-bit offsets
 into that tail; the dof map is level 0, each element's interior and then its
-perimeter.  Only qh_project builds coefficients in the edge-major layout (the
-interiors, then edge dofs by component, interior edge and basis function),
-and it permutes them by ``order``, which maps each dof to its layout id.
+perimeter.  A weak function is its coefficient vector, a plain array of
+length ndof in this order.  Only qh_project builds coefficients in the
+edge-major layout (the interiors, then edge dofs by component, interior edge
+and basis function), and it returns them permuted by ``order``, which maps
+each dof to its layout id.
 
 A space holds the stiffness form A and the mass form B of its pencil, applied
 and never assembled on the solve path (WgSpace.operator, WgSpace.mass).
@@ -349,26 +351,6 @@ def _box_levels(space: WgSpace) -> Quadtree:
     return Quadtree(levels, order)
 
 
-@dataclass
-class WgFunction:
-    """Coefficient vector over the degree-of-freedom layout of a WgSpace."""
-
-    space: WgSpace
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        if self.coeffs.shape != (self.space.ndof,):
-            raise ValueError(
-                f"coefficient length {self.coeffs.shape} does not match "
-                f"space dimension {self.space.ndof}"
-            )
-
-    def interior_matrix(self) -> np.ndarray:
-        """Interior coefficients reshaped to (num_elements, dim_interior)."""
-        nd0 = self.space.dim_interior
-        return self.coeffs[: self.space.n_interior_dofs].reshape(-1, nd0)
-
-
 def _centred_moment(p: np.ndarray) -> np.ndarray:
     """Integral of t**p over [-1/2, 1/2]: (1/2)**p / (p+1), zero for odd p."""
     return np.where(p % 2 == 0, 0.5 ** p / (p + 1.0), 0.0)
@@ -601,7 +583,7 @@ def _separable_projection(space: WgSpace, fx, fy, npts: int):
     return moments, cho_solve(space.kit().Ge_cho, rhs.T).T
 
 
-def qh_project(space: WgSpace, f, grad=None, npts: int = DEFAULT_FIELD_QUAD) -> WgFunction:
+def qh_project(space: WgSpace, f, grad=None, npts: int = DEFAULT_FIELD_QUAD) -> np.ndarray:
     """Componentwise projection of a smooth field into the WG space.
 
     f(x, y) must accept arrays; grad(x, y) -> (fx, fy) is required for the
@@ -610,7 +592,7 @@ def qh_project(space: WgSpace, f, grad=None, npts: int = DEFAULT_FIELD_QUAD) -> 
 
     If f carries `factors = (fx, fy)` with f(x, y) = fx(x) * fy(y), its interior
     and trace moments come from 1D moments on the same Gauss rule, which agree
-    with the 2D evaluation to rounding.
+    with the 2D evaluation to rounding.  Returns the coefficient vector.
     """
     if space.kind == BIHARMONIC and grad is None:
         raise ValueError("the fourth-order projection needs the gradient of f")
@@ -637,4 +619,4 @@ def qh_project(space: WgSpace, f, grad=None, npts: int = DEFAULT_FIELD_QUAD) -> 
         normal = _edge_projections(space, normal_derivative, npts)
         off = base + space.mesh.num_interior_edges * k
         coeffs[off : off + normal.size] = normal.ravel()
-    return WgFunction(space, coeffs[space.quadtree.order])
+    return coeffs[space.quadtree.order]

@@ -1,9 +1,10 @@
 """Verification helpers that no solver path calls: the stored index arrays
-of a uniform mesh, mapped quadrature on squares and segments with local L2
-projections, the weak operators on one element, the stabilizer and
-reference-norm matrices, a source solve, field error norms, cluster
-diagnostics, and the earlier forms of the assembly scatter and of the
-nested-dissection factor on global dof ids.
+of a uniform mesh and the containment map between nested levels, mapped
+quadrature on squares and segments with local L2 projections, the weak
+operators on one element, the stabilizer and reference-norm matrices, a
+source solve, field error norms, the two-grid right-hand side by quadrature,
+eigenvalue clusters and their diagnostics, and the earlier forms of the
+assembly scatter and of the nested-dissection factor on global dof ids.
 
 They check the package from outside, so they live with the tests.  The square
 and segment rules place points in absolute coordinates, independently of the
@@ -21,11 +22,12 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dgetrf, dgetrs
 
 from wgeig import linalg
-from wgeig.errors import WgeigError
+from wgeig.errors import LevelOrderError, WgeigError
 from wgeig.analysis import ExactEigen, _span_distance
 from wgeig.eigsolve import EigenPair
-from wgeig.polyspace import DEFAULT_FIELD_QUAD, ElementBasis, gauss_rule
-from wgeig.wg_core import (_ELEMENT_CHUNK, BIHARMONIC, LAPLACIAN, WgFunction, WgSpace,
+from wgeig.mesh import MeshLevel
+from wgeig.polyspace import DEFAULT_FIELD_QUAD, ElementBasis, gauss_rule, pk_exponents
+from wgeig.wg_core import (_ELEMENT_CHUNK, BIHARMONIC, LAPLACIAN, WgSpace,
                            _element_points, _interior_moments, _scatter_symmetric,
                            qh_project)
 
@@ -89,6 +91,20 @@ def reference_mesh(level: int) -> dict:
         "num_boundary_edges": int(boundary.sum()),
         "num_interior_edges": interior_edges.size,
     }
+
+
+def containment_map(coarse: MeshLevel, fine: MeshLevel) -> np.ndarray:
+    """Map each fine element to the coarse element that contains it.
+
+    Pure integer arithmetic: fine cell (ix, iy) lies in coarse cell
+    (ix >> d, iy >> d) with d the level difference.
+    """
+    if fine.level < coarse.level:
+        raise LevelOrderError(
+            f"fine level {fine.level} is coarser than coarse level {coarse.level}"
+        )
+    d = fine.level - coarse.level
+    return (fine.elem_iy >> d) * coarse.n + (fine.elem_ix >> d)
 
 
 # -- mapped quadrature on squares and segments ------------------------------------------
@@ -234,9 +250,9 @@ def l2_project_edge(f, segment: Segment, degree: int, npts: int = DEFAULT_FIELD_
 # -- weak functions and local weak operators -----------------------------------------
 
 
-def local_vector(u: WgFunction, element: int) -> np.ndarray:
+def local_vector(space: WgSpace, coeffs: np.ndarray, element: int) -> np.ndarray:
     """Local coefficients of one element; boundary edge blocks read as 0."""
-    return np.append(u.coeffs, 0.0)[u.space.local_dof_map()[element]]
+    return np.append(coeffs, 0.0)[space.local_dof_map()[element]]
 
 
 def weak_gradient_local(space: WgSpace, local_coeffs: np.ndarray) -> np.ndarray:
@@ -280,7 +296,7 @@ def norm1_matrix(space: WgSpace):
     return _scatter_symmetric(space, 0.5 * (local + local.T))
 
 
-def solve_source(space: WgSpace, f, tol: float = 1e-10) -> WgFunction:
+def solve_source(space: WgSpace, f, tol: float = 1e-10) -> np.ndarray:
     """Solve the discrete source problem a_w(u_h, v) = (f, v_0)."""
     rhs = np.zeros(space.ndof)
     rhs[: space.n_interior_dofs] = _interior_moments(space, f, DEFAULT_FIELD_QUAD).ravel()
@@ -290,18 +306,22 @@ def solve_source(space: WgSpace, f, tol: float = 1e-10) -> WgFunction:
         raise SolverFailureError(
             f"source solve stalled at relative residual {rel:.3e} (tol {tol:.1e})"
         )
-    return WgFunction(space, x)
+    return x
 
 
 # -- field error norms -----------------------------------------------------------------
 
 
-def l2_error(u_h: WgFunction, f, npts: int = DEFAULT_FIELD_QUAD) -> float:
+def interior_matrix(space: WgSpace, coeffs: np.ndarray) -> np.ndarray:
+    """Interior coefficients reshaped to (num_elements, dim_interior)."""
+    return coeffs[: space.n_interior_dofs].reshape(-1, space.dim_interior)
+
+
+def l2_error(space: WgSpace, coeffs: np.ndarray, f, npts: int = DEFAULT_FIELD_QUAD) -> float:
     """L2 distance between a smooth field and the interior component of u_h."""
-    space = u_h.space
     kit = space.kit()
     ox, oy, w, phi_ref = kit.element_quad(npts)
-    C = u_h.interior_matrix()
+    C = interior_matrix(space, coeffs)
     total = 0.0
     for sl, X, Y in _element_points(space, ox, oy):
         diff = np.asarray(f(X, Y), dtype=float) - C[sl] @ phi_ref.T
@@ -309,7 +329,7 @@ def l2_error(u_h: WgFunction, f, npts: int = DEFAULT_FIELD_QUAD) -> float:
     return float(np.sqrt(total))
 
 
-def vnorm_error(u_h: WgFunction, u, grad_u, lap_u,
+def vnorm_error(space: WgSpace, coeffs: np.ndarray, u, grad_u, lap_u,
                 npts: int = DEFAULT_FIELD_QUAD) -> float:
     """Mesh-dependent energy-type error of a fourth-order source solution.
 
@@ -317,13 +337,12 @@ def vnorm_error(u_h: WgFunction, u, grad_u, lap_u,
     penalties of the trace and normal-derivative mismatches, summed per
     element side exactly as the norm is defined.
     """
-    space = u_h.space
     if space.kind != BIHARMONIC:
         raise ValueError("the V-norm error is defined for the fourth-order space")
     mesh = space.mesh
     kit = space.kit()
     h = mesh.h
-    C = u_h.interior_matrix()
+    C = interior_matrix(space, coeffs)
 
     ox, oy, w2, _ = kit.element_quad(npts)
     lap_ref = kit.phi.eval(ox, oy, dx=2) + kit.phi.eval(ox, oy, dy=2)
@@ -342,8 +361,8 @@ def vnorm_error(u_h: WgFunction, u, grad_u, lap_u,
     qbu = cho_solve(kit.Ge_cho, ((u_vals * w1[None, :]) @ psi_ref).T).T
 
     k = space.dim_trace
-    layout = np.empty_like(u_h.coeffs)  # the edge-major layout: interiors, traces, normals
-    layout[space.quadtree.order] = u_h.coeffs
+    layout = np.empty_like(coeffs)  # the edge-major layout: interiors, traces, normals
+    layout[space.quadtree.order] = coeffs
     trace_c = np.zeros((mesh.num_edges, k))
     normal_c = np.zeros((mesh.num_edges, k))
     ii = mesh.interior_index
@@ -371,6 +390,36 @@ def vnorm_error(u_h: WgFunction, u, grad_u, lap_u,
     return float(np.sqrt(total))
 
 
+# -- the two-grid right-hand side by quadrature -----------------------------------------
+
+
+def quadrature_cross_mass_rhs(coarse_space: WgSpace, u_coarse: np.ndarray,
+                              fine_space: WgSpace) -> np.ndarray:
+    """The mass-form pairing of twogrid.cross_mass_rhs by Gauss quadrature:
+    the coarse interior polynomial evaluated at the points of the fine
+    element rule, element_quad(k + 1), which integrates it exactly against
+    the fine basis, through the containment map.  Fine edge entries are zero."""
+    if coarse_space.degree != fine_space.degree or coarse_space.kind != fine_space.kind:
+        raise ValueError("coarse and fine spaces must share degree and kind")
+    cmap = containment_map(coarse_space.mesh, fine_space.mesh)
+    ox, oy, w, phi_ref = fine_space.kit().element_quad(fine_space.degree + 1)
+    H = coarse_space.mesh.h
+    ccx, ccy = (coarse_space.mesh.elem_ix + 0.5) * H, (coarse_space.mesh.elem_iy + 0.5) * H
+    cc = interior_matrix(coarse_space, u_coarse)
+    out = np.empty((fine_space.mesh.num_elements, fine_space.dim_interior))
+    for sl, X, Y in _element_points(fine_space, ox, oy):
+        cm = cmap[sl]
+        X = (X - ccx[cm][:, None]) / H
+        Y = (Y - ccy[cm][:, None]) / H
+        vals = np.zeros_like(X)
+        for col, (a, b) in enumerate(pk_exponents(fine_space.degree)):
+            vals += cc[cm, col][:, None] * (X**a) * (Y**b)
+        out[sl] = (vals * w[None, :]) @ phi_ref
+    rhs = np.zeros(fine_space.ndof)
+    rhs[: fine_space.n_interior_dofs] = out.ravel()
+    return rhs
+
+
 # -- cluster diagnostics and verdicts --------------------------------------------------
 
 
@@ -394,10 +443,34 @@ def eigen_diagnostics(pairs: list[EigenPair], exact: ExactEigen,
             f"cluster size {len(pairs)} != exact multiplicity {exact.multiplicity}"
         )
     errs = [abs(exact.value - p.value) for p in pairs]
-    cols = np.column_stack([qh_project(space, g).coeffs for g in exact.generators])
+    cols = np.column_stack([qh_project(space, g) for g in exact.generators])
     eta = max(_span_distance(cols, p.vector, space.B) for p in pairs)
     gamma = max(_span_distance(cols, p.vector, space.A) for p in pairs)
     return Diagnostics(delta=max(errs), sigma=min(errs), eta=eta, gamma=gamma)
+
+
+@dataclass
+class EigenCluster:
+    """Ascending eigenpairs with grouping of numerically multiple values."""
+
+    pairs: list[EigenPair]
+    cluster_tol: float = 1e-6
+
+    @property
+    def values(self) -> np.ndarray:
+        return np.array([p.value for p in self.pairs])
+
+    def groups(self) -> list[list[int]]:
+        """Indices grouped by relative gap below the cluster tolerance."""
+        groups: list[list[int]] = []
+        for i, pair in enumerate(self.pairs):
+            if groups and abs(pair.value - self.pairs[groups[-1][-1]].value) <= (
+                self.cluster_tol * max(1.0, abs(pair.value))
+            ):
+                groups[-1].append(i)
+            else:
+                groups.append([i])
+        return groups
 
 
 def lower_bound_check(errors) -> list[bool]:

@@ -151,7 +151,7 @@ def test_shifted_solves_match_minimum_degree_oracle(lap_L5_k1):
     coarse = wg.WgSpace(build_uniform(2), 1, kind="laplacian", epsilon=0.1)
     negative, oracle_negative = [], []
     for pair in smallest_eigs(wg.assemble(coarse), 6):
-        rhs = wg.cross_mass_rhs(wg.WgFunction(coarse, pair.vector), forms)
+        rhs = wg.cross_mass_rhs(coarse, pair.vector, forms)
         M = forms.A - pair.value * forms.B
         lu, _ = linalg.factor_indefinite(forms, pair.value)
         oracle = _minimum_degree_splu(M, 0.01)
@@ -197,7 +197,7 @@ def test_two_grid_targets_match_full_oracle():
     forms = wg.assemble(fine)
     coarse = wg.WgSpace(build_uniform(1), 3, kind="laplacian", epsilon=0.1)
     for pair in smallest_eigs(wg.assemble(coarse), 14):
-        rhs = wg.cross_mass_rhs(wg.WgFunction(coarse, pair.vector), fine)
+        rhs = wg.cross_mass_rhs(coarse, pair.vector, fine)
         M = forms.A - pair.value * forms.B
         x = solve_shifted(forms, pair.value, rhs)
         y, _ = linalg.refined_solve(splu(M.tocsc()), M, rhs, tol=1e-10)

@@ -4,11 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from oracles import reference_mesh
+from oracles import containment_map, reference_mesh
 from wgeig import analysis, wg_core
 from wgeig.eigsolve import smallest_eigs
 from wgeig.errors import CapacityError, LevelOrderError
-from wgeig.mesh import EDGE_SIGNS, MeshLevel, build_uniform, containment_map
+from wgeig.mesh import EDGE_SIGNS, MeshLevel, build_uniform
 
 
 @pytest.mark.parametrize("level,elems,edges,bdry", [

@@ -6,7 +6,8 @@ import wgeig.polyspace
 
 MOVED = ("Diagnostics", "eigen_diagnostics", "l2_error", "lower_bound_check", "vnorm_error",
          "norm1_matrix", "solve_source", "stabilizer_matrix", "weak_gradient_local",
-         "weak_laplacian_local", "SolverFailureError", "MultiplicityMismatchError")
+         "weak_laplacian_local", "SolverFailureError", "MultiplicityMismatchError",
+         "EigenCluster", "WgFunction", "containment_map")
 # The mapped square and segment rules are independent quadrature oracles of
 # the tests; the local kit integrates with its own offset rules.
 MOVED_TO_ORACLES = ("Square", "Segment", "QuadratureRule", "EdgeBasis")

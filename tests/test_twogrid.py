@@ -6,7 +6,8 @@ from wgeig.errors import ConfigError, LevelOrderError, NearSingularError
 from wgeig.mesh import build_uniform
 from wgeig.polyspace import gauss_rule
 from wgeig.twogrid import cross_mass_rhs, run_sipg
-from wgeig.eigsolve import EigenCluster, rayleigh_quotient, smallest_eigs, solve_shifted
+from wgeig.eigsolve import rayleigh_quotient, smallest_eigs, solve_shifted
+from oracles import EigenCluster, containment_map, interior_matrix, quadrature_cross_mass_rhs
 
 EXACT6 = np.array([2, 5, 5, 8, 10, 10]) * np.pi**2
 
@@ -35,7 +36,7 @@ def test_cross_mass_same_level_equals_mass_product(lap_L2_k1):
     space, forms = lap_L2_k1
     rng = np.random.default_rng(17)
     v = rng.standard_normal(space.ndof)
-    got = cross_mass_rhs(wg.WgFunction(space, v), space)
+    got = cross_mass_rhs(space, v, space)
     want = forms.B @ v
     assert np.abs(got - want).max() < 1e-13 * max(1.0, np.abs(want).max())
 
@@ -45,7 +46,7 @@ def test_cross_mass_constant_field():
     fine = wg.WgSpace(build_uniform(3), 1, kind="laplacian", epsilon=0.1)
     v = np.zeros(coarse.ndof)
     v[0 : coarse.n_interior_dofs : coarse.dim_interior] = 1.0  # interior field = 1
-    rhs = cross_mass_rhs(wg.WgFunction(coarse, v), fine)
+    rhs = cross_mass_rhs(coarse, v, fine)
     h = fine.mesh.h
     const_entries = rhs[0 : fine.n_interior_dofs : fine.dim_interior]
     assert np.abs(const_entries - h * h).max() < 1e-15
@@ -57,12 +58,12 @@ def test_cross_mass_against_overintegration_oracle():
     fine = wg.WgSpace(build_uniform(3), 2, kind="laplacian", epsilon=0.1)
     rng = np.random.default_rng(29)
     v = rng.standard_normal(coarse.ndof)
-    got = cross_mass_rhs(wg.WgFunction(coarse, v), fine)
+    got = cross_mass_rhs(coarse, v, fine)
 
     # oracle: 20-point tensor Gauss per fine element, raw monomial evaluation
     from wgeig.polyspace import pk_exponents
 
-    cc = wg.WgFunction(coarse, v).interior_matrix()
+    cc = interior_matrix(coarse, v)
     exps = pk_exponents(2)
     g, w = gauss_rule(20)
     h = fine.mesh.h
@@ -72,10 +73,8 @@ def test_cross_mass_against_overintegration_oracle():
     W = np.outer(w, w).ravel() * (0.5 * h) ** 2
     kit = fine.kit()
     phi_ref = kit.phi.eval(OX.ravel(), OY.ravel())
-    from wgeig.mesh import containment_map
-
     cmap = containment_map(coarse.mesh, fine.mesh)
-    ccx, ccy = coarse.mesh.element_centers()
+    ccx, ccy = (coarse.mesh.elem_ix + 0.5) * H, (coarse.mesh.elem_iy + 0.5) * H
     fx0, fy0 = fine.mesh.element_origins()
     want = np.zeros(fine.ndof)
     for e in range(fine.mesh.num_elements):
@@ -93,7 +92,42 @@ def test_cross_mass_rejects_level_order():
     coarse = wg.WgSpace(build_uniform(2), 1, kind="laplacian", epsilon=0.1)
     fine = wg.WgSpace(build_uniform(1), 1, kind="laplacian", epsilon=0.1)
     with pytest.raises(LevelOrderError):
-        cross_mass_rhs(wg.WgFunction(coarse, np.zeros(coarse.ndof)), fine)
+        cross_mass_rhs(coarse, np.zeros(coarse.ndof), fine)
+
+
+@pytest.mark.parametrize("kind,degree", [("laplacian", 1), ("laplacian", 2), ("laplacian", 3),
+                                         ("laplacian", 4), ("biharmonic", 2), ("biharmonic", 3)])
+@pytest.mark.parametrize("gap", [0, 1, 2, 3])
+def test_cross_mass_transfer_matches_quadrature_oracle(kind, degree, gap):
+    # The exact nested-mesh transfer against Gauss quadrature at the fine
+    # element points, on random coarse vectors.
+    coarse = wg.WgSpace(build_uniform(1), degree, kind=kind, epsilon=0.1)
+    fine = wg.WgSpace(build_uniform(1 + gap), degree, kind=kind, epsilon=0.1)
+    rng = np.random.default_rng(100 * degree + gap)
+    for _ in range(3):
+        v = rng.standard_normal(coarse.ndof)
+        got = cross_mass_rhs(coarse, v, fine)
+        want = quadrature_cross_mass_rhs(coarse, v, fine)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.abs(got[fine.n_interior_dofs:]).max(initial=0.0) == 0.0
+
+
+def test_cross_mass_rejects_wrong_length():
+    coarse = wg.WgSpace(build_uniform(1), 2, kind="laplacian", epsilon=0.1)
+    fine = wg.WgSpace(build_uniform(2), 2, kind="laplacian", epsilon=0.1)
+    for n in (coarse.ndof - 1, coarse.ndof + 1, fine.ndof):
+        with pytest.raises(ValueError, match="does not match"):
+            cross_mass_rhs(coarse, np.zeros(n), fine)
+    with pytest.raises(ValueError, match="does not match"):
+        cross_mass_rhs(coarse, np.zeros((coarse.ndof, 1)), fine)
+
+
+def test_cross_mass_rejects_mismatched_spaces():
+    coarse = wg.WgSpace(build_uniform(1), 2, kind="laplacian", epsilon=0.1)
+    for fine in (wg.WgSpace(build_uniform(2), 3, kind="laplacian", epsilon=0.1),
+                 wg.WgSpace(build_uniform(2), 2, kind="biharmonic", epsilon=0.1)):
+        with pytest.raises(ValueError, match="share degree and kind"):
+            cross_mass_rhs(coarse, np.zeros(coarse.ndof), fine)
 
 
 def test_run_direct_composition(lap_L2_k1):
@@ -158,7 +192,7 @@ def test_two_grid_consistency_same_level(lap_L3_k1):
     space, forms = lap_L3_k1
     pairs = smallest_eigs(forms, 2)
     for pair in pairs[:1]:
-        rhs = cross_mass_rhs(wg.WgFunction(space, pair.vector), space)
+        rhs = cross_mass_rhs(space, pair.vector, space)
         try:
             x = solve_shifted(forms, pair.value, rhs)
         except NearSingularError as exc:
