@@ -7,12 +7,14 @@ insensitive to normalization conventions of the reference functions.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from ._stages import _stage
 from .eigsolve import smallest_eigs
 from .errors import EmptyClusterError, NonPositiveError
 from .mesh import build_uniform
@@ -200,6 +202,11 @@ def _exact_values(kind: str, degree: int, num_eigs: int, levels: list[int]):
     return vals
 
 
+def _energy_stage(kind: str, where: str):
+    """The energy errors' stage; the biharmonic rows compute none."""
+    return _stage(f"energy errors {where}") if kind == LAPLACIAN else contextlib.nullcontext()
+
+
 def direct_study(kind: str, degree: int, epsilon: float, levels, num_eigs: int,
                  tol: float = 1e-10) -> StudyResult:
     """Direct eigensolves over a sweep of levels, with fitted convergence orders."""
@@ -211,21 +218,24 @@ def direct_study(kind: str, degree: int, epsilon: float, levels, num_eigs: int,
     hs: list[float] = []
     for level in levels:
         t0 = time.perf_counter()
-        space = assemble(WgSpace(build_uniform(level), degree, kind=kind, epsilon=epsilon))
-        pairs = smallest_eigs(space, num_eigs, tol=tol)
+        with _stage(f"assembly level {level}"):
+            space = assemble(WgSpace(build_uniform(level), degree, kind=kind, epsilon=epsilon))
+        with _stage(f"eigensolve level {level}"):
+            pairs = smallest_eigs(space, num_eigs, tol=tol)
         dt = time.perf_counter() - t0
         hs.append(space.mesh.h)
-        for j, pair in enumerate(pairs, start=1):
-            lam_ex, cluster = exact[j - 1]
-            energy = None
-            if kind == LAPLACIAN and cluster is not None:
-                energy = energy_error(space, pair.vector, cluster.generators)
-                energies[j].append(energy)
-            row = _study_row(kind, degree, epsilon, level, level, j, lam_ex, pair.value,
-                             None, energy, dt)
-            if row.err_direct is not None:
-                errs[j].append(row.err_direct)
-            rows.append(row)
+        with _energy_stage(kind, f"level {level}"):
+            for j, pair in enumerate(pairs, start=1):
+                lam_ex, cluster = exact[j - 1]
+                energy = None
+                if kind == LAPLACIAN and cluster is not None:
+                    energy = energy_error(space, pair.vector, cluster.generators)
+                    energies[j].append(energy)
+                row = _study_row(kind, degree, epsilon, level, level, j, lam_ex, pair.value,
+                                 None, energy, dt)
+                if row.err_direct is not None:
+                    errs[j].append(row.err_direct)
+                rows.append(row)
     orders: dict[str, float] = {}
     if len(levels) >= 2:
         for j in range(1, num_eigs + 1):
@@ -245,25 +255,29 @@ def sipg_study(kind: str, degree: int, epsilon: float, coarse_levels, fine_level
     """
     coarse_levels = list(coarse_levels)
     exact = _exact_values(kind, degree, num_eigs, coarse_levels)
-    fine_space = assemble(WgSpace(build_uniform(fine_level), degree, kind=kind,
-                                  epsilon=epsilon))
+    with _stage(f"assembly level {fine_level}"):
+        fine_space = assemble(WgSpace(build_uniform(fine_level), degree, kind=kind,
+                                      epsilon=epsilon))
     direct_pairs = None
     if include_direct:
-        direct_pairs = smallest_eigs(fine_space, num_eigs, tol=tol)
+        with _stage(f"eigensolve level {fine_level}"):
+            direct_pairs = smallest_eigs(fine_space, num_eigs, tol=tol)
 
     rows: list[StudyRow] = []
     warnings: list[str] = []
     for coarse_level in coarse_levels:
-        for t in run_sipg(fine_space, coarse_level, num_eigs, tol=tol):
-            j = t.index
-            if t.warning:
-                warnings.append(t.warning)
-            lam_ex, cluster = exact[j - 1]
-            lam_h = None if direct_pairs is None else direct_pairs[j - 1].value
-            energy = None
-            if kind == LAPLACIAN and cluster is not None and t.normalized is not None:
-                energy = energy_error(fine_space, t.normalized, cluster.generators)
-            lam_tilde = t.rayleigh if np.isfinite(t.rayleigh) else None
-            rows.append(_study_row(kind, degree, epsilon, coarse_level, fine_level, j,
-                                   lam_ex, lam_h, lam_tilde, energy, t.seconds))
+        targets = run_sipg(fine_space, coarse_level, num_eigs, tol=tol)
+        with _energy_stage(kind, f"level {coarse_level}->{fine_level}"):
+            for t in targets:
+                j = t.index
+                if t.warning:
+                    warnings.append(t.warning)
+                lam_ex, cluster = exact[j - 1]
+                lam_h = None if direct_pairs is None else direct_pairs[j - 1].value
+                energy = None
+                if kind == LAPLACIAN and cluster is not None and t.normalized is not None:
+                    energy = energy_error(fine_space, t.normalized, cluster.generators)
+                lam_tilde = t.rayleigh if np.isfinite(t.rayleigh) else None
+                rows.append(_study_row(kind, degree, epsilon, coarse_level, fine_level, j,
+                                       lam_ex, lam_h, lam_tilde, energy, t.seconds))
     return StudyResult(rows=rows, orders={}, warnings=warnings)

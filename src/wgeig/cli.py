@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import logging
 import os
 import sys
 
@@ -181,6 +182,24 @@ def _write_table_grid(result, stream) -> None:
 
 
 @contextlib.contextmanager
+def _stage_lines(verbose: bool):
+    """With -v, the stage lines the library logs go to stderr during the run."""
+    if not verbose:
+        yield
+        return
+    log, handler = logging.getLogger("wgeig"), logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+
+
+@contextlib.contextmanager
 def _writing():
     """An output or dump path that cannot be written is a configuration error."""
     try:
@@ -333,7 +352,8 @@ def _build_parser():
         p.add_argument("--config", help="key = value config file; flags override")
         add("--dump-mesh", help="write mesh entities as JSON (debug)")
         add("--dump-matrices", help="write assembled forms in MatrixMarket format (debug)")
-        add("-v", "--verbose", action="store_true")
+        add("-v", "--verbose", action="store_true",
+            help="print one line per stage on stderr: its seconds and the peak RSS so far")
         return add
 
     add = command("solve", _cmd_direct, "direct eigensolve on one mesh level")
@@ -368,7 +388,8 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        return args.handler(args)
+        with _stage_lines(args.verbose):
+            return args.handler(args)
     except (ValueError, ConfigError, DegreeTooLowError, CapacityError,
             LevelOrderError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,9 +11,12 @@ symmetric mesh; the second copy of a double eigenvalue enters through
 rounding and the restarts.  Each application of C is one solve with the
 stiffness factor (see linalg) on the interior-only right-hand side L z, which
 is zero on the edges, between two small GEMMs with the nb×nb blocks L and Lᵀ
-into buffers that every application reuses.  The eigenvectors come back from
-the same solve, one per pair, x = A⁻¹ (L z), and every pair is certified by
-its residual; a failed gate asks ARPACK once more, for m + 1 pairs.  The
+into one work vector that every application reuses.  While ARPACK runs, the
+quadtree, the stiffness factor with its solve workspace and that vector are
+all the eigensolve keeps: A is first multiplied after eigsh returns, so the
+space's dof map is built then.  The eigenvectors come back from the same
+solve, one per pair, x = A⁻¹ (L z), and every pair is certified by its
+residual; a failed gate asks ARPACK once more, for m + 1 pairs.  The
 residuals, the b-form normalization and the Rayleigh quotients multiply by A
 and B matrix-free (WgSpace.operator and WgSpace.mass), so no global matrix is
 built.
@@ -61,7 +64,7 @@ def smallest_eigs(space: WgSpace, m: int, tol: float = 1e-10,
     ``maxiter`` caps the number of operator applications (solves with the
     stiffness factor); reaching it raises NoConvergenceError.
     """
-    A, B, n_int = space.operator(), space.mass, space.n_interior_dofs
+    n_int = space.n_interior_dofs
     if m < 1:
         raise ValueError("at least one eigenpair must be requested")
     if m > n_int:
@@ -69,13 +72,14 @@ def smallest_eigs(space: WgSpace, m: int, tol: float = 1e-10,
 
     lu, L = linalg.factor_spd(space), np.linalg.cholesky(space.kit().Gk)
     nb, applied = L.shape[0], 0
-    # Every application reuses these two, as the factor reuses its workspace.
-    scaled, result = np.empty(n_int), np.empty(n_int)
+    # The one work vector: L z, then Lᵀ y, and before ARPACK starts its
+    # seeded start vector, which eigsh copies into its own residual.
+    work = np.empty(n_int)
 
-    def blockwise(T, z, out):
-        """blockdiag(T, ..., T) z into out as one GEMM on the (elements, nb) view."""
-        np.matmul(z.reshape(-1, nb), T.T, out=out.reshape(-1, nb))
-        return out
+    def blockwise(T, z):
+        """blockdiag(T, ..., T) z into work as one GEMM on the (elements, nb) view."""
+        np.matmul(z.reshape(-1, nb), T.T, out=work.reshape(-1, nb))
+        return work
 
     def apply_c(z):
         """C z = Lᵀ (A⁻¹)_II L z (L z is zero on the edges), counted against the
@@ -84,7 +88,7 @@ def smallest_eigs(space: WgSpace, m: int, tol: float = 1e-10,
         if maxiter is not None and applied + 1 > maxiter:
             raise NoConvergenceError(applied, np.inf)
         applied += 1
-        return blockwise(L.T, lu.solve(blockwise(L, z, scaled))[:n_int], result)
+        return blockwise(L.T, lu.solve(blockwise(L, z))[:n_int])
 
     # A failed residual gate widens the request once: when m cuts a multiple
     # eigenvalue, ARPACK's Ritz vector in the cut cluster may not have converged.
@@ -95,7 +99,7 @@ def smallest_eigs(space: WgSpace, m: int, tol: float = 1e-10,
             theta, Z = np.linalg.eigh(C)
         else:
             op = LinearOperator((n_int, n_int), matvec=apply_c, dtype=float)
-            v0 = np.random.default_rng(_START_SEED).standard_normal(n_int)
+            v0 = np.random.default_rng(_START_SEED).standard_normal(out=work)
             try:
                 theta, Z = eigsh(op, k=k, which="LA", tol=0, v0=v0)
             except ArpackNoConvergence:
@@ -106,10 +110,10 @@ def smallest_eigs(space: WgSpace, m: int, tol: float = 1e-10,
             raise FactorizationFailureError(
                 "nonpositive pencil eigenvalue encountered; stiffness form is not SPD")
         lam = 1.0 / theta  # theta descending, so lam is ascending
-        pairs = []
+        A, B, pairs = space.operator(), space.mass, []
         for i in range(m):
             # One solve per pair keeps the work arrays at one vector of length n.
-            x = _b_normalized(space, lu.solve(blockwise(L, Z[:, i], scaled)))
+            x = _b_normalized(space, lu.solve(blockwise(L, Z[:, i])))
             ax = A @ x
             resid = float(np.linalg.norm(ax - lam[i] * (B @ x)) / np.linalg.norm(ax))
             pairs.append(EigenPair(value=float(lam[i]), vector=x, residual=resid))

@@ -174,9 +174,9 @@ def refined_solve(lu, M, rhs: np.ndarray, tol: float) -> tuple[np.ndarray, float
     """
     rhs = np.asarray(rhs, dtype=float)
     rhs_norm = float(np.linalg.norm(rhs))
-    x = lu.solve(rhs)
     if rhs_norm == 0.0:
         return np.zeros_like(rhs), 0.0
+    x = lu.solve(rhs)
     best_x, best_r = x, rhs - M @ x  # the residual of the last accepted iterate
     best_res = float(np.linalg.norm(best_r)) / rhs_norm
     for _ in range(MAX_REFINE):

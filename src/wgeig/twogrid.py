@@ -20,6 +20,7 @@ from math import comb
 
 import numpy as np
 
+from ._stages import _stage
 from .eigsolve import _b_normalized, rayleigh_quotient, smallest_eigs, solve_shifted
 from .errors import ConfigError, LevelOrderError, NearSingularError
 from .mesh import build_uniform
@@ -92,26 +93,29 @@ def run_sipg(fine_space: WgSpace, coarse_level: int, num_eigs: int,
                           f"({coarse_level})")
     coarse_space = WgSpace(build_uniform(coarse_level), fine_space.degree,
                            kind=fine_space.kind, epsilon=fine_space.epsilon)
-    coarse_pairs = smallest_eigs(assemble(coarse_space), num_eigs, tol=tol)
+    with _stage(f"coarse solve level {coarse_level}"):
+        coarse_pairs = smallest_eigs(assemble(coarse_space), num_eigs, tol=tol)
 
     targets: list[SipgTarget] = []
+    levels = f"{coarse_level}->{fine_space.mesh.level}"
     for j, pair in enumerate(coarse_pairs, start=1):
-        t0 = time.perf_counter()
-        rhs = cross_mass_rhs(coarse_space, pair.vector, fine_space)
-        warning, lam, xbar = None, float("nan"), None
-        try:
-            x = solve_shifted(fine_space, pair.value, rhs, tol=tol)
-        except NearSingularError as exc:
-            warning = (f"index {j}: shift {pair.value!r} collided with the fine "
-                       f"spectrum ({exc})")
-            # The amplified best-effort solve, if any, is still the inverse-
-            # iteration direction; report its Rayleigh value alongside the warning.
-            x = exc.solution
-        if x is not None:
-            lam = float(rayleigh_quotient(fine_space, x))
-            xbar = _b_normalized(fine_space, x)
-        targets.append(SipgTarget(
-            index=j, coarse_value=pair.value, rayleigh=lam, normalized=xbar,
-            seconds=time.perf_counter() - t0, warning=warning,
-        ))
+        with _stage(f"target {j} level {levels}"):
+            t0 = time.perf_counter()
+            rhs = cross_mass_rhs(coarse_space, pair.vector, fine_space)
+            warning, lam, xbar = None, float("nan"), None
+            try:
+                x = solve_shifted(fine_space, pair.value, rhs, tol=tol)
+            except NearSingularError as exc:
+                warning = (f"index {j}: shift {pair.value!r} collided with the fine "
+                           f"spectrum ({exc})")
+                # The amplified best-effort solve, if any, is still the inverse-
+                # iteration direction; report its Rayleigh value alongside the warning.
+                x = exc.solution
+            if x is not None:
+                lam = float(rayleigh_quotient(fine_space, x))
+                xbar = _b_normalized(fine_space, x)
+            targets.append(SipgTarget(
+                index=j, coarse_value=pair.value, rayleigh=lam, normalized=xbar,
+                seconds=time.perf_counter() - t0, warning=warning,
+            ))
     return targets

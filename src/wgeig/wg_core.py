@@ -27,7 +27,9 @@ and never assembled on the solve path (WgSpace.operator, WgSpace.mass).
 A x is one gather of x through the space's dof map, whose Dirichlet
 entries name a sink slot ndof, one GEMM with the local stiffness matrix and
 one bincount scatter; B x is one GEMM with the interior Gram block Gk on the
-element-major interiors, and zero on the edges.  Both agree with the
+element-major interiors, and zero on the edges.  assemble builds the local
+kit and the quadtree; the dof map is built by the first product of A, which
+on the direct path comes after ARPACK has returned.  Both agree with the
 assembled products to rounding, not bit for bit: a CSR row sums each entry's
 two element terms first.  The largest |entry| of A - sigma B comes exactly
 from the rows of one element whose four edges are interior.
@@ -147,8 +149,9 @@ class WgSpace:
         return self.dim_interior + 4 * self.dim_trace * self.num_edge_components
 
     def local_dof_map(self) -> np.ndarray:
-        """(Ne, n_local) global indices in local order, built once: level 0 of
-        the quadtree, each element's interior and then its perimeter.  The
+        """(Ne, n_local) global indices in local order, built once, on the
+        first read (a product of A, max_abs or a scatter): level 0 of the
+        quadtree, each element's interior and then its perimeter.  The
         sink ``ndof`` marks boundary blocks, so a gather from a vector padded
         by one zero reads them as 0, and a bincount scatter drops them in one
         extra bin."""
@@ -270,12 +273,12 @@ class Quadtree(NamedTuple):
 
 def _edge_dofs(space: WgSpace, edges: np.ndarray, interior_index: np.ndarray) -> np.ndarray:
     """Layout ids of each row of edges' dofs (Quadtree), ``ndof`` on the
-    boundary, from the mesh's interior_index."""
-    k = space.dim_trace
-    comp = np.arange(space.num_edge_components)[:, None, None]
+    boundary, from the mesh's interior_index and in its integer type."""
+    k, dtype = space.dim_trace, interior_index.dtype
+    comp = np.arange(space.num_edge_components, dtype=dtype)[:, None, None]
     ii = interior_index[edges[:, None, :, None]]
-    ids = np.where(ii >= 0, space.n_interior_dofs
-                   + (comp * space.mesh.num_interior_edges + ii) * k + np.arange(k), space.ndof)
+    ids = np.where(ii >= 0, space.n_interior_dofs + (comp * space.mesh.num_interior_edges + ii)
+                   * k + np.arange(k, dtype=dtype), space.ndof)
     return ids.reshape(len(edges), -1)
 
 
@@ -305,22 +308,28 @@ def _box_levels(space: WgSpace) -> Quadtree:
     increasing coordinate (at level 0 the local order of WgSpace); a cross
     runs along its vertical midline, then its horizontal one."""
     n, ndof = space.mesh.n, space.ndof
-    interior_index = space.mesh.interior_index  # rebuilt on every read, so read once
+    # 32-bit dofs and layout ids where they fit, as in _scatter_symmetric.
+    # Every index array is built in that type, so no level's transients are
+    # twice the size of what it keeps.
+    ids = np.int32 if ndof < 2**31 else np.int64
+    interior_index = space.mesh.interior_index.astype(ids)  # rebuilt on every read
 
     def edge(horizontal, i, j):
         return horizontal * n * (n + 1) + j * (n + 1 - horizontal) + i
 
-    crosses, perimeters, merges, below = [], [], [], None
+    order = np.empty(ndof, dtype=ids)  # the crosses, level after level
+    shapes, perimeters, merges, below, start = [], [], [], None, 0
     for level in range(space.mesh.level + 1):
         m = 1 << level
-        y0, x0 = np.divmod(np.arange((n // m) ** 2), n // m)
-        y0, x0, t = m * y0[:, None], m * x0[:, None], np.arange(m)
+        y0, x0 = np.divmod(np.arange((n // m) ** 2, dtype=ids), n // m)
+        y0, x0, t = m * y0[:, None], m * x0[:, None], np.arange(m, dtype=ids)
         sides = np.hstack([edge(0, x0, y0 + t), edge(0, x0 + m, y0 + t),
                            edge(1, x0 + t, y0), edge(1, x0 + t, y0 + m)])
         perimeter = _edge_dofs(space, sides[:, :0] if 0 < level == space.mesh.level else sides,
                                interior_index)
         if level == 0:
-            cross, merge = np.arange(space.n_interior_dofs).reshape(len(sides), -1), None
+            cross = np.arange(space.n_interior_dofs, dtype=ids).reshape(len(sides), -1)
+            merge = None
         else:
             # Box 0's cross and sides, and its four children's sides, by blind id.
             middle = np.hstack([edge(0, x0 + m // 2, y0 + t), edge(1, x0 + t, y0 + m // 2)])
@@ -328,25 +337,26 @@ def _box_levels(space: WgSpace) -> Quadtree:
             own = np.concatenate([_blind_ids(space, middle[:1])[0],
                                   _blind_ids(space, sides[:1])[0]])
             children = _blind_ids(space, below[[0, 1, n // m * 2, n // m * 2 + 1]])
-            local = np.empty(own.max() + 1, dtype=np.intp)  # box 0's position by id
+            local = np.empty(own.max() + 1, dtype=ids)  # box 0's position by id
             local[own] = np.arange(own.size)
             size = cross.shape[1] + perimeter.shape[1]
             merge = tuple(_runs(child, size) for child in local[children])
         below = sides
-        crosses.append(cross)
+        order[start:start + cross.size] = cross.ravel()
+        start += cross.size
+        shapes.append(cross.shape)
         perimeters.append(perimeter)
         merges.append(merge)
-    # 32-bit dofs and layout ids where they fit, as in _scatter_symmetric;
-    # position maps each layout id to its dof.
-    ids = np.int32 if ndof < 2**31 else np.int64
-    order = np.concatenate([cross.ravel() for cross in crosses]).astype(ids)
+    # position maps each layout id to its dof; each perimeter becomes tail
+    # offsets in place.
     position = np.empty(ndof + 1, dtype=ids)
     position[order] = np.arange(ndof, dtype=ids)
     position[ndof] = ndof
     levels, start = [], 0
-    for cross, perimeter, merge in zip(crosses, perimeters, merges):
-        stop = start + cross.size
-        levels.append(BoxLevel(start, *cross.shape, position[perimeter] - stop, merge))
+    for (boxes, n_cross), perimeter, merge in zip(shapes, perimeters, merges):
+        stop = start + boxes * n_cross
+        np.subtract(position[perimeter], stop, out=perimeter)
+        levels.append(BoxLevel(start, boxes, n_cross, perimeter, merge))
         start = stop
     return Quadtree(levels, order)
 
@@ -505,11 +515,12 @@ def _scatter_symmetric(space: WgSpace, local: np.ndarray) -> sp.csr_matrix:
 
 
 def assemble(space: WgSpace) -> WgSpace:
-    """Build what the products of the forms read, the local kit and the dof
-    map (with the quadtree, whose level 0 it is), and return the space; no
-    global matrix is built."""
+    """Build the local kit and the quadtree, and return the space; no global
+    matrix is built.  The dof map, level 0 of the quadtree, is built by the
+    first product (WgSpace.operator), which on the direct path comes after
+    ARPACK has returned, so its Lanczos basis never shares memory with it."""
     space.kit()
-    space.local_dof_map()
+    space.quadtree
     return space
 
 

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -186,6 +187,33 @@ def test_determinism_excluding_timings(capsys):
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert without_seconds(first) == without_seconds(second)
+
+
+STAGE_LINE = re.compile(r"stage (\S.*?) +(\d+\.\d{3}) s  peak RSS +(\d+\.\d) MB")
+
+
+@pytest.mark.parametrize("argv,stages", [
+    (("solve", "--level", "3", "--num-eigs", "2"),
+     ["assembly level 3", "eigensolve level 3", "energy errors level 3"]),
+    (("sipg", "--coarse-level", "2", "--fine-level", "3", "--num-eigs", "2"),
+     ["assembly level 3", "eigensolve level 3", "coarse solve level 2",
+      "target 1 level 2->3", "target 2 level 2->3", "energy errors level 2->3"]),
+    (("table", "--problem", "biharmonic", "--degree", "2", "--fine-level", "2",
+      "--coarse-levels", "1", "--num-eigs", "2"),
+     ["assembly level 2", "coarse solve level 1", "target 1 level 1->2",
+      "target 2 level 1->2"]),
+])
+def test_verbose_prints_one_stage_line_per_stage(capsys, argv, stages):
+    argv = (*argv, "--output", "csv")
+    code, quiet, quiet_err = run_cli(capsys, *argv)
+    assert code == 0 and quiet_err == ""
+    code, out, err = run_cli(capsys, *argv, "-v")
+    assert code == 0 and without_seconds(out) == without_seconds(quiet)
+    lines = [STAGE_LINE.fullmatch(line) for line in err.splitlines()]
+    assert all(lines) and [m[1] for m in lines] == stages
+    assert all(float(m[3]) > 0.0 for m in lines)
+    # The stage lines stop with the run that asked for them.
+    assert run_cli(capsys, *argv)[2] == ""
 
 
 def test_config_file_and_flag_precedence(capsys, tmp_path):

@@ -101,6 +101,15 @@ def test_refinement_measures_each_residual_once(lap_L5_k1):
     assert residual == np.linalg.norm(rhs - M @ x) / np.linalg.norm(rhs) > 0.5e-14
 
 
+def test_zero_right_hand_side_solves_nothing(lap_L5_k1):
+    forms, _ = lap_L5_k1
+    M = _CountingCSR(forms.A)
+    counted = CountingLU(linalg.factor_spd(forms))
+    x, residual = linalg.refined_solve(counted, M, np.zeros(forms.ndof), tol=1e-10)
+    assert counted.shapes == [] and M.products == 0
+    assert residual == 0.0 and x.shape == (forms.ndof,) and not x.any()
+
+
 def test_shift_on_an_eigenvalue_still_collides(lap_L5_k1):
     forms, pairs = lap_L5_k1
     rhs = forms.B @ pairs[0].vector

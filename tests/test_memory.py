@@ -1,0 +1,75 @@
+"""Memory contracts of the direct eigensolve, measured with tracemalloc, which
+sees numpy's buffers.  Neither test reads ARPACK's own arrays."""
+
+import tracemalloc
+
+import pytest
+
+import wgeig as wg
+import wgeig.eigsolve as eigsolve
+from wgeig import linalg
+from wgeig.mesh import build_uniform
+
+# What the space's kit, the small objects of the factor and of the solve, and
+# the test's own Python objects hold beyond the arrays counted below: about
+# 30 KB measured at level 7, where the dof map alone is 917 KB and one
+# interior vector 393 KB.
+SLACK_BYTES = 128 * 1024
+# _box_levels peaks at 2.0-2.2 times what it keeps (4 times while it built
+# 64-bit ids and narrowed them at the end).
+QUADTREE_PEAK_MULTIPLE = 2.5
+
+
+def _quadtree_bytes(quadtree) -> int:
+    return quadtree.order.nbytes + sum(level.perimeter.nbytes for level in quadtree.levels)
+
+
+def _factor_bytes(lu) -> int:
+    """The factor's stored blocks and inverses, and its solve workspace once
+    a solve has built it."""
+    stored = sum(block.nbytes + lu_piv[0].nbytes + lu_piv[1].nbytes + X.nbytes
+                 for block, lu_piv, X in lu.factors)
+    inverses = sum(inv.nbytes for inv in lu.inverses if inv is not None)
+    return stored + inverses + sum(a.nbytes for a in vars(lu).get("_workspace", ()))
+
+
+def test_arpack_runs_beside_the_quadtree_the_factor_and_one_vector(monkeypatch):
+    factors, seen = [], {}
+
+    def recorded_factor(space):
+        factors.append(factor_spd(space))
+        return factors[-1]
+
+    def watched_eigsh(op, **kwargs):
+        seen["live"] = tracemalloc.get_traced_memory()[0]
+        seen["allowed"] = (_quadtree_bytes(space.quadtree) + _factor_bytes(factors[-1])
+                           + 8 * space.n_interior_dofs + SLACK_BYTES)
+        seen["dof_map"] = space._dof_map
+        return arpack(op, **kwargs)
+
+    factor_spd, arpack = linalg.factor_spd, eigsolve.eigsh
+    monkeypatch.setattr(linalg, "factor_spd", recorded_factor)
+    monkeypatch.setattr(eigsolve, "eigsh", watched_eigsh)
+    tracemalloc.start()
+    try:
+        space = wg.assemble(wg.WgSpace(build_uniform(7), 1, kind="laplacian"))
+        pairs = eigsolve.smallest_eigs(space, 6)
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == 6 and len(factors) == 1
+    assert seen["dof_map"] is None  # built by the first product, after ARPACK
+    assert space._dof_map is not None
+    assert seen["live"] <= seen["allowed"], (seen["live"], seen["allowed"])
+
+
+@pytest.mark.parametrize("kind,degree,level", [("laplacian", 1, 7), ("biharmonic", 2, 5)])
+def test_quadtree_build_peaks_near_what_it_keeps(kind, degree, level):
+    space = wg.WgSpace(build_uniform(level), degree, kind=kind)
+    tracemalloc.start()
+    try:
+        quadtree = space.quadtree
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept >= _quadtree_bytes(quadtree)
+    assert peak <= QUADTREE_PEAK_MULTIPLE * kept, (peak, kept)
