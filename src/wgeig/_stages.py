@@ -1,9 +1,10 @@
 """Stage lines of a run: each stage's seconds and the process's peak RSS so far.
 
 The studies and the two-grid driver time their stages (assembly, eigensolve,
-energy errors, coarse solve, each two-grid target) with ``_stage``, which
-logs one line per stage to the ``wgeig`` logger at INFO level.  Nothing
-shows them by default; ``wgeig -v`` sends them to stderr.
+energy errors, coarse solve, and each two-grid target followed by its energy
+error) with ``_stage``, which logs one line per stage, in the order they
+run, to the ``wgeig`` logger at INFO level.  Nothing shows them by default;
+``wgeig -v`` sends them to stderr.
 """
 
 from __future__ import annotations

@@ -251,33 +251,38 @@ def sipg_study(kind: str, degree: int, epsilon: float, coarse_levels, fine_level
     """Two-grid sweep over coarse levels at a fixed fine level.
 
     The fine assembly is shared across the sweep.  With include_direct, the
-    direct fine solve is run once and reported alongside for comparison.
+    direct fine solve is run once and its eigenvalues are reported alongside
+    for comparison; its vectors are dropped.  The two-grid targets stream
+    from run_sipg: each target's energy error is taken as it arrives, and the
+    target is dropped before the next one is computed.
     """
     coarse_levels = list(coarse_levels)
     exact = _exact_values(kind, degree, num_eigs, coarse_levels)
     with _stage(f"assembly level {fine_level}"):
         fine_space = assemble(WgSpace(build_uniform(fine_level), degree, kind=kind,
                                       epsilon=epsilon))
-    direct_pairs = None
+    lam_h: list[float | None] = [None] * num_eigs
     if include_direct:
         with _stage(f"eigensolve level {fine_level}"):
-            direct_pairs = smallest_eigs(fine_space, num_eigs, tol=tol)
+            lam_h = [p.value for p in smallest_eigs(fine_space, num_eigs, tol=tol)]
 
     rows: list[StudyRow] = []
     warnings: list[str] = []
     for coarse_level in coarse_levels:
-        targets = run_sipg(fine_space, coarse_level, num_eigs, tol=tol)
-        with _energy_stage(kind, f"level {coarse_level}->{fine_level}"):
-            for t in targets:
-                j = t.index
-                if t.warning:
-                    warnings.append(t.warning)
-                lam_ex, cluster = exact[j - 1]
-                lam_h = None if direct_pairs is None else direct_pairs[j - 1].value
-                energy = None
-                if kind == LAPLACIAN and cluster is not None and t.normalized is not None:
+        levels = f"{coarse_level}->{fine_level}"
+        for t in run_sipg(fine_space, coarse_level, num_eigs, tol=tol):
+            j = t.index
+            if t.warning:
+                warnings.append(t.warning)
+            lam_ex, cluster = exact[j - 1]
+            energy = None
+            if kind == LAPLACIAN and cluster is not None and t.normalized is not None:
+                with _stage(f"energy error {j} level {levels}"):
                     energy = energy_error(fine_space, t.normalized, cluster.generators)
-                lam_tilde = t.rayleigh if np.isfinite(t.rayleigh) else None
-                rows.append(_study_row(kind, degree, epsilon, coarse_level, fine_level, j,
-                                       lam_ex, lam_h, lam_tilde, energy, t.seconds))
+            lam_tilde = t.rayleigh if np.isfinite(t.rayleigh) else None
+            rows.append(_study_row(kind, degree, epsilon, coarse_level, fine_level, j,
+                                   lam_ex, lam_h[j - 1], lam_tilde, energy, t.seconds))
+            # The loop variable would keep this target's vector live while the
+            # next one is computed.
+            del t
     return StudyResult(rows=rows, orders={}, warnings=warnings)

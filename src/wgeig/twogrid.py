@@ -4,7 +4,10 @@ Step 1 solves the eigenproblem on the coarse mesh, step 2 solves one shifted
 linear system per target index on the fine mesh with the coarse eigenvalue as
 the shift and the coarse eigenvector as mass-form right-hand side, and step 3
 evaluates the Rayleigh quotient of the amplified solution.  The scheme is
-one-shot: steps 2 and 3 are never iterated.
+one-shot: steps 2 and 3 are never iterated.  A target needs only its own
+coarse pair, so run_sipg streams the targets: it keeps none of target j's
+fine vectors once target j is handed over, and a caller that drops each
+target before asking for the next one works in one target's memory.
 
 The fine mesh refines the coarse one, so the right-hand side needs no
 quadrature: on each fine element the coarse interior polynomial is a P_k
@@ -15,13 +18,15 @@ children of its coarse element (cross_mass_rhs).
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
 from ._stages import _stage
-from .eigsolve import _b_normalized, rayleigh_quotient, smallest_eigs, solve_shifted
+from .eigsolve import (EigenPair, _b_normalized, rayleigh_quotient, smallest_eigs,
+                       solve_shifted)
 from .errors import ConfigError, LevelOrderError, NearSingularError
 from .mesh import build_uniform
 from .polyspace import pk_exponents
@@ -30,7 +35,10 @@ from .wg_core import WgSpace, assemble
 
 @dataclass
 class SipgTarget:
-    """Per-index outcome of the two-grid scheme."""
+    """Per-index outcome of the two-grid scheme, as run_sipg yields it.
+
+    It holds the one fine-length vector of its target (``normalized``); the
+    caller drops it before asking for the next target."""
 
     index: int
     coarse_value: float
@@ -81,12 +89,17 @@ def cross_mass_rhs(coarse_space: WgSpace, u_coarse: np.ndarray,
 
 
 def run_sipg(fine_space: WgSpace, coarse_level: int, num_eigs: int,
-             tol: float = 1e-10) -> list[SipgTarget]:
-    """Run the two-grid scheme on the assembled fine space.
+             tol: float = 1e-10) -> Iterator[SipgTarget]:
+    """Run the two-grid scheme on the assembled fine space, one target at a time.
 
     The fine space fixes the kind, degree, epsilon and fine level; the coarse
-    space repeats all but the level.  Near-singular shifted solves are
-    recorded as warnings on their target and never silently ignored.
+    space repeats all but the level.  The level order and num_eigs are checked
+    and the coarse eigenproblem is solved when run_sipg is called; the targets
+    stream: each is computed when the caller asks for it, and nothing of an
+    earlier target is kept, so the working set is one target's whatever
+    num_eigs is.  A caller that reads the targets twice takes the list.
+    Near-singular shifted solves are recorded as warnings on their target and
+    never silently ignored.
     """
     if fine_space.mesh.level <= coarse_level:
         raise ConfigError(f"fine level ({fine_space.mesh.level}) must exceed coarse level "
@@ -95,27 +108,28 @@ def run_sipg(fine_space: WgSpace, coarse_level: int, num_eigs: int,
                            kind=fine_space.kind, epsilon=fine_space.epsilon)
     with _stage(f"coarse solve level {coarse_level}"):
         coarse_pairs = smallest_eigs(assemble(coarse_space), num_eigs, tol=tol)
+    return (_target(coarse_space, fine_space, j, pair, tol)
+            for j, pair in enumerate(coarse_pairs, start=1))
 
-    targets: list[SipgTarget] = []
-    levels = f"{coarse_level}->{fine_space.mesh.level}"
-    for j, pair in enumerate(coarse_pairs, start=1):
-        with _stage(f"target {j} level {levels}"):
-            t0 = time.perf_counter()
-            rhs = cross_mass_rhs(coarse_space, pair.vector, fine_space)
-            warning, lam, xbar = None, float("nan"), None
-            try:
-                x = solve_shifted(fine_space, pair.value, rhs, tol=tol)
-            except NearSingularError as exc:
-                warning = (f"index {j}: shift {pair.value!r} collided with the fine "
-                           f"spectrum ({exc})")
-                # The amplified best-effort solve, if any, is still the inverse-
-                # iteration direction; report its Rayleigh value alongside the warning.
-                x = exc.solution
-            if x is not None:
-                lam = float(rayleigh_quotient(fine_space, x))
-                xbar = _b_normalized(fine_space, x)
-            targets.append(SipgTarget(
-                index=j, coarse_value=pair.value, rayleigh=lam, normalized=xbar,
-                seconds=time.perf_counter() - t0, warning=warning,
-            ))
-    return targets
+
+def _target(coarse_space: WgSpace, fine_space: WgSpace, j: int, pair: EigenPair,
+            tol: float) -> SipgTarget:
+    """Target j from its coarse pair; its stage closes before the caller sees
+    it, and its right-hand side and solution die with this call."""
+    with _stage(f"target {j} level {coarse_space.mesh.level}->{fine_space.mesh.level}"):
+        t0 = time.perf_counter()
+        rhs = cross_mass_rhs(coarse_space, pair.vector, fine_space)
+        warning, lam, xbar = None, float("nan"), None
+        try:
+            x = solve_shifted(fine_space, pair.value, rhs, tol=tol)
+        except NearSingularError as exc:
+            warning = (f"index {j}: shift {pair.value!r} collided with the fine "
+                       f"spectrum ({exc})")
+            # The amplified best-effort solve, if any, is still the inverse-
+            # iteration direction; report its Rayleigh value alongside the warning.
+            x = exc.solution
+        if x is not None:
+            lam = float(rayleigh_quotient(fine_space, x))
+            xbar = _b_normalized(fine_space, x)
+        return SipgTarget(index=j, coarse_value=pair.value, rayleigh=lam, normalized=xbar,
+                          seconds=time.perf_counter() - t0, warning=warning)

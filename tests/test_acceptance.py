@@ -156,13 +156,15 @@ def compute_criterion_3():
 
 def compute_criterion_4():
     fine_forms = wg.assemble(wg.WgSpace(build_uniform(6), 1, kind="laplacian", epsilon=0.1))
-    targets = run_sipg(fine_forms, 3, 6)
+    targets = list(run_sipg(fine_forms, 3, 6))  # read twice below
     direct = smallest_eigs(fine_forms, 6)
-    return {
+    out = {
         "tilde": np.array([t.rayleigh for t in targets]),
         "direct": np.array([p.value for p in direct]),
         "coarse": np.array([t.coarse_value for t in targets]),
     }
+    assert all(v.shape == (6,) for v in out.values())
+    return out
 
 
 @pytest.fixture(scope="module")

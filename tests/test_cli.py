@@ -197,7 +197,8 @@ STAGE_LINE = re.compile(r"stage (\S.*?) +(\d+\.\d{3}) s  peak RSS +(\d+\.\d) MB"
      ["assembly level 3", "eigensolve level 3", "energy errors level 3"]),
     (("sipg", "--coarse-level", "2", "--fine-level", "3", "--num-eigs", "2"),
      ["assembly level 3", "eigensolve level 3", "coarse solve level 2",
-      "target 1 level 2->3", "target 2 level 2->3", "energy errors level 2->3"]),
+      "target 1 level 2->3", "energy error 1 level 2->3",
+      "target 2 level 2->3", "energy error 2 level 2->3"]),
     (("table", "--problem", "biharmonic", "--degree", "2", "--fine-level", "2",
       "--coarse-levels", "1", "--num-eigs", "2"),
      ["assembly level 2", "coarse solve level 1", "target 1 level 1->2",

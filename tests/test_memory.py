@@ -1,5 +1,6 @@
-"""Memory contracts of the direct eigensolve, measured with tracemalloc, which
-sees numpy's buffers.  Neither test reads ARPACK's own arrays."""
+"""Memory contracts of the direct eigensolve and of the two-grid study,
+measured with tracemalloc, which sees numpy's buffers.  No test reads
+ARPACK's own arrays."""
 
 import tracemalloc
 
@@ -7,6 +8,7 @@ import pytest
 
 import wgeig as wg
 import wgeig.eigsolve as eigsolve
+import wgeig.twogrid as twogrid
 from wgeig import linalg
 from wgeig.mesh import build_uniform
 
@@ -73,3 +75,37 @@ def test_quadtree_build_peaks_near_what_it_keeps(kind, degree, level):
         tracemalloc.stop()
     assert kept >= _quadtree_bytes(quadtree)
     assert peak <= QUADTREE_PEAK_MULTIPLE * kept, (peak, kept)
+
+
+def _live_at_each_shifted_solve(monkeypatch, include_direct):
+    """Live traced bytes at the entry of each target's shifted solve, and the
+    bytes of one fine vector."""
+    live, vector = [], {}
+
+    def watched_solve(space, *args, **kwargs):
+        live.append(tracemalloc.get_traced_memory()[0])
+        vector["bytes"] = 8 * space.ndof
+        return solve(space, *args, **kwargs)
+
+    solve = twogrid.solve_shifted
+    monkeypatch.setattr(twogrid, "solve_shifted", watched_solve)
+    tracemalloc.start()
+    try:
+        wg.sipg_study("laplacian", 1, 0.1, [3], 6, 6, include_direct=include_direct)
+    finally:
+        tracemalloc.stop()
+        monkeypatch.undo()
+    assert len(live) == 6
+    return live, vector["bytes"]
+
+
+def test_two_grid_study_holds_one_target_at_a_time(monkeypatch):
+    # Target 1 builds the dof map when the direct solve has not, so the
+    # comparison starts at target 2.  An earlier target still held would add
+    # one fine vector per target; the direct eigenvectors, six more.
+    alone, vector = _live_at_each_shifted_solve(monkeypatch, include_direct=False)
+    with_direct, _ = _live_at_each_shifted_solve(monkeypatch, include_direct=True)
+    for live in (alone, with_direct):
+        assert live[5] - live[1] < vector / 2, (live, vector)
+    for a, d in zip(alone[1:], with_direct[1:]):
+        assert d <= a + SLACK_BYTES, (alone, with_direct)

@@ -157,7 +157,7 @@ def test_run_sipg_basic_lower_bounds():
     # Coarse level 3 is the coarsest mesh whose spectrum is ordered like the
     # exact one (at level 2 the fourth and sixth clusters cross).
     forms = fine_lap_k1(5)
-    targets = run_sipg(forms, 3, 6)
+    targets = list(run_sipg(forms, 3, 6))
     assert len(targets) == 6
     for t, lam in zip(targets, EXACT6):
         assert lam - t.rayleigh > 0
@@ -181,6 +181,33 @@ def test_run_sipg_rejects_equal_levels(monkeypatch):
     monkeypatch.setattr(tg, "smallest_eigs", coarse_work)
     with pytest.raises(ConfigError):
         run_sipg(forms, 3, 1)
+
+
+def test_run_sipg_solves_the_coarse_problem_at_the_call_and_streams_targets(monkeypatch):
+    # The coarse solve runs when run_sipg is called; each target is computed
+    # only when the caller asks for it, with exactly one shifted solve.
+    import wgeig.twogrid as tg
+
+    calls = {"coarse": 0, "shifted": 0}
+
+    def counted_eigs(*args, **kwargs):
+        calls["coarse"] += 1
+        return coarse_eigs(*args, **kwargs)
+
+    def counted_solve(*args, **kwargs):
+        calls["shifted"] += 1
+        return shifted(*args, **kwargs)
+
+    coarse_eigs, shifted = tg.smallest_eigs, tg.solve_shifted
+    monkeypatch.setattr(tg, "smallest_eigs", counted_eigs)
+    monkeypatch.setattr(tg, "solve_shifted", counted_solve)
+    targets = run_sipg(fine_lap_k1(4), 2, 6)
+    assert calls == {"coarse": 1, "shifted": 0}
+    first = next(targets)
+    assert first.index == 1 and calls == {"coarse": 1, "shifted": 1}
+    assert [t.index for t in targets] == [2, 3, 4, 5, 6]
+    assert calls == {"coarse": 1, "shifted": 6}
+    assert list(targets) == []  # one pass: a caller that reads twice takes the list
 
 
 def test_two_grid_consistency_same_level(lap_L3_k1):
@@ -207,7 +234,7 @@ def test_accuracy_dominance_in_coarse_level():
     lam_h = smallest_eigs(fine_forms, 1)[0].value
     gaps = []
     for coarse_level in (2, 3, 4):
-        target = run_sipg(fine_forms, coarse_level, 1)[0]
+        [target] = run_sipg(fine_forms, coarse_level, 1)
         gaps.append(abs(target.rayleigh - lam_h))
     floor = 1e-9 * lam_h
     for a, b in zip(gaps, gaps[1:]):
