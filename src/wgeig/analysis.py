@@ -20,7 +20,7 @@ from .errors import EmptyClusterError, NonPositiveError
 from .mesh import build_uniform
 from .polyspace import dim_pk
 from .twogrid import run_sipg
-from .wg_core import LAPLACIAN, WgSpace, assemble, qh_project
+from .wg_core import LAPLACIAN, WgSpace, _check_kind_and_degree, assemble, qh_project
 from scipy.linalg import cho_factor, cho_solve
 
 # First clamped-plate eigenvalue on the unit square (literature reference).
@@ -186,15 +186,22 @@ def _study_row(kind: str, degree: int, epsilon: float, H_level: int, h_level: in
     )
 
 
-def _exact_values(kind: str, degree: int, num_eigs: int, levels: list[int]):
-    """(value, cluster) per index; num_eigs is checked before any mesh or assembly,
-    also against the mass rank 4^level dim P_k of the coarsest nonnegative level."""
+def _check_study(kind: str, degree: int, num_eigs: int, levels) -> None:
+    """Refuse, before any mesh or assembly, a study that cannot run: num_eigs
+    below 1 or above the mass rank 4^level dim P_k of the coarsest nonnegative
+    level, or a kind or degree that WgSpace refuses."""
     if num_eigs < 1:
         raise ValueError(f"num_eigs must be at least 1, got {num_eigs}")
     rank = min((4 ** level * dim_pk(degree) for level in levels if level >= 0),
                default=num_eigs)
     if num_eigs > rank:
         raise ValueError(f"requested {num_eigs} eigenpairs but the mass rank is {rank}")
+    _check_kind_and_degree(kind, degree)
+
+
+def _exact_values(kind: str, degree: int, num_eigs: int, levels: list[int]):
+    """(value, cluster) per index, once _check_study has passed."""
+    _check_study(kind, degree, num_eigs, levels)
     if kind == LAPLACIAN:
         return laplacian_eigenvalues(num_eigs)
     vals: list[tuple[float | None, None]] = [(None, None)] * num_eigs

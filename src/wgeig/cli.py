@@ -265,7 +265,7 @@ def _maybe_dump(args, meta: dict, level: int) -> None:
 
 def _cmd_direct(args) -> int:
     """solve (one level) and study (a level sweep): direct eigensolves."""
-    from .analysis import direct_study
+    from .analysis import _check_study, direct_study
 
     meta = _common_meta(args)
     if args.command == "solve":
@@ -274,6 +274,8 @@ def _cmd_direct(args) -> int:
     else:
         levels = _required(args, "levels")
         meta["levels"] = ",".join(map(str, levels))
+    # The study's own checks, run here so that a refused study dumps nothing.
+    _check_study(meta["problem"], meta["degree"], meta["num_eigs"], levels)
     _maybe_dump(args, meta, max(levels))
     result = direct_study(
         meta["problem"], meta["degree"], meta["epsilon"], levels,
@@ -285,7 +287,7 @@ def _cmd_direct(args) -> int:
 
 def _cmd_twogrid(args) -> int:
     """sipg (one level pair, with the direct fine solve) and table (sweeps)."""
-    from .analysis import StudyResult, sipg_study
+    from .analysis import StudyResult, _check_study, sipg_study
 
     meta = _common_meta(args)
     if args.command == "sipg":
@@ -302,6 +304,7 @@ def _cmd_twogrid(args) -> int:
     for fl in fine_levels:
         if fl <= max(coarse_levels):
             raise ValueError(f"fine level {fl} must exceed every coarse level {coarse_levels}")
+    _check_study(meta["problem"], meta["degree"], meta["num_eigs"], coarse_levels)
     _maybe_dump(args, meta, max(fine_levels))
     result = StudyResult(rows=[])
     for fl in fine_levels:

@@ -16,10 +16,14 @@ the pair sums of the perimeter updates by one bincount over the perimeters'
 tail offsets, and the way down gathers the perimeters from that tail and
 writes each slice in place.  It treats a level's boxes at once, by one GEMM
 with a stored K_CC⁻ᵀ where the boxes are no fewer than the cross dofs (level
-0 always), else by getrs.  A factor keeps the solution vector and the level
-buffers of its solves, so a solve allocates only its result.  Pivoting stays
-inside each cross block.  A is SPD iff every cross block is, and ν(M) is the
-sum of boxes · ν(cross block) over the levels (Haynsworth).
+0 always), else by getrs.  Per level a factor keeps only what a solve reads:
+the LU of the cross block K_CC with its pivots, X = K_CC⁻¹ K_CP and, where a
+GEMM solves, K_CC⁻ᵀ; the cross block itself dies with its level.  A factor
+also keeps the solution vector and the level buffers of its solves, so a
+solve allocates only its result.  Pivoting stays inside each cross block.  A
+is SPD iff every cross block is, which factor_spd checks by dpotrf while it
+builds the factor.  ν(M) is the sum of boxes · ν(cross block) over the
+levels (Haynsworth); the tests count it from their own oracle's blocks.
 
 No global matrix is read: the factor is built from the space's local
 matrices, and the refinement multiplies by M matrix-free (WgSpace.operator).
@@ -46,13 +50,15 @@ _Entries = namedtuple("_Entries", "nnz")
 
 class NestedLU:
     """Factor of M = A − σB that solves with M itself.  Per level it keeps
-    the cross block K_CC of the one box matrix K, its LU and X = K_CC⁻¹ K_CP;
-    ``L`` and ``U`` count the entries of the LUs and of X, each once."""
+    the LU of the cross block K_CC of the one box matrix K, with its pivots,
+    and X = K_CC⁻¹ K_CP; ``L`` and ``U`` count the entries of the LUs and of
+    X, each once.  With ``spd`` a cross block that is not positive definite
+    raises on_failure as soon as its level is reached."""
 
-    def __init__(self, space, shift: float, on_failure):
+    def __init__(self, space, shift: float, on_failure, spd: bool = False):
         self.levels = space.quadtree.levels
         self.ndof = space.ndof
-        self.factors = []  # per level: the cross block, its LU and X
+        self.factors = []  # per level: the LU with its pivots, and X
         self.inverses = []  # per level: K_CC⁻ᵀ, or None where getrs solves
         K = space.local(shift)
         for level in self.levels:
@@ -68,10 +74,12 @@ class NestedLU:
             *lu, info = dgetrf(K[:n_c, :n_c])
             if info > 0:
                 raise on_failure(f"the level {len(self.factors)} cross block is exactly singular")
+            if spd and dpotrf(K[:n_c, :n_c])[1]:
+                raise on_failure("matrix is not positive definite (nonpositive pivot encountered)")
             X = dgetrs(*lu, K[:n_c, n_c:])[0]
             S = K[n_c:, n_c:] - K[n_c:, :n_c] @ X
             S = 0.5 * (S + S.T)
-            self.factors.append((K[:n_c, :n_c].copy(), lu, X))
+            self.factors.append((lu, X))
             # Inverting the large crosses too: +25 ms per factor at h=1/256, -0.3 ms
             # per solve, a first residual 5-70x larger near an eigenvalue (ROADMAP).
             gemm = level.merge is None or level.boxes >= n_c
@@ -79,18 +87,13 @@ class NestedLU:
 
     @property
     def L(self) -> _Entries:
-        return _Entries(sum((block.size - len(block)) // 2 for block, _, _ in self.factors))
+        return _Entries(sum((factor.size - len(factor)) // 2
+                            for (factor, _), _ in self.factors))
 
     @property
     def U(self) -> _Entries:
-        return _Entries(sum((block.size + len(block)) // 2 + X.size
-                            for block, _, X in self.factors))
-
-    def inertia(self) -> int:
-        """ν(M), the number of negative eigenvalues of M: by Haynsworth's
-        formula, level by level, the sum over levels of boxes · ν(cross block)."""
-        return sum(level.boxes * int(np.sum(np.linalg.eigvalsh(block) < 0))
-                   for level, (block, _, _) in zip(self.levels, self.factors))
+        return _Entries(sum((factor.size + len(factor)) // 2 + X.size
+                            for (factor, _), X in self.factors))
 
     @cached_property
     def _workspace(self):
@@ -113,7 +116,7 @@ class NestedLU:
         x, gathered, product = self._workspace
         x[:len(rhs)] = rhs
         x[len(rhs):] = 0.0
-        for level, (_, lu, X), inv in zip(self.levels, self.factors, self.inverses):
+        for level, (lu, X), inv in zip(self.levels, self.factors, self.inverses):
             R = x[level.start:level.stop].reshape(level.boxes, level.n_cross)
             x[level.stop:ndof] -= _pair_sums(level, np.matmul(R, X, out=_view(gathered, level)),
                                              ndof)
@@ -121,7 +124,7 @@ class NestedLU:
                 R[...] = np.matmul(R, inv, out=product[:R.size].reshape(R.shape))
             else:
                 R[...] = dgetrs(*lu, R.T)[0].T
-        for level, (_, _, X) in zip(self.levels[::-1], self.factors[::-1]):
+        for level, (_, X) in zip(self.levels[::-1], self.factors[::-1]):
             R = x[level.start:level.stop].reshape(level.boxes, level.n_cross)
             P = np.take(x[level.stop:], level.perimeter, out=_view(gathered, level), mode="clip")
             R -= np.matmul(P, X.T, out=product[:R.size].reshape(R.shape))
@@ -141,11 +144,7 @@ def _pair_sums(level, U: np.ndarray, ndof: int) -> np.ndarray:
 
 def factor_spd(space) -> NestedLU:
     """Factor the stiffness matrix A of ``space``; raise if it is not SPD."""
-    lu = NestedLU(space, 0.0, FactorizationFailureError)
-    if any(dpotrf(block)[1] for block, _, _ in lu.factors):
-        raise FactorizationFailureError(
-            "matrix is not positive definite (nonpositive pivot encountered)")
-    return lu
+    return NestedLU(space, 0.0, FactorizationFailureError, spd=True)
 
 
 def factor_indefinite(space, shift: float):
@@ -159,7 +158,7 @@ def factor_indefinite(space, shift: float):
     """
     scale = space.max_abs(shift)
     lu = NestedLU(space, shift, lambda msg: NearSingularError(shift, pivot_ratio=0.0))
-    pivot = min(np.min(np.abs(np.diag(factor))) for _, (factor, _), _ in lu.factors)
+    pivot = min(np.min(np.abs(np.diag(factor))) for (factor, _), _ in lu.factors)
     pivot_ratio = float(pivot / scale) if scale > 0 else 1.0
     return lu, pivot_ratio
 

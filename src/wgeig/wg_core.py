@@ -19,8 +19,9 @@ into that tail; the dof map is level 0, each element's interior and then its
 perimeter.  A weak function is its coefficient vector, a plain array of
 length ndof in this order.  Only qh_project builds coefficients in the
 edge-major layout (the interiors, then edge dofs by component, interior edge
-and basis function), and it returns them permuted by ``order``, which maps
-each dof to its layout id.
+and basis function), and it returns them with the edge part permuted by
+``order``, which maps each edge dof to its layout id; an interior's layout id
+is its own id.
 
 A space holds the stiffness form A and the mass form B of its pencil, applied
 and never assembled on the solve path (WgSpace.operator, WgSpace.mass).
@@ -76,6 +77,17 @@ LAPLACIAN = "laplacian"
 BIHARMONIC = "biharmonic"
 KINDS = (LAPLACIAN, BIHARMONIC)
 
+
+def _check_kind_and_degree(kind: str, degree: int) -> None:
+    """Refuse an unknown problem kind, or a degree below the kind's least
+    (1 for the Laplacian, 2 for the biharmonic)."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown problem kind {kind!r}")
+    min_degree = 1 if kind == LAPLACIAN else 2
+    if degree < min_degree:
+        raise DegreeTooLowError(f"{kind} requires degree >= {min_degree}, got {degree}")
+
+
 # Outward normals of the (left, right, bottom, top) edges of any element.
 EDGE_NORMALS = ((-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0))
 # Derivative orders (dx, dy) of d/dx and d/dy.
@@ -109,13 +121,7 @@ class WgSpace:
     epsilon: float = 0.1
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown problem kind {self.kind!r}")
-        min_degree = 1 if self.kind == LAPLACIAN else 2
-        if self.degree < min_degree:
-            raise DegreeTooLowError(
-                f"{self.kind} requires degree >= {min_degree}, got {self.degree}"
-            )
+        _check_kind_and_degree(self.kind, self.degree)
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         self._kit = None
@@ -265,7 +271,9 @@ class BoxLevel:
 
 class Quadtree(NamedTuple):
     """The box levels of the nested-dissection factor and ``order``, which
-    maps each dof to its id in the edge-major layout of qh_project."""
+    maps edge dof n_int + i to its id ``order[i]`` in the edge-major layout
+    of qh_project.  The interiors are numbered alike in both, so ``order``
+    holds no entry for them."""
 
     levels: list[BoxLevel]
     order: np.ndarray
@@ -317,7 +325,8 @@ def _box_levels(space: WgSpace) -> Quadtree:
     def edge(horizontal, i, j):
         return horizontal * n * (n + 1) + j * (n + 1 - horizontal) + i
 
-    order = np.empty(ndof, dtype=ids)  # the crosses, level after level
+    n_int = space.n_interior_dofs
+    order = np.empty(ndof - n_int, dtype=ids)  # the crosses above level 0, level after level
     shapes, perimeters, merges, below, start = [], [], [], None, 0
     for level in range(space.mesh.level + 1):
         m = 1 << level
@@ -328,7 +337,7 @@ def _box_levels(space: WgSpace) -> Quadtree:
         perimeter = _edge_dofs(space, sides[:, :0] if 0 < level == space.mesh.level else sides,
                                interior_index)
         if level == 0:
-            cross = np.arange(space.n_interior_dofs, dtype=ids).reshape(len(sides), -1)
+            shapes.append((len(sides), space.dim_interior))
             merge = None
         else:
             # Box 0's cross and sides, and its four children's sides, by blind id.
@@ -341,20 +350,21 @@ def _box_levels(space: WgSpace) -> Quadtree:
             local[own] = np.arange(own.size)
             size = cross.shape[1] + perimeter.shape[1]
             merge = tuple(_runs(child, size) for child in local[children])
+            order[start:start + cross.size] = cross.ravel()
+            start += cross.size
+            shapes.append(cross.shape)
         below = sides
-        order[start:start + cross.size] = cross.ravel()
-        start += cross.size
-        shapes.append(cross.shape)
         perimeters.append(perimeter)
         merges.append(merge)
-    # position maps each layout id to its dof; each perimeter becomes tail
-    # offsets in place.
-    position = np.empty(ndof + 1, dtype=ids)
-    position[order] = np.arange(ndof, dtype=ids)
-    position[ndof] = ndof
+    # position maps each edge layout id to its dof, the sink to itself; each
+    # perimeter becomes tail offsets in place.
+    position = np.empty(ndof + 1 - n_int, dtype=ids)
+    position[order - n_int] = np.arange(n_int, ndof, dtype=ids)
+    position[-1] = ndof
     levels, start = [], 0
     for (boxes, n_cross), perimeter, merge in zip(shapes, perimeters, merges):
         stop = start + boxes * n_cross
+        np.subtract(perimeter, n_int, out=perimeter)
         np.subtract(position[perimeter], stop, out=perimeter)
         levels.append(BoxLevel(start, boxes, n_cross, perimeter, merge))
         start = stop
@@ -603,7 +613,9 @@ def qh_project(space: WgSpace, f, grad=None, npts: int = DEFAULT_FIELD_QUAD) -> 
 
     If f carries `factors = (fx, fy)` with f(x, y) = fx(x) * fy(y), its interior
     and trace moments come from 1D moments on the same Gauss rule, which agree
-    with the 2D evaluation to rounding.  Returns the coefficient vector.
+    with the 2D evaluation to rounding.  Returns the coefficient vector: built
+    in the edge-major layout, whose interiors are already in dof order, and
+    then only its edge part permuted by Quadtree.order.
     """
     if space.kind == BIHARMONIC and grad is None:
         raise ValueError("the fourth-order projection needs the gradient of f")
@@ -630,4 +642,5 @@ def qh_project(space: WgSpace, f, grad=None, npts: int = DEFAULT_FIELD_QUAD) -> 
         normal = _edge_projections(space, normal_derivative, npts)
         off = base + space.mesh.num_interior_edges * k
         coeffs[off : off + normal.size] = normal.ravel()
-    return coeffs[space.quadtree.order]
+    coeffs[base:] = coeffs[space.quadtree.order]  # a gather copies before it writes
+    return coeffs

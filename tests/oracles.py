@@ -362,7 +362,7 @@ def vnorm_error(space: WgSpace, coeffs: np.ndarray, u, grad_u, lap_u,
 
     k = space.dim_trace
     layout = np.empty_like(coeffs)  # the edge-major layout: interiors, traces, normals
-    layout[space.quadtree.order] = coeffs
+    layout[layout_ids(space)] = coeffs
     trace_c = np.zeros((mesh.num_edges, k))
     normal_c = np.zeros((mesh.num_edges, k))
     ii = mesh.interior_index
@@ -530,6 +530,12 @@ def id_edge_dofs(space: WgSpace, edges: np.ndarray):
     return ids.reshape(len(edges), -1), blind.reshape(len(edges), -1)
 
 
+def layout_ids(space: WgSpace) -> np.ndarray:
+    """Every dof's id in the edge-major layout of qh_project: the interiors
+    keep their own, and Quadtree.order names the edge dofs'."""
+    return np.concatenate([np.arange(space.n_interior_dofs), space.quadtree.order])
+
+
 def id_dof_map(space: WgSpace) -> np.ndarray:
     """The dof map in the edge-major layout of qh_project, Quadtree.order's
     ids: the interiors, then each element's edge ids."""
@@ -577,7 +583,8 @@ class IdNestedLU:
     """The nested-dissection factor of M = A - shift B on layout ids: four
     children merged by np.ix_ scatters, every cross gathered and scattered
     by id.  Same arithmetic as linalg.NestedLU, so the same bits, its
-    vectors permuted by Quadtree.order."""
+    vectors' edge parts permuted by Quadtree.order.  Unlike linalg.NestedLU
+    it keeps every level's cross block, from which inertia() counts."""
 
     def __init__(self, space: WgSpace, shift: float):
         kit, nb = space.kit(), space.dim_interior
@@ -603,6 +610,16 @@ class IdNestedLU:
             self.factors.append((K[:n_c, :n_c].copy(), lu, X))
             gemm = level.merge is None or len(level.cross) >= n_c
             self.inverses.append(dgetrs(*lu, np.eye(n_c), trans=1)[0] if gemm else None)
+
+    def inertia(self) -> int:
+        """ν(M), the number of negative eigenvalues of M: by Haynsworth's
+        formula, level by level, the sum over levels of boxes · ν(cross block)."""
+        return sum(self.negative_pivots())
+
+    def negative_pivots(self) -> list[int]:
+        """Per level, boxes · ν(cross block) from the blocks' dense eigenvalues."""
+        return [len(level.cross) * int(np.sum(np.linalg.eigvalsh(block) < 0))
+                for level, (block, _, _) in zip(self.levels, self.factors)]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """x = M⁻¹ rhs for a right-hand side of length n_int or ndof."""

@@ -96,6 +96,26 @@ def test_nonpositive_num_eigs_is_a_usage_error(capsys, tmp_path, problem, degree
     assert not dump.exists()  # rejected before any mesh or assembly
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("solve", "--level", "2", "--degree", "0"), "laplacian requires degree >= 1, got 0"),
+    (("solve", "--level", "2", "--problem", "biharmonic", "--degree", "1"),
+     "biharmonic requires degree >= 2, got 1"),
+    (("solve", "--level", "0", "--num-eigs", "5"),
+     "requested 5 eigenpairs but the mass rank is 3"),
+    (("sipg", "--coarse-level", "0", "--fine-level", "2", "--num-eigs", "5"),
+     "requested 5 eigenpairs but the mass rank is 3"),
+], ids=["laplacian-k0", "biharmonic-k1", "solve-rank", "sipg-rank"])
+@pytest.mark.parametrize("dump", ["--dump-mesh", "--dump-matrices"])
+def test_refused_study_dumps_nothing(capsys, tmp_path, argv, message, dump):
+    # Each of these once wrote its --dump-mesh file, and the mass-rank cases
+    # their --dump-matrices files, before the same error.
+    target = tmp_path / "dump"
+    code, out, err = run_cli(capsys, *argv, dump, str(target))
+    assert code == 2 and out == ""
+    assert message in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("key", ["tol", "epsilon"])
 @pytest.mark.parametrize("value", ["0", "-1", "1", "nan", "inf"])
 @pytest.mark.parametrize("by_file", [False, True])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgetrf
 from scipy.sparse.linalg import splu
 
 import wgeig as wg
@@ -12,7 +13,7 @@ from wgeig.errors import FactorizationFailureError, NearSingularError
 from wgeig.mesh import build_uniform
 
 from conftest import CountingLU, condensed_pencil_eigs, dense_pencil_eigs, local_interior_eigs
-from oracles import IdNestedLU
+from oracles import IdNestedLU, layout_ids
 
 
 def _fill(lu):
@@ -33,13 +34,6 @@ def _skeleton_schur_complement(space):
     blocks[AII.row // nb, AII.row % nb, AII.col % nb] = AII.data
     inv_II = sp.block_diag(list(np.linalg.inv(blocks)), format="csr")
     return (A[ni:, ni:] - A[ni:, :ni] @ inv_II @ A[:ni, ni:]).tocsc()
-
-
-def _negative_pivots(lu):
-    """Per quadtree level, boxes · ν(cross block) from the blocks' dense
-    eigenvalues; by Haynsworth's formula they sum to ν(M)."""
-    return [level.boxes * int(np.sum(np.linalg.eigvalsh(block) < 0))
-            for level, (block, _, _) in zip(lu.levels, lu.factors)]
 
 
 def _clamped_box_eigs(space, level):
@@ -162,10 +156,9 @@ def test_shifted_solves_match_minimum_degree_oracle(lap_L5_k1):
     for pair in smallest_eigs(wg.assemble(coarse), 6):
         rhs = wg.cross_mass_rhs(coarse, pair.vector, forms)
         M = forms.A - pair.value * forms.B
-        lu, _ = linalg.factor_indefinite(forms, pair.value)
         oracle = _minimum_degree_splu(M, 0.01)
         # The inertia counts the eigenvalues below σ.
-        negative.append(lu.inertia())
+        negative.append(IdNestedLU(forms, pair.value).inertia())
         oracle_negative.append(int(np.sum(oracle.U.diagonal() < 0)))
         x = solve_shifted(forms, pair.value, rhs)
         y, _ = linalg.refined_solve(oracle, M, rhs, tol=1e-10)
@@ -218,16 +211,18 @@ def test_two_grid_targets_match_full_oracle():
 def test_condensed_inertia_matches_dense_count(kind, degree, level, sigma, local, skeleton):
     # Both shifts lie above μ_min, so each interior block d(σ) has a negative
     # eigenvalue; Haynsworth's formula, level by level, gives the inertia of M
-    # from the cross blocks, with no condition on the pivoting.
+    # from the cross blocks, with no condition on the pivoting.  The factor
+    # keeps no cross block, so the count reads the oracle's, which are
+    # bitwise the blocks the factor's LUs come from.
     space = wg.WgSpace(build_uniform(level), degree, kind=kind, epsilon=0.1)
     forms = wg.assemble(space)
     M = forms.A - sigma * forms.B
-    lu, _ = linalg.factor_indefinite(forms, sigma)
-    counts = _negative_pivots(lu)
+    oracle = IdNestedLU(forms, sigma)
+    counts = oracle.negative_pivots()
     assert counts[0] == space.mesh.num_elements * local
     assert sum(counts[1:]) == skeleton
     dense = int(np.sum(np.linalg.eigvalsh(M.toarray()) < 0))
-    assert lu.inertia() == dense == sum(counts)
+    assert oracle.inertia() == dense == sum(counts)
 
 
 @pytest.mark.parametrize("kind,degree", [("laplacian", 1), ("laplacian", 3), ("biharmonic", 2)])
@@ -248,7 +243,7 @@ def test_nested_solves_match_full_oracle_on_every_level_count(kind, degree, leve
         assert one.shape == (M.shape[0],)
         assert np.linalg.norm(one - want[:, 0]) <= 1e-10 * np.linalg.norm(want[:, 0]), sigma
         dense = int(np.sum(np.linalg.eigvalsh(M.toarray()) < 0))
-        assert lu.inertia() == dense, sigma
+        assert IdNestedLU(forms, sigma).inertia() == dense, sigma
         # An interior-only right-hand side r is [r; 0]: level 0 reads it as
         # a view, and a one-element mesh has more interior dofs than boxes.
         r = rhs[:forms.n_interior_dofs, 1]
@@ -268,16 +263,19 @@ def _bitwise(got, want):
 
 
 def _assert_bitwise_the_id_oracle(space, sigma, lu, rhs):
-    # The factor (cross blocks, LUs with their pivots, X, the stored
-    # inverses) and solves with full-length, interior-only and 2-D
-    # right-hand sides equal the id-valued factor and solve bit for bit,
-    # the oracle's vectors permuted from layout ids into dofs.
-    oracle, order = IdNestedLU(space, sigma), space.quadtree.order
+    # The factor (LUs with their pivots, X, the stored inverses) and solves
+    # with full-length, interior-only and 2-D right-hand sides equal the
+    # id-valued factor and solve bit for bit, the oracle's vectors permuted
+    # from layout ids into dofs.  The factor keeps no cross block: its LU is
+    # the one of the oracle's block.
+    oracle = IdNestedLU(space, sigma)
+    order = layout_ids(space)
     assert len(lu.factors) == len(oracle.factors)
-    for (block, (factor, piv), X), (want_block, (want_factor, want_piv), want_X) in zip(
+    for ((factor, piv), X), (block, (want_factor, want_piv), want_X) in zip(
             lu.factors, oracle.factors):
-        for got, want in ((block, want_block), (factor, want_factor), (piv, want_piv),
-                          (X, want_X)):
+        from_block = dgetrf(block)[:2]
+        for got, want in ((factor, want_factor), (piv, want_piv), (X, want_X),
+                          (factor, from_block[0]), (piv, from_block[1])):
             assert _bitwise(got, want), sigma
     for inv, want in zip(lu.inverses, oracle.inverses, strict=True):
         assert (inv is None and want is None) or _bitwise(inv, want), sigma
@@ -311,11 +309,12 @@ def test_level_major_factor_is_bitwise_the_id_oracle_at_h_1_128():
 
 def test_many_box_levels_solve_by_gemm():
     # At h=1/256, k=1 level l has 4^(8-l) boxes and 2^(l+1) cross dofs, so
-    # levels 0-5 solve their crosses by one GEMM with a stored K_CC⁻ᵀ.
+    # levels 0-5 solve their crosses by one GEMM with a stored K_CC⁻ᵀ.  The
+    # factor keeps no cross block; the oracle's are bitwise the same.
     space = wg.WgSpace(build_uniform(8), 1, kind="laplacian", epsilon=0.1)
     lu = linalg.factor_spd(wg.assemble(space))
     assert [i for i, inv in enumerate(lu.inverses) if inv is not None] == list(range(6))
-    for (block, _, _), inv in zip(lu.factors[:6], lu.inverses):
+    for (block, _, _), inv in zip(IdNestedLU(space, 0.0).factors[:6], lu.inverses):
         assert np.allclose(inv.T @ block, np.eye(len(block)), rtol=0, atol=1e-12)
 
 
@@ -333,8 +332,9 @@ def test_spd_factor_checks_every_level(kind, degree):
     forms = wg.assemble(space)
     with pytest.raises(FactorizationFailureError, match="not positive definite"):
         linalg.factor_spd(forms)
-    lu, _ = linalg.factor_indefinite(forms, 0.0)
-    assert _negative_pivots(lu)[0] == 0 and lu.inertia() == 1
+    linalg.factor_indefinite(forms, 0.0)  # the indefinite factor takes it
+    oracle = IdNestedLU(forms, 0.0)
+    assert oracle.negative_pivots()[0] == 0 and oracle.inertia() == 1
 
 
 @pytest.mark.parametrize("kind,degree", [("laplacian", 2), ("biharmonic", 3)])
@@ -345,8 +345,8 @@ def test_inertia_matches_dense_count_above_the_local_spectrum(kind, degree):
     distinct = mu[np.flatnonzero(np.diff(mu) > 1e-6 * mu[-1])]
     for sigma in np.append(distinct + 0.5 * np.diff(np.append(distinct, mu[-1])), 1.5 * mu[-1]):
         M = forms.A - sigma * forms.B
-        lu, _ = linalg.factor_indefinite(forms, sigma)
-        assert lu.inertia() == int(np.sum(np.linalg.eigvalsh(M.toarray()) < 0)), sigma
+        assert IdNestedLU(forms, sigma).inertia() == int(
+            np.sum(np.linalg.eigvalsh(M.toarray()) < 0)), sigma
 
 
 def test_biharmonic_box_eigenvalue_never_gives_a_silent_wrong_solution():

@@ -12,6 +12,7 @@ from oracles import (
     id_box_levels,
     id_dof_map,
     l2_error,
+    layout_ids,
     l2_project_element,
     local_vector,
     masked_scatter,
@@ -190,15 +191,18 @@ def test_biharmonic_dof_count(bih_L2_k2):
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
 def test_fill_reducing_order_is_a_permutation(kind, degree, level):
     # The quadtree eliminates every dof exactly once: its level-major order
-    # is a permutation of the dofs, and the crosses of the levels partition
-    # the positions 0..ndof-1 level by level, one contiguous range each.  A
-    # perimeter entry is the offset from stop of a cross position of a higher
+    # (the interiors, which keep their layout ids, then ``order``, the edge
+    # dofs') is a permutation of the dofs, and the crosses of the levels
+    # partition the positions 0..ndof-1 level by level, one contiguous range
+    # each.  A perimeter entry is the offset from stop of a cross position of a higher
     # level, or the Dirichlet sink ndof - stop, and the offsets off the
     # boundary are exactly the tail 0..ndof-stop-1, each in exactly two boxes
     # of its level.
     space = wg.WgSpace(build_uniform(level), degree, kind=kind, epsilon=0.1)
-    (levels, order), ndof = space.quadtree, space.ndof
+    levels, ndof, n_int = space.quadtree.levels, space.ndof, space.n_interior_dofs
+    order = layout_ids(space)
     assert len(levels) == level + 1
+    assert len(space.quadtree.order) == ndof - n_int
     assert np.array_equal(np.sort(order), np.arange(ndof))
     assert [box.start for box in levels] == [0] + [box.stop for box in levels[:-1]]
     assert levels[-1].stop == ndof
@@ -208,11 +212,8 @@ def test_fill_reducing_order_is_a_permutation(kind, degree, level):
                               np.zeros((1, space.n_local - space.dim_interior)))
     else:
         assert levels[-1].perimeter.size == 0
-    # Level 0's crosses are the interiors in element order, which keep their
-    # layout ids.
-    n_int = space.n_interior_dofs
+    # Level 0's crosses are the interiors in element order.
     assert (levels[0].stop, levels[0].n_cross) == (n_int, space.dim_interior)
-    assert np.array_equal(order[:n_int], np.arange(n_int))
     for i, box in enumerate(levels):
         assert box.boxes == len(box.perimeter) == 4 ** (level - i)
         flat, sink = box.perimeter.ravel(), ndof - box.stop
@@ -237,8 +238,8 @@ def test_level_major_quadtree_matches_the_id_oracle(kind, degree, level):
     # perimeter, all Dirichlet on one element), and the merge runs place
     # each child's perimeter where its merge map does.
     space = wg.WgSpace(build_uniform(level), degree, kind=kind, epsilon=0.1)
-    (levels, order), ndof = space.quadtree, space.ndof
-    ids = np.append(order, ndof)  # the Dirichlet slot maps to itself
+    levels, ndof = space.quadtree.levels, space.ndof
+    ids = np.append(layout_ids(space), ndof)  # the Dirichlet slot maps to itself
     for box, want in zip(levels, id_box_levels(space), strict=True):
         cross = ids[box.start:box.stop].reshape(box.boxes, box.n_cross)
         assert np.array_equal(cross, want.cross)
@@ -260,7 +261,8 @@ def test_level_major_quadtree_matches_the_id_oracle(kind, degree, level):
 def test_quadtree_keeps_one_permutation_and_32_bit_positions(kind, degree, level):
     # Below 2**31 dofs every quadtree index array is 32-bit, the rule of the
     # assembly scatter, and no level keeps global ids or a pair-sum operator:
-    # the one permutation ``order`` maps dofs to layout ids, and each level
+    # the one permutation ``order`` maps the edge dofs to layout ids (an
+    # interior's is its own id), and each level
     # keeps only its perimeters as offsets into its tail.  At h=1/256, k=1
     # these arrays take 3.4 MB, and the int64 id arrays of the oracle's
     # quadtree (cross, perimeter, pairs, touched) 13.0 MB.
@@ -268,7 +270,7 @@ def test_quadtree_keeps_one_permutation_and_32_bit_positions(kind, degree, level
     levels, order = space.quadtree
     assert [f.name for f in fields(levels[0])] == [
         "start", "boxes", "n_cross", "perimeter", "merge"]
-    assert order.dtype == np.int32 and order.shape == (space.ndof,)
+    assert order.dtype == np.int32 and order.shape == (space.ndof - space.n_interior_dofs,)
     for box in levels:
         assert box.perimeter.dtype == np.int32
     kept = order.nbytes + sum(box.perimeter.nbytes for box in levels)
@@ -519,7 +521,7 @@ def test_dof_map_is_bitwise_the_id_oracle(kind, degree, level):
     # numpy's gathers.
     space = wg.WgSpace(build_uniform(level), degree, kind=kind, epsilon=0.1)
     want, got = id_dof_map(space), space.local_dof_map()
-    ids = np.append(space.quadtree.order, space.ndof).astype(np.intp)  # the sink maps to itself
+    ids = np.append(layout_ids(space), space.ndof).astype(np.intp)  # the sink maps to itself
     assert got.dtype == want.dtype == np.intp and ids[got].tobytes() == want.tobytes()
 
 
@@ -719,18 +721,28 @@ def test_biharmonic_source_convergence():
     assert order >= 2 - 1 - 0.1 - 0.3  # k - 1 - eps with slack
 
 
+def _from_lu(factor, piv):
+    """The matrix P L U that getrf factored, its row swaps undone in reverse."""
+    block = (np.tril(factor, -1) + np.eye(len(factor))) @ np.triu(factor)
+    for i, p in reversed(list(enumerate(piv))):
+        block[[i, p]] = block[[p, i]]
+    return block
+
+
 @pytest.mark.parametrize("kind,degree", [("laplacian", 1), ("laplacian", 3), ("biharmonic", 2)])
 @pytest.mark.parametrize("level", [0, 1, 3])
 def test_box_blocks_match_the_assembled_schur_complement(kind, degree, level):
-    # For box 0 of every quadtree level, the cross block and X = K_CC⁻¹ K_CP
-    # of the factor, merged from four copies of the level below, equal the
-    # Schur complement of the box's own elements, assembled by the dof map,
-    # onto the box's cross and perimeter (Dirichlet perimeter dofs dropped).
+    # For box 0 of every quadtree level, the cross block (multiplied back
+    # from the factor's LU) and X = K_CC⁻¹ K_CP of the factor, merged from
+    # four copies of the level below, equal the Schur complement of the
+    # box's own elements, assembled by the dof map, onto the box's cross and
+    # perimeter (Dirichlet perimeter dofs dropped).
     space = wg.WgSpace(build_uniform(level), degree, kind=kind, epsilon=0.1)
     lu, ndof = linalg.factor_spd(wg.assemble(space)), space.ndof
     levels = space.quadtree.levels
     a = space.kit().a_local
-    for i, (box, (block, _, X)) in enumerate(zip(levels, lu.factors)):
+    for i, (box, ((factor, piv), X)) in enumerate(zip(levels, lu.factors)):
+        block = _from_lu(factor, piv)
         inside = (space.mesh.elem_ix < 2 ** i) & (space.mesh.elem_iy < 2 ** i)
         dof = space.local_dof_map()[inside]
         A = np.zeros((ndof + 1, ndof + 1))
