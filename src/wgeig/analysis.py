@@ -107,7 +107,8 @@ def energy_error(space: WgSpace, u_bar: np.ndarray, generators) -> float:
 
     Minimizes over all linear combinations (direction and scale) of the
     componentwise interpolants of the generators into the space; for a
-    single generator this reduces to a sign and scale alignment.
+    single generator this reduces to a sign and scale alignment.  Each
+    generator carries the 1D ``factors`` that qh_project projects through.
     """
     gens = list(generators)
     if not gens:

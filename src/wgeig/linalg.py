@@ -106,10 +106,8 @@ class NestedLU:
                 np.empty(max(level.stop - level.start for level in self.levels)))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """x = M⁻¹ rhs; a right-hand side of length n_int is zero on the edges."""
+        """x = M⁻¹ rhs for one vector rhs; one of length n_int is zero on the edges."""
         rhs = np.ascontiguousarray(rhs, dtype=float)
-        if rhs.ndim == 2:
-            return np.apply_along_axis(self.solve, 0, rhs)
         n_int, ndof = self.levels[0].stop, self.ndof
         if len(rhs) not in (n_int, ndof):
             raise ValueError(f"right-hand side of length {len(rhs)}, not {n_int} or {ndof}")

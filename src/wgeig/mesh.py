@@ -118,15 +118,6 @@ class MeshLevel:
         index[inner] = np.arange(inner.size)
         return index
 
-    def element_origins(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.elem_ix * self.h, self.elem_iy * self.h
-
-    def edge_midpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        vertical, i, j, h = self.edge_orient == 0, self.edge_i, self.edge_j, self.h
-        mx = np.where(vertical, i * h, (i + 0.5) * h)
-        my = np.where(vertical, (j + 0.5) * h, j * h)
-        return mx, my
-
     def to_debug_dict(self) -> dict:
         return {
             "level": self.level,

@@ -53,9 +53,11 @@ structure and the pattern of B lies inside the pattern of A.  Every shifted
 system A - sigma B has exactly the pattern of A.  Every other local matrix,
 and every field integral, uses the element rule and the edge rule of the kit.
 
-qh_project evaluates a field at the tensor Gauss points of every element,
-unless it names factors fx, fy with f = fx(x) * fy(y), as the exact Laplacian
-eigenfunctions do: the same rule then runs through 1D moments per grid line.
+qh_project projects only the exact Laplacian eigenfunctions, which name
+factors fx, fy with f = fx(x) * fy(y): the tensor Gauss rule then runs through
+1D moments per grid line, and two GEMMs by the inverse Gram blocks Gk^-1 and
+Ge^-1 give the coefficients.  The tests keep a general projection of any
+field, by 2D quadrature, as its oracle.
 """
 
 from __future__ import annotations
@@ -92,8 +94,6 @@ def _check_kind_and_degree(kind: str, degree: int) -> None:
 EDGE_NORMALS = ((-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0))
 # Derivative orders (dx, dy) of d/dx and d/dy.
 _DERIVATIVE = ((1, 0), (0, 1))
-
-_ELEMENT_CHUNK = 1 << 15
 
 
 @dataclass
@@ -393,7 +393,7 @@ class _LocalKit:
         a, b = np.array(pk_exponents(k)).T
         self.Gk = h * h * (_centred_moment(a[:, None] + a[None, :])
                            * _centred_moment(b[:, None] + b[None, :]))
-        self.Gk_cho = cho_factor(self.Gk)
+        self.Gk_inv = cho_solve(cho_factor(self.Gk), np.eye(nd0))
 
         ex, ey, ew, phi_vals = self.element_quad(k + 2)
         off, w, psi = self.edge_quad(k + 2)
@@ -406,6 +406,7 @@ class _LocalKit:
         Ge = edge_moments(psi)
         self.Ge = 0.5 * (Ge + Ge.T)
         self.Ge_cho = cho_factor(self.Ge)
+        self.Ge_inv = cho_solve(self.Ge_cho, np.eye(len(self.Ge)))
         # Edge moments of the interior basis on each side, and for the fourth
         # order of its derivative along the fixed edge normal (d/dx on the
         # vertical sides, d/dy on the horizontal ones); each set weights one
@@ -534,61 +535,20 @@ def assemble(space: WgSpace) -> WgSpace:
     return space
 
 
-# -- interpolation and field integrals ----------------------------------------
+# -- the projection of the exact Laplacian eigenfunctions --------------------
 
 
-def _element_points(space: WgSpace, ox: np.ndarray, oy: np.ndarray):
-    """Yield (slice, X, Y) over chunks of elements: the quadrature points of
-    the sliced elements, X and Y of shape (chunk, npts), from the offsets
-    (ox, oy) of an element rule such as kit.element_quad."""
-    x0, y0 = space.mesh.element_origins()
-    for start in range(0, x0.size, _ELEMENT_CHUNK):
-        sl = slice(start, start + _ELEMENT_CHUNK)
-        yield sl, x0[sl][:, None] + ox[None, :], y0[sl][:, None] + oy[None, :]
+def _separable_projection(space: WgSpace, fx, fy):
+    """Interior and trace coefficients of f(x, y) = fx(x) * fy(y).
 
-
-def _interior_moments(space: WgSpace, f, npts: int) -> np.ndarray:
-    """Per-element moments (f, phi_beta)_T, shape (Ne, dim_interior)."""
-    ox, oy, w, phi_ref = space.kit().element_quad(npts)
-    out = np.empty((space.mesh.num_elements, space.dim_interior))
-    for sl, X, Y in _element_points(space, ox, oy):
-        out[sl] = (np.asarray(f(X, Y), dtype=float) * w[None, :]) @ phi_ref
-    return out
-
-
-def _edge_projections(space: WgSpace, values_fn, npts: int) -> np.ndarray:
-    """Project a field onto the trace basis of every interior edge.
-
-    values_fn(x, y, vertical_mask) returns the integrand values; vertical
-    edges are parametrized by y, horizontal ones by x.  Returns coefficients
-    of shape (num_interior_edges, dim_trace) in interior-edge order.
+    On the tensor Gauss rule of DEFAULT_FIELD_QUAD points a side, the moment
+    against t^a s^b on element (i, j) is Mx[i, a] * My[j, b]; an edge moment
+    is a factor's value on the edge line times a 1D moment: N * npts
+    evaluations of each factor, not (N * npts)^2 of f.  One GEMM by Gk^-1 and
+    one by Ge^-1 turn the moments into coefficients.
     """
-    mesh = space.mesh
-    kit = space.kit()
-    off, w, psi_ref = kit.edge_quad(npts)
-    ids = mesh.interior_edges
-    mx, my = mesh.edge_midpoints()
-    vertical = mesh.edge_orient[ids] == 0
-    X = np.where(
-        vertical[:, None], mx[ids][:, None], mx[ids][:, None] - 0.5 * space.mesh.h + off[None, :]
-    )
-    Y = np.where(
-        vertical[:, None], my[ids][:, None] - 0.5 * space.mesh.h + off[None, :], my[ids][:, None]
-    )
-    vals = values_fn(X, Y, vertical)
-    rhs = (np.asarray(vals, dtype=float) * w[None, :]) @ psi_ref
-    return cho_solve(kit.Ge_cho, rhs.T).T
-
-
-def _separable_projection(space: WgSpace, fx, fy, npts: int):
-    """Interior moments and trace coefficients of f(x, y) = fx(x) * fy(y).
-
-    On the tensor rule of _interior_moments, the moment against t^a s^b on
-    element (i, j) is Mx[i, a] * My[j, b]; an edge moment is a factor's value
-    on the edge line times a 1D moment.  N * npts evaluations, not (N * npts)^2.
-    """
-    n, h, kt = space.mesh.n, space.mesh.h, space.dim_trace
-    off, w, _ = space.kit().edge_quad(npts)
+    n, h, kt, kit = space.mesh.n, space.mesh.h, space.dim_trace, space.kit()
+    off, w, _ = kit.edge_quad(DEFAULT_FIELD_QUAD)
     P = ((off / h - 0.5)[:, None] ** np.arange(space.degree + 1)) * w[:, None]
     nodes = np.arange(n + 1) * h
     cells = nodes[:n, None] + off[None, :]
@@ -601,46 +561,28 @@ def _separable_projection(space: WgSpace, fx, fy, npts: int):
     vertical = np.asarray(fx(nodes[1:n]), dtype=float)[None, :, None] * My[:, None, :kt]
     horizontal = np.asarray(fy(nodes[1:n]), dtype=float)[:, None, None] * Mx[None, :, :kt]
     rhs = np.concatenate([vertical.reshape(-1, kt), horizontal.reshape(-1, kt)])
-    return moments, cho_solve(space.kit().Ge_cho, rhs.T).T
+    return moments @ kit.Gk_inv, rhs @ kit.Ge_inv  # both inverses are symmetric
 
 
-def qh_project(space: WgSpace, f, grad=None, npts: int = DEFAULT_FIELD_QUAD) -> np.ndarray:
-    """Componentwise projection of a smooth field into the WG space.
+def qh_project(space: WgSpace, f) -> np.ndarray:
+    """Componentwise projection of an exact Laplacian eigenfunction into a
+    second-order space.
 
-    f(x, y) must accept arrays; grad(x, y) -> (fx, fy) is required for the
-    fourth-order space, whose edge normal component interpolates the normal
-    derivative along the fixed edge normal.
-
-    If f carries `factors = (fx, fy)` with f(x, y) = fx(x) * fy(y), its interior
-    and trace moments come from 1D moments on the same Gauss rule, which agree
-    with the 2D evaluation to rounding.  Returns the coefficient vector: built
-    in the edge-major layout, whose interiors are already in dof order, and
-    then only its edge part permuted by Quadtree.order.
+    f must carry ``factors = (fx, fy)`` with f(x, y) = fx(x) * fy(y), as the
+    sine modes of analysis do; its interior and trace moments come from 1D
+    moments on the kit's Gauss rule (_separable_projection).  A field without
+    factors, or a fourth-order space, raises ValueError before any work.
+    Returns the coefficient vector: built in the edge-major layout, whose
+    interiors are already in dof order, and then only its edge part permuted
+    by Quadtree.order.
     """
-    if space.kind == BIHARMONIC and grad is None:
-        raise ValueError("the fourth-order projection needs the gradient of f")
-    kit = space.kit()
-    coeffs = np.zeros(space.ndof)  # in the edge-major layout of Quadtree.order
-
+    if space.kind != LAPLACIAN:
+        raise ValueError("qh_project projects into the second-order space only")
     factors = getattr(f, "factors", None)
     if factors is None:
-        moments = _interior_moments(space, f, npts)
-        trace = _edge_projections(space, lambda X, Y, vert: f(X, Y), npts)
-    else:
-        moments, trace = _separable_projection(space, *factors, npts)
-    coeffs[: space.n_interior_dofs] = cho_solve(kit.Gk_cho, moments.T).T.ravel()
-
-    k = space.dim_trace
-    base = space.n_interior_dofs
-    coeffs[base : base + trace.size] = trace.ravel()
-
-    if space.kind == BIHARMONIC:
-        def normal_derivative(X, Y, vertical):
-            fx, fy = grad(X, Y)
-            return np.where(vertical[:, None], fx, fy)
-
-        normal = _edge_projections(space, normal_derivative, npts)
-        off = base + space.mesh.num_interior_edges * k
-        coeffs[off : off + normal.size] = normal.ravel()
-    coeffs[base:] = coeffs[space.quadtree.order]  # a gather copies before it writes
+        raise ValueError("qh_project needs a separable field: "
+                         "f.factors = (fx, fy) with f(x, y) = fx(x) * fy(y)")
+    interior, trace = _separable_projection(space, *factors)
+    coeffs = np.concatenate([interior.ravel(), trace.ravel()])  # the edge-major layout
+    coeffs[space.n_interior_dofs:] = coeffs[space.quadtree.order]  # a gather copies first
     return coeffs

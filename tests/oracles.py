@@ -1,10 +1,11 @@
 """Verification helpers that no solver path calls: the stored index arrays
 of a uniform mesh and the containment map between nested levels, mapped
-quadrature on squares and segments with local L2 projections, the weak
-operators on one element, the stabilizer and reference-norm matrices, a
-source solve, field error norms, the two-grid right-hand side by quadrature,
-eigenvalue clusters and their diagnostics, and the earlier forms of the
-assembly scatter and of the nested-dissection factor on global dof ids.
+quadrature on squares and segments with local L2 projections, the projection
+of any field by 2D quadrature, the weak operators on one element, the
+stabilizer and reference-norm matrices, a source solve, field error norms,
+the two-grid right-hand side by quadrature, eigenvalue clusters and their
+diagnostics, and the earlier forms of the assembly scatter and of the
+nested-dissection factor on global dof ids.
 
 They check the package from outside, so they live with the tests.  The square
 and segment rules place points in absolute coordinates, independently of the
@@ -27,9 +28,9 @@ from wgeig.analysis import ExactEigen, _span_distance
 from wgeig.eigsolve import EigenPair
 from wgeig.mesh import MeshLevel
 from wgeig.polyspace import DEFAULT_FIELD_QUAD, ElementBasis, gauss_rule, pk_exponents
-from wgeig.wg_core import (_ELEMENT_CHUNK, BIHARMONIC, LAPLACIAN, WgSpace,
-                           _element_points, _interior_moments, _scatter_symmetric,
-                           qh_project)
+from wgeig.wg_core import BIHARMONIC, LAPLACIAN, WgSpace, _scatter_symmetric, qh_project
+
+_ELEMENT_CHUNK = 1 << 15
 
 
 class SolverFailureError(WgeigError):
@@ -247,6 +248,109 @@ def l2_project_edge(f, segment: Segment, degree: int, npts: int = DEFAULT_FIELD_
     return cho_solve(cho_factor(G), rhs)
 
 
+# -- the projection of any field by 2D quadrature ---------------------------------------
+
+
+def _element_points(space: WgSpace, ox: np.ndarray, oy: np.ndarray):
+    """Yield (slice, X, Y) over chunks of elements: the quadrature points of
+    the sliced elements, X and Y of shape (chunk, npts), from the offsets
+    (ox, oy) of an element rule such as kit.element_quad."""
+    h = space.mesh.h
+    x0, y0 = space.mesh.elem_ix * h, space.mesh.elem_iy * h
+    for start in range(0, x0.size, _ELEMENT_CHUNK):
+        sl = slice(start, start + _ELEMENT_CHUNK)
+        yield sl, x0[sl][:, None] + ox[None, :], y0[sl][:, None] + oy[None, :]
+
+
+def _interior_moments(space: WgSpace, f, npts: int) -> np.ndarray:
+    """Per-element moments (f, phi_beta)_T, shape (Ne, dim_interior)."""
+    ox, oy, w, phi_ref = space.kit().element_quad(npts)
+    out = np.empty((space.mesh.num_elements, space.dim_interior))
+    for sl, X, Y in _element_points(space, ox, oy):
+        out[sl] = (np.asarray(f(X, Y), dtype=float) * w[None, :]) @ phi_ref
+    return out
+
+
+def monomial_field(a: int, b: int):
+    """The field x^a y^b with its gradient and its Laplacian."""
+    f = lambda x, y: np.asarray(x, float) ** a * np.asarray(y, float) ** b
+
+    def grad(x, y):
+        x = np.asarray(x, float)
+        y = np.asarray(y, float)
+        gx = a * x ** max(a - 1, 0) * y**b if a else np.zeros_like(x + y)
+        gy = b * x**a * y ** max(b - 1, 0) if b else np.zeros_like(x + y)
+        return gx, gy
+
+    def lap(x, y):
+        x = np.asarray(x, float)
+        y = np.asarray(y, float)
+        t1 = a * (a - 1) * x ** max(a - 2, 0) * y**b if a >= 2 else np.zeros_like(x + y)
+        t2 = b * (b - 1) * x**a * y ** max(b - 2, 0) if b >= 2 else np.zeros_like(x + y)
+        return t1 + t2
+
+    return f, grad, lap
+
+
+def _edge_points(space: WgSpace, off: np.ndarray):
+    """The points (X, Y) of an edge rule with offsets ``off`` on every edge
+    of the mesh, each of shape (num_edges, npts), and the mask of the
+    vertical edges, which run along y."""
+    mesh, h = space.mesh, space.mesh.h
+    vertical, i, j = mesh.edge_orient == 0, mesh.edge_i, mesh.edge_j
+    mx = np.where(vertical, i * h, (i + 0.5) * h)
+    my = np.where(vertical, (j + 0.5) * h, j * h)
+    X = np.where(vertical[:, None], mx[:, None], mx[:, None] - 0.5 * h + off[None, :])
+    Y = np.where(vertical[:, None], my[:, None] - 0.5 * h + off[None, :], my[:, None])
+    return X, Y, vertical
+
+
+def _field_parts(space: WgSpace, f, grad, npts: int):
+    """The L2 projections of a field by the kit's rules with npts points: the
+    interiors (Ne, dim_interior), and per edge of the mesh its traces and,
+    for the fourth order, its derivatives along the fixed edge normal, each
+    (num_edges, dim_trace)."""
+    if space.kind == BIHARMONIC and grad is None:
+        raise ValueError("the fourth-order projection needs the gradient of f")
+    kit = space.kit()
+    interior = cho_solve(cho_factor(kit.Gk), _interior_moments(space, f, npts).T).T
+    off, w, psi_ref = kit.edge_quad(npts)
+    X, Y, vertical = _edge_points(space, off)
+    fields = [f(X, Y)]
+    if space.kind == BIHARMONIC:
+        fx, fy = grad(X, Y)
+        fields.append(np.where(vertical[:, None], fx, fy))
+    edges = [cho_solve(kit.Ge_cho, ((np.asarray(v, float) * w[None, :]) @ psi_ref).T).T
+             for v in fields]
+    return interior, edges
+
+
+def interpolate_all_elements(space: WgSpace, f, grad=None,
+                             npts: int = DEFAULT_FIELD_QUAD) -> np.ndarray:
+    """Unconstrained componentwise interpolant on every element, vectorized:
+    (Ne, n_local) in the local order of WgSpace.
+
+    Unlike the global projection, boundary edge components are kept, which is
+    what the element-local commutation identity is about.
+    """
+    interior, edges = _field_parts(space, f, grad, npts)
+    sides = space.mesh.elem_edges
+    return np.concatenate([interior] + [e[sides[:, p]] for e in edges for p in range(4)],
+                          axis=1)
+
+
+def quadrature_qh_project(space: WgSpace, f, grad=None,
+                          npts: int = DEFAULT_FIELD_QUAD) -> np.ndarray:
+    """The componentwise projection of wg_core.qh_project for any field, by
+    2D quadrature, and into either space (grad(x, y) -> (fx, fy) for the
+    fourth order): the parts of interpolate_all_elements without the
+    boundary edges, in the edge-major layout, put in dof order by layout_ids."""
+    interior, edges = _field_parts(space, f, grad, npts)
+    inner = space.mesh.interior_edges
+    layout = np.concatenate([interior.ravel()] + [e[inner].ravel() for e in edges])
+    return layout[layout_ids(space)]
+
+
 # -- weak functions and local weak operators -----------------------------------------
 
 
@@ -353,10 +457,7 @@ def vnorm_error(space: WgSpace, coeffs: np.ndarray, u, grad_u, lap_u,
 
     off, w1, psi_ref = kit.edge_quad(npts)
     nq = off.size
-    mx, my = mesh.edge_midpoints()
-    vertical = mesh.edge_orient == 0
-    EX = np.where(vertical[:, None], mx[:, None], mx[:, None] - 0.5 * h + off[None, :])
-    EY = np.where(vertical[:, None], my[:, None] - 0.5 * h + off[None, :], my[:, None])
+    EX, EY, _ = _edge_points(space, off)
     u_vals = np.asarray(u(EX, EY), dtype=float)
     qbu = cho_solve(kit.Ge_cho, ((u_vals * w1[None, :]) @ psi_ref).T).T
 

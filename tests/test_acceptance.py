@@ -16,9 +16,9 @@ from wgeig.eigsolve import smallest_eigs
 from wgeig.mesh import build_uniform
 from wgeig.polyspace import ElementBasis
 from wgeig.twogrid import run_sipg
-from wgeig.wg_core import _interior_moments
 
 from conftest import dense_pencil_eigs
+from oracles import interpolate_all_elements, monomial_field
 
 EXACT6 = np.array([2, 5, 5, 8, 10, 10]) * np.pi**2
 
@@ -32,34 +32,6 @@ def report(criterion, ok, detail):
 # -- helpers -----------------------------------------------------------------
 
 
-def interpolate_all_elements(space, f, grad=None):
-    """Unconstrained componentwise interpolant on every element, vectorized.
-
-    Unlike the global projection, boundary edge components are kept, which is
-    what the element-local commutation identity is about.
-    """
-    kit = space.kit()
-    mesh = space.mesh
-    h = mesh.h
-    interior = cho_solve(kit.Gk_cho, _interior_moments(space, f, 10).T).T
-    off, w1, psi_ref = kit.edge_quad(10)
-    mx, my = mesh.edge_midpoints()
-    vert = mesh.edge_orient == 0
-    X = np.where(vert[:, None], mx[:, None], mx[:, None] - 0.5 * h + off[None, :])
-    Y = np.where(vert[:, None], my[:, None] - 0.5 * h + off[None, :], my[:, None])
-
-    def project(vals):
-        return cho_solve(kit.Ge_cho, ((vals * w1[None, :]) @ psi_ref).T).T
-
-    trace = project(np.asarray(f(X, Y), float))
-    blocks = [interior] + [trace[mesh.elem_edges[:, p]] for p in range(4)]
-    if space.kind == wg.BIHARMONIC:
-        fx, fy = grad(X, Y)
-        normal = project(np.where(vert[:, None], fx, fy))
-        blocks += [normal[mesh.elem_edges[:, p]] for p in range(4)]
-    return np.concatenate(blocks, axis=1)
-
-
 def project_all_elements(space, f, degree):
     """Elementwise L2 projection of f onto P_degree, vectorized over elements."""
     kit = space.kit()
@@ -68,31 +40,11 @@ def project_all_elements(space, f, degree):
     chi = ElementBasis(degree=degree, center=(h / 2, h / 2), scale=h)
     chi_ref = chi.eval(ox, oy)
     gram = chi_ref.T @ (chi_ref * w[:, None])
-    x0, y0 = space.mesh.element_origins()
+    x0, y0 = space.mesh.elem_ix * h, space.mesh.elem_iy * h
     X = x0[:, None] + ox[None, :]
     Y = y0[:, None] + oy[None, :]
     moments = (np.asarray(f(X, Y), float) * w[None, :]) @ chi_ref
     return cho_solve(cho_factor(0.5 * (gram + gram.T)), moments.T).T
-
-
-def monomial(a, b):
-    f = lambda x, y: np.asarray(x, float) ** a * np.asarray(y, float) ** b
-
-    def grad(x, y):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        gx = a * x ** max(a - 1, 0) * y**b if a else np.zeros_like(x + y)
-        gy = b * x**a * y ** max(b - 1, 0) if b else np.zeros_like(x + y)
-        return gx, gy
-
-    def lap(x, y):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        t1 = a * (a - 1) * x ** max(a - 2, 0) * y**b if a >= 2 else np.zeros_like(x + y)
-        t2 = b * (b - 1) * x**a * y ** max(b - 2, 0) if b >= 2 else np.zeros_like(x + y)
-        return t1 + t2
-
-    return f, grad, lap
 
 
 # -- criterion computations (pure functions, reused by the determinism check) --
@@ -120,7 +72,7 @@ def compute_criterion_2():
             kit = space.kit()
             for a in range(k + 1):
                 for b in range(k + 1 - a):
-                    f, grad, _ = monomial(a, b)
+                    f, grad, _ = monomial_field(a, b)
                     V = interpolate_all_elements(space, f)
                     got_x = V @ kit.Wx.T
                     got_y = V @ kit.Wy.T
@@ -134,7 +86,7 @@ def compute_criterion_2():
             kit = space.kit()
             for a in range(k + 1):
                 for b in range(k + 1 - a):
-                    f, grad, lap = monomial(a, b)
+                    f, grad, lap = monomial_field(a, b)
                     V = interpolate_all_elements(space, f, grad)
                     got = V @ kit.W.T
                     want = project_all_elements(space, lap, k - 2)

@@ -20,6 +20,11 @@ def _fill(lu):
     return lu.L.nnz + lu.U.nnz
 
 
+def _solve_columns(lu, rhs):
+    """A block right-hand side solved column by column."""
+    return np.column_stack([lu.solve(r) for r in rhs.T])
+
+
 def _minimum_degree_splu(M, diag_pivot_thresh):
     """Oracle: SuperLU's own minimum-degree ordering on the pattern of M + Mᵀ."""
     return splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=diag_pivot_thresh,
@@ -184,10 +189,10 @@ def test_condensed_solves_match_full_oracle(kind, degree):
         M = forms.A - sigma * forms.B
         lu, _ = linalg.factor_indefinite(forms, sigma)
         want = splu(M.tocsc()).solve(rhs)
-        got = lu.solve(rhs)
+        got = _solve_columns(lu, rhs)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want), sigma
         assert np.linalg.norm(lu.solve(rhs[:, 1]) - want[:, 1]) <= 1e-10 * np.linalg.norm(want[:, 1])
-    spd = linalg.factor_spd(forms).solve(rhs)
+    spd = _solve_columns(linalg.factor_spd(forms), rhs)
     want = splu(forms.A.tocsc()).solve(rhs)
     assert np.linalg.norm(spd - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -238,7 +243,7 @@ def test_nested_solves_match_full_oracle_on_every_level_count(kind, degree, leve
         M = forms.A - sigma * forms.B
         lu, _ = linalg.factor_indefinite(forms, sigma)
         want = splu(M.tocsc()).solve(rhs)
-        assert np.linalg.norm(lu.solve(rhs) - want) <= 1e-10 * np.linalg.norm(want), sigma
+        assert np.linalg.norm(_solve_columns(lu, rhs) - want) <= 1e-10 * np.linalg.norm(want), sigma
         one = lu.solve(rhs[:, 0])
         assert one.shape == (M.shape[0],)
         assert np.linalg.norm(one - want[:, 0]) <= 1e-10 * np.linalg.norm(want[:, 0]), sigma
@@ -264,9 +269,9 @@ def _bitwise(got, want):
 
 def _assert_bitwise_the_id_oracle(space, sigma, lu, rhs):
     # The factor (LUs with their pivots, X, the stored inverses) and solves
-    # with full-length, interior-only and 2-D right-hand sides equal the
-    # id-valued factor and solve bit for bit, the oracle's vectors permuted
-    # from layout ids into dofs.  The factor keeps no cross block: its LU is
+    # with full-length and interior-only right-hand sides, and of a block
+    # column by column, equal the id-valued factor and solve bit for bit, the
+    # oracle's vectors permuted from layout ids into dofs.  The factor keeps no cross block: its LU is
     # the one of the oracle's block.
     oracle = IdNestedLU(space, sigma)
     order = layout_ids(space)
@@ -282,7 +287,7 @@ def _assert_bitwise_the_id_oracle(space, sigma, lu, rhs):
     inner = rhs[:space.n_interior_dofs, 1]  # the interiors keep their layout ids
     for r in (rhs[:, 0], inner, np.append(inner, np.zeros(space.ndof - len(inner)))):
         assert _bitwise(lu.solve(r[order[:len(r)]]), oracle.solve(r)[order]), sigma
-    assert _bitwise(lu.solve(rhs[order]),
+    assert _bitwise(_solve_columns(lu, rhs[order]),
                     np.column_stack([oracle.solve(r)[order] for r in rhs.T])), sigma
 
 

@@ -75,7 +75,7 @@ def test_cross_mass_against_overintegration_oracle():
     phi_ref = kit.phi.eval(OX.ravel(), OY.ravel())
     cmap = containment_map(coarse.mesh, fine.mesh)
     ccx, ccy = (coarse.mesh.elem_ix + 0.5) * H, (coarse.mesh.elem_iy + 0.5) * H
-    fx0, fy0 = fine.mesh.element_origins()
+    fx0, fy0 = fine.mesh.elem_ix * h, fine.mesh.elem_iy * h
     want = np.zeros(fine.ndof)
     for e in range(fine.mesh.num_elements):
         X = fx0[e] + OX.ravel()

@@ -8,6 +8,7 @@ from wgeig import linalg
 from conftest import local_interpolant
 from oracles import (
     Square,
+    _interior_moments,
     element_mass_matrix,
     id_box_levels,
     id_dof_map,
@@ -16,37 +17,19 @@ from oracles import (
     l2_project_element,
     local_vector,
     masked_scatter,
+    monomial_field,
     norm1_matrix,
+    quadrature_qh_project,
     solve_source,
     stabilizer_matrix,
     vnorm_error,
     weak_gradient_local,
     weak_laplacian_local,
 )
+from wgeig.analysis import _span_distance
 from wgeig.errors import DegreeTooLowError
 from wgeig.mesh import build_uniform
 from wgeig.polyspace import dim_pk, gauss_rule, pk_exponents
-
-
-def _monomial_field(a, b):
-    def f(x, y):
-        return np.asarray(x, float) ** a * np.asarray(y, float) ** b
-
-    def grad(x, y):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        gx = a * x ** max(a - 1, 0) * y**b if a else np.zeros_like(x + y)
-        gy = b * x**a * y ** max(b - 1, 0) if b else np.zeros_like(x + y)
-        return gx, gy
-
-    def lap(x, y):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        t1 = a * (a - 1) * x ** max(a - 2, 0) * y**b if a >= 2 else np.zeros_like(x + y)
-        t2 = b * (b - 1) * x**a * y ** max(b - 2, 0) if b >= 2 else np.zeros_like(x + y)
-        return t1 + t2
-
-    return f, grad, lap
 
 
 # -- dense local oracles: rebuild the defining identities from raw quadrature --
@@ -222,8 +205,9 @@ def test_fill_reducing_order_is_a_permutation(kind, degree, level):
     if level >= 1:
         # The last cross is the edge dofs on the lines x = 1/2 and y = 1/2.
         mesh, k = space.mesh, space.dim_trace
-        mx, my = mesh.edge_midpoints()
-        ii = np.flatnonzero((mx[mesh.interior_edges] == 0.5) | (my[mesh.interior_edges] == 0.5))
+        inner = mesh.interior_edges  # a vertical edge lies at x = i*h, a horizontal one at y = j*h
+        line = np.where(mesh.edge_orient[inner] == 0, mesh.edge_i[inner], mesh.edge_j[inner])
+        ii = np.flatnonzero(line == mesh.n // 2)
         starts = space.n_interior_dofs + k * mesh.num_interior_edges * np.arange(
             space.num_edge_components)
         cut = (starts[:, None, None] + k * ii[None, :, None] + np.arange(k)).ravel()
@@ -305,7 +289,7 @@ def test_weak_gradient_of_constant(lap_L2_k1):
 
 def test_weak_gradient_of_linear():
     space = wg.WgSpace(build_uniform(2), 2, kind="laplacian", epsilon=0.1)
-    q = wg.qh_project(space, lambda x, y: x)
+    q = quadrature_qh_project(space, lambda x, y: x)
     for element in (5, 6, 9):  # interior elements of the 4x4 grid
         got = weak_gradient_local(space, local_vector(space, q, element))
         want = np.zeros_like(got)
@@ -334,7 +318,7 @@ def test_weak_gradient_wrong_kind(bih_L2_k2):
 
 def test_weak_laplacian_of_x_squared(bih_L2_k2):
     space, _ = bih_L2_k2
-    f, grad, _ = _monomial_field(2, 0)
+    f, grad, _ = monomial_field(2, 0)
     for element in (0, 5, 10):
         vloc = local_interpolant(space, element, f, grad)
         got = weak_laplacian_local(space, vloc)
@@ -346,7 +330,7 @@ def test_weak_laplacian_of_x_squared(bih_L2_k2):
 def test_weak_laplacian_consistent_traces():
     # v0 in P_k with vb = trace(v0), vn = grad(v0).n_e gives lap_w v = lap v0
     space = wg.WgSpace(build_uniform(1), 3, kind="biharmonic", epsilon=0.1)
-    f, grad, lap = _monomial_field(2, 1)  # x^2 y, degree 3
+    f, grad, lap = monomial_field(2, 1)  # x^2 y, degree 3
     element = 2
     vloc = local_interpolant(space, element, f, grad)
     got = weak_laplacian_local(space, vloc)
@@ -380,7 +364,7 @@ def test_gradient_commutes_with_interpolation(k, level):
     space = wg.WgSpace(build_uniform(level), k, kind="laplacian", epsilon=0.1)
     for a in range(k + 1):
         for b in range(k + 1 - a):
-            f, grad, _ = _monomial_field(a, b)
+            f, grad, _ = monomial_field(a, b)
             for element in range(0, space.mesh.num_elements, 3):
                 vloc = local_interpolant(space, element, f)
                 got = weak_gradient_local(space, vloc)
@@ -565,7 +549,7 @@ def test_stabilizer_decays_under_refinement():
     for level in (2, 3, 4):
         space = wg.WgSpace(build_uniform(level), 1, kind="laplacian", epsilon=0.1)
         S = stabilizer_matrix(space)
-        q = wg.qh_project(space, u)
+        q = quadrature_qh_project(space, u)
         values.append(float(q @ (S @ q)))
     assert values[0] > values[1] > values[2] > 0
 
@@ -574,7 +558,7 @@ def test_stabilizer_vanishes_on_consistent_fields():
     # local quadratic form is zero whenever the traces match the interior
     space = wg.WgSpace(build_uniform(2), 3, kind="biharmonic", epsilon=0.1)
     kit = space.kit()
-    f, grad, _ = _monomial_field(2, 1)
+    f, grad, _ = monomial_field(2, 1)
     vloc = local_interpolant(space, 6, f, grad)
     s = vloc @ (kit.stabilizer_local(space.epsilon) @ vloc)
     assert abs(s) < 1e-13
@@ -584,7 +568,7 @@ def test_stabilizer_vanishes_on_consistent_fields():
     space = wg.WgSpace(build_uniform(2), 4, kind="laplacian", epsilon=0.1)
     S = stabilizer_matrix(space)
     p = lambda x, y: x * (1 - x) * y * (1 - y)
-    q = wg.qh_project(space, p)
+    q = quadrature_qh_project(space, p)
     assert abs(q @ (S @ q)) < 1e-13
 
 
@@ -608,11 +592,11 @@ def test_norm_chain(kind, degree):
 
 def test_qh_project_zero_and_polynomial(lap_L2_k1):
     space, _ = lap_L2_k1
-    zero = wg.qh_project(space, lambda x, y: np.zeros_like(x))
+    zero = quadrature_qh_project(space, lambda x, y: np.zeros_like(x))
     assert np.abs(zero).max() == 0.0
 
     # global degree-1 field reproduced exactly in every kept component
-    q = wg.qh_project(space, lambda x, y: 2.0 * x - y + 0.5)
+    q = quadrature_qh_project(space, lambda x, y: 2.0 * x - y + 0.5)
     for element in range(space.mesh.num_elements):
         vloc = local_vector(space, q, element)
         want = local_interpolant(space, element, lambda x, y: 2.0 * x - y + 0.5)
@@ -627,12 +611,23 @@ def test_qh_project_requires_gradient(bih_L1_k2):
         wg.qh_project(space, lambda x, y: x * y)
 
 
+def test_qh_project_refuses_fields_it_cannot_project(lap_L2_k1, bih_L1_k2):
+    # Only a field with 1D factors, and only into the second-order space.
+    with pytest.raises(ValueError, match="separable"):
+        wg.qh_project(lap_L2_k1[0], lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+    mode = wg.exact_laplacian_spectrum(1)[0].generators[0]
+    with pytest.raises(ValueError, match="second-order"):
+        wg.qh_project(bih_L1_k2[0], mode)
+
+
 def test_qh_energy_stable_under_quadrature_refinement():
+    # The oracle's rule: 10 points a side already give the projection's
+    # energy to 1e-10.
     space = wg.WgSpace(build_uniform(3), 1, kind="laplacian", epsilon=0.1)
     forms = wg.assemble(space)
     f = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
-    q10 = wg.qh_project(space, f, npts=10)
-    q20 = wg.qh_project(space, f, npts=20)
+    q10 = quadrature_qh_project(space, f, npts=10)
+    q20 = quadrature_qh_project(space, f, npts=20)
     e10 = np.sqrt(q10 @ (forms.A @ q10))
     e20 = np.sqrt(q20 @ (forms.A @ q20))
     assert abs(e10 - e20) < 1e-10 * max(1.0, e20)
@@ -641,8 +636,8 @@ def test_qh_energy_stable_under_quadrature_refinement():
 @pytest.mark.parametrize("level", [2, 3, 4, 5])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_separable_projection_matches_2d_path(k, level):
-    """Sine modes projected through their 1D factors against the generic 2D
-    evaluation of the same rule, which a plain lambda (no factors) takes.
+    """Sine modes projected through their 1D factors against the oracle's 2D
+    evaluation of the same rule, given a plain lambda (no factors).
 
     Gk^{-1} amplifies rounding in the high-order moments, so interior columns
     are compared to 1e-9 of their own scale and traces to 1e-12."""
@@ -655,16 +650,16 @@ def test_separable_projection_matches_2d_path(k, level):
     for cluster in wg.exact_laplacian_spectrum(4):
         gens = cluster.generators
         plain = [lambda x, y, g=g: g(x, y) for g in gens]
-        for g, p in zip(gens, plain):
+        refs = [quadrature_qh_project(space, p) for p in plain]
+        for g, p, ref in zip(gens, plain, refs):
             assert hasattr(g, "factors") and not hasattr(p, "factors")
             sep = wg.qh_project(space, g)
-            ref = wg.qh_project(space, p)
             assert np.abs(sep[ni:] - ref[ni:]).max() <= 1e-12 * np.abs(ref[ni:]).max()
             S, R = sep[:ni].reshape(-1, nd0), ref[:ni].reshape(-1, nd0)
             assert np.all(np.abs(S - R).max(axis=0) <= 1e-9 * np.abs(R).max(axis=0))
         for pair in pairs[start : start + cluster.multiplicity]:
             e_sep = wg.energy_error(forms, pair.vector, gens)
-            e_ref = wg.energy_error(forms, pair.vector, plain)
+            e_ref = _span_distance(np.column_stack(refs), pair.vector, space.operator())
             assert abs(e_sep - e_ref) <= 1e-10 * e_ref
         start += cluster.multiplicity
 
@@ -682,8 +677,6 @@ def test_solve_source_residual(lap_L3_k1):
     space, forms = lap_L3_k1
     f = lambda x, y: np.exp(x) * (1 + y)
     u = solve_source(space, f)
-    from wgeig.wg_core import _interior_moments
-
     rhs = np.zeros(space.ndof)
     rhs[: space.n_interior_dofs] = _interior_moments(space, f, 10).ravel()
     resid = np.linalg.norm(forms.A @ u - rhs)
