@@ -16,8 +16,8 @@ import numpy as np
 
 from ._stages import _stage
 from .eigsolve import smallest_eigs
-from .errors import EmptyClusterError, NonPositiveError
-from .mesh import build_uniform
+from .errors import EmptyClusterError, LevelOrderError, NonPositiveError
+from .mesh import MeshLevel, build_uniform
 from .polyspace import dim_pk
 from .twogrid import run_sipg
 from .wg_core import LAPLACIAN, WgSpace, _check_kind_and_degree, assemble, qh_project
@@ -187,22 +187,28 @@ def _study_row(kind: str, degree: int, epsilon: float, H_level: int, h_level: in
     )
 
 
-def _check_study(kind: str, degree: int, num_eigs: int, levels) -> None:
-    """Refuse, before any mesh or assembly, a study that cannot run: num_eigs
-    below 1 or above the mass rank 4^level dim P_k of the coarsest nonnegative
-    level, or a kind or degree that WgSpace refuses."""
+def _check_study(kind: str, degree: int, num_eigs: int, levels, fine_levels=()) -> None:
+    """Refuse, before any mesh is assembled, a study that cannot run: no level,
+    a coarse or fine level outside [0, MAX_LEVEL], a fine level not above every
+    coarse level, num_eigs below 1 or above the mass rank 4^level dim P_k of
+    the coarsest level, or a kind or degree that WgSpace refuses."""
+    if not levels:
+        raise ValueError("a study needs at least one level")
+    for level in (*levels, *fine_levels):
+        MeshLevel(level)
+    for fl in fine_levels:
+        if fl <= max(levels):
+            raise LevelOrderError(f"fine level {fl} must exceed every coarse level {levels}")
     if num_eigs < 1:
         raise ValueError(f"num_eigs must be at least 1, got {num_eigs}")
-    rank = min((4 ** level * dim_pk(degree) for level in levels if level >= 0),
-               default=num_eigs)
+    rank = 4 ** min(levels) * dim_pk(degree)
     if num_eigs > rank:
         raise ValueError(f"requested {num_eigs} eigenpairs but the mass rank is {rank}")
     _check_kind_and_degree(kind, degree)
 
 
-def _exact_values(kind: str, degree: int, num_eigs: int, levels: list[int]):
+def _exact_values(kind: str, num_eigs: int):
     """(value, cluster) per index, once _check_study has passed."""
-    _check_study(kind, degree, num_eigs, levels)
     if kind == LAPLACIAN:
         return laplacian_eigenvalues(num_eigs)
     vals: list[tuple[float | None, None]] = [(None, None)] * num_eigs
@@ -219,11 +225,9 @@ def direct_study(kind: str, degree: int, epsilon: float, levels, num_eigs: int,
                  tol: float = 1e-10) -> StudyResult:
     """Direct eigensolves over a sweep of levels, with fitted convergence orders."""
     levels = list(levels)
-    exact = _exact_values(kind, degree, num_eigs, levels)
+    _check_study(kind, degree, num_eigs, levels)
+    exact = _exact_values(kind, num_eigs)
     rows: list[StudyRow] = []
-    errs: dict[int, list[float]] = {j: [] for j in range(1, num_eigs + 1)}
-    energies: dict[int, list[float]] = {j: [] for j in range(1, num_eigs + 1)}
-    hs: list[float] = []
     for level in levels:
         t0 = time.perf_counter()
         with _stage(f"assembly level {level}"):
@@ -231,26 +235,24 @@ def direct_study(kind: str, degree: int, epsilon: float, levels, num_eigs: int,
         with _stage(f"eigensolve level {level}"):
             pairs = smallest_eigs(space, num_eigs, tol=tol)
         dt = time.perf_counter() - t0
-        hs.append(space.mesh.h)
         with _energy_stage(kind, f"level {level}"):
             for j, pair in enumerate(pairs, start=1):
                 lam_ex, cluster = exact[j - 1]
                 energy = None
-                if kind == LAPLACIAN and cluster is not None:
+                if cluster is not None:
                     energy = energy_error(space, pair.vector, cluster.generators)
-                    energies[j].append(energy)
-                row = _study_row(kind, degree, epsilon, level, level, j, lam_ex, pair.value,
-                                 None, energy, dt)
-                if row.err_direct is not None:
-                    errs[j].append(row.err_direct)
-                rows.append(row)
+                rows.append(_study_row(kind, degree, epsilon, level, level, j, lam_ex,
+                                       pair.value, None, energy, dt))
     orders: dict[str, float] = {}
     if len(levels) >= 2:
+        hs = [2.0 ** -level for level in levels]
         for j in range(1, num_eigs + 1):
-            if len(errs[j]) == len(levels) and all(e != 0 for e in errs[j]):
-                orders[f"eig_{j}"] = rate_fit(hs, [abs(e) for e in errs[j]])
-            if len(energies[j]) == len(levels) and all(e > 0 for e in energies[j]):
-                orders[f"energy_{j}"] = rate_fit(hs, energies[j])
+            errs = [row.err_direct for row in rows[j - 1::num_eigs]]
+            energies = [row.energy_err for row in rows[j - 1::num_eigs]]
+            if all(e is not None and e != 0 for e in errs):
+                orders[f"eig_{j}"] = rate_fit(hs, [abs(e) for e in errs])
+            if all(e is not None and e > 0 for e in energies):
+                orders[f"energy_{j}"] = rate_fit(hs, energies)
     return StudyResult(rows=rows, orders=orders)
 
 
@@ -265,7 +267,8 @@ def sipg_study(kind: str, degree: int, epsilon: float, coarse_levels, fine_level
     target is dropped before the next one is computed.
     """
     coarse_levels = list(coarse_levels)
-    exact = _exact_values(kind, degree, num_eigs, coarse_levels)
+    _check_study(kind, degree, num_eigs, coarse_levels, [fine_level])
+    exact = _exact_values(kind, num_eigs)
     with _stage(f"assembly level {fine_level}"):
         fine_space = assemble(WgSpace(build_uniform(fine_level), degree, kind=kind,
                                       epsilon=epsilon))
@@ -284,7 +287,7 @@ def sipg_study(kind: str, degree: int, epsilon: float, coarse_levels, fine_level
                 warnings.append(t.warning)
             lam_ex, cluster = exact[j - 1]
             energy = None
-            if kind == LAPLACIAN and cluster is not None and t.normalized is not None:
+            if cluster is not None and t.normalized is not None:
                 with _stage(f"energy error {j} level {levels}"):
                     energy = energy_error(fine_space, t.normalized, cluster.generators)
             lam_tilde = t.rayleigh if np.isfinite(t.rayleigh) else None

@@ -12,8 +12,8 @@ its flag.  The file's values are checked when it is read: a flag key takes
 unknown or repeated key is a configuration error naming the file and line.
 Outputs are deterministic apart from the timing column.
 
-Exit status: 0 success, 2 configuration error (an output or dump path that
-cannot be written among them), 3 solver failure.
+Exit status: 0 success, 2 usage error (any ValueError, an output or dump path
+that cannot be written among them), 3 solver failure (any other WgeigError).
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ import logging
 import os
 import sys
 
-from .errors import (CapacityError, ConfigError, DegreeTooLowError, FactorizationFailureError,
-                     LevelOrderError, NearSingularError, NoConvergenceError)
+from .errors import ConfigError, WgeigError
 
 THREADS_ENV = "WGEIG_THREADS"
 
@@ -127,28 +126,29 @@ def _write_rows(result, fmt: str, stream, meta: dict) -> None:
         _write_human(result, stream, meta)
 
 
+def _human_cell(v) -> str:
+    if v is None:
+        return "-"
+    if isinstance(v, float):
+        return f"{v:.4e}"
+    return str(v)
+
+
+def _write_grid(stream, grid: list[list[str]]) -> None:
+    """Rows of cells, each column right-justified to its widest cell."""
+    widths = [max(len(r[i]) for r in grid) for i in range(len(grid[0]))]
+    for r in grid:
+        stream.write("  ".join(c.rjust(w) for c, w in zip(r, widths)) + "\n")
+
+
 def _write_human(result, stream, meta: dict) -> None:
     from .analysis import ROW_FIELDS
 
     stream.write(f"# {meta.get('command', '')} "
                  + " ".join(f"{k}={v}" for k, v in meta.items() if k != "command")
                  + "\n")
-    headers = list(ROW_FIELDS)
-    table = [headers]
-    for row in result.rows:
-        cells = []
-        for f in headers:
-            v = getattr(row, f)
-            if isinstance(v, float):
-                cells.append(f"{v:.4e}")
-            elif v is None:
-                cells.append("-")
-            else:
-                cells.append(str(v))
-        table.append(cells)
-    widths = [max(len(r[i]) for r in table) for i in range(len(headers))]
-    for r in table:
-        stream.write("  ".join(c.rjust(w) for c, w in zip(r, widths)) + "\n")
+    cells = [[_human_cell(getattr(row, f)) for f in ROW_FIELDS] for row in result.rows]
+    _write_grid(stream, [list(ROW_FIELDS), *cells])
     if result.orders:
         stream.write("fitted orders: "
                      + "  ".join(f"{k}={v:.3f}" for k, v in sorted(result.orders.items()))
@@ -166,19 +166,15 @@ def _write_table_grid(result, stream) -> None:
     for h_level, indices in sorted(by_block.items()):
         h_cols = sorted({hl for idx in indices.values() for hl in idx})
         stream.write(f"h = 1/{2**h_level}\n")
-        header = ["index"] + [f"H=1/{2**hl}" for hl in h_cols]
-        grid = [header]
+        grid = [["index"] + [f"H=1/{2**hl}" for hl in h_cols]]
         for idx in sorted(indices):
             cells = [str(idx)]
             for hl in h_cols:
                 row = indices[idx].get(hl)
-                val = None if row is None else (
-                    row.lambda_tilde if row.err_sipg is None else row.err_sipg)
-                cells.append("-" if val is None else f"{val:.4e}")
+                cells.append(_human_cell(None if row is None else (
+                    row.lambda_tilde if row.err_sipg is None else row.err_sipg)))
             grid.append(cells)
-        widths = [max(len(r[i]) for r in grid) for i in range(len(header))]
-        for r in grid:
-            stream.write("  ".join(c.rjust(w) for c, w in zip(r, widths)) + "\n")
+        _write_grid(stream, grid)
 
 
 @contextlib.contextmanager
@@ -301,10 +297,7 @@ def _cmd_twogrid(args) -> int:
         meta["coarse_levels"] = ",".join(map(str, coarse_levels))
         meta["fine_levels"] = ",".join(map(str, fine_levels))
         include_direct = args.with_direct
-    for fl in fine_levels:
-        if fl <= max(coarse_levels):
-            raise ValueError(f"fine level {fl} must exceed every coarse level {coarse_levels}")
-    _check_study(meta["problem"], meta["degree"], meta["num_eigs"], coarse_levels)
+    _check_study(meta["problem"], meta["degree"], meta["num_eigs"], coarse_levels, fine_levels)
     _maybe_dump(args, meta, max(fine_levels))
     result = StudyResult(rows=[])
     for fl in fine_levels:
@@ -386,18 +379,17 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    except (OSError, ConfigError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     try:
         with _stage_lines(args.verbose):
             return args.handler(args)
-    except (ValueError, ConfigError, DegreeTooLowError, CapacityError,
-            LevelOrderError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NoConvergenceError, FactorizationFailureError, NearSingularError) as exc:
+    except WgeigError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
 

@@ -57,13 +57,8 @@ def _b_normalized(space: WgSpace, x: np.ndarray) -> np.ndarray:
     return -x if x[lead] < 0.0 else x
 
 
-def smallest_eigs(space: WgSpace, m: int, tol: float = 1e-10,
-                  maxiter: int | None = None) -> list[EigenPair]:
-    """The m smallest pencil eigenvalues with b-form-orthonormal vectors.
-
-    ``maxiter`` caps the number of operator applications (solves with the
-    stiffness factor); reaching it raises NoConvergenceError.
-    """
+def smallest_eigs(space: WgSpace, m: int, tol: float = 1e-10) -> list[EigenPair]:
+    """The m smallest pencil eigenvalues with b-form-orthonormal vectors."""
     n_int = space.n_interior_dofs
     if m < 1:
         raise ValueError("at least one eigenpair must be requested")
@@ -82,11 +77,9 @@ def smallest_eigs(space: WgSpace, m: int, tol: float = 1e-10,
         return work
 
     def apply_c(z):
-        """C z = Lᵀ (A⁻¹)_II L z (L z is zero on the edges), counted against the
-        cap; the result is overwritten by the next application."""
+        """C z = Lᵀ (A⁻¹)_II L z (L z is zero on the edges), counted; the result
+        is overwritten by the next application."""
         nonlocal applied
-        if maxiter is not None and applied + 1 > maxiter:
-            raise NoConvergenceError(applied, np.inf)
         applied += 1
         return blockwise(L.T, lu.solve(blockwise(L, z))[:n_int])
 

@@ -1,23 +1,27 @@
-"""Exception types shared across the solver stack."""
+"""Exception types shared across the solver stack.
+
+A usage error is also a ``ValueError``, and the CLI exits 2 on it; any other
+``WgeigError`` is a solver failure on an accepted run, and the CLI exits 3.
+"""
 
 
 class WgeigError(Exception):
     """Base class for all package errors."""
 
 
-class CapacityError(WgeigError):
+class CapacityError(WgeigError, ValueError):
     """Mesh level beyond the supported range."""
 
 
-class LevelOrderError(WgeigError):
-    """Fine mesh must be at least as deep as the coarse mesh."""
+class LevelOrderError(WgeigError, ValueError):
+    """Fine and coarse mesh levels in the wrong order."""
 
 
-class DegreeTooLowError(WgeigError):
+class DegreeTooLowError(WgeigError, ValueError):
     """Polynomial degree below the minimum required by the problem kind."""
 
 
-class ConfigError(WgeigError):
+class ConfigError(WgeigError, ValueError):
     """Invalid run configuration."""
 
 
@@ -65,9 +69,9 @@ class ZeroMassError(WgeigError):
     """Vector has a numerically zero mass-form norm."""
 
 
-class EmptyClusterError(WgeigError):
+class EmptyClusterError(WgeigError, ValueError):
     """No exact generators supplied for an eigenfunction error."""
 
 
-class NonPositiveError(WgeigError):
+class NonPositiveError(WgeigError, ValueError):
     """Rate fit requires strictly positive error values."""

@@ -39,6 +39,12 @@ class MeshLevel:
 
     level: int
 
+    def __post_init__(self):
+        if self.level < 0:
+            raise ValueError(f"level must be nonnegative, got {self.level}")
+        if self.level > MAX_LEVEL:
+            raise CapacityError(f"level {self.level} exceeds the supported maximum {MAX_LEVEL}")
+
     @property
     def n(self) -> int:
         return 1 << self.level
@@ -151,9 +157,5 @@ class MeshLevel:
 
 def build_uniform(level: int) -> MeshLevel:
     """The uniform mesh at the given refinement level (h = 2^-level)."""
-    if level < 0:
-        raise ValueError(f"level must be nonnegative, got {level}")
-    if level > MAX_LEVEL:
-        raise CapacityError(f"level {level} exceeds the supported maximum {MAX_LEVEL}")
     return MeshLevel(level)
 

@@ -13,7 +13,7 @@ from wgeig.analysis import (
     rate_fit,
     sipg_study,
 )
-from wgeig.errors import EmptyClusterError, NonPositiveError
+from wgeig.errors import EmptyClusterError, LevelOrderError, NonPositiveError
 from wgeig.eigsolve import smallest_eigs
 from wgeig.mesh import build_uniform
 
@@ -295,6 +295,30 @@ def test_studies_reject_num_eigs_below_one_before_assembly(kind, degree, study, 
             direct_study(kind, degree, 0.1, [1], num_eigs)
         else:
             sipg_study(kind, degree, 0.1, [1], 2, num_eigs)
+
+
+@pytest.mark.parametrize("study", ["direct", "sipg"])
+def test_studies_refuse_an_empty_sweep(study):
+    # An empty sweep once returned no rows, the two-grid one after
+    # assembling its fine space.
+    with pytest.raises(ValueError, match="a study needs at least one level"):
+        if study == "direct":
+            direct_study("laplacian", 1, 0.1, [], 2)
+        else:
+            sipg_study("laplacian", 1, 0.1, [], 2, 2)
+
+
+@pytest.mark.parametrize("fine_level", [2, 1])
+def test_sipg_study_refuses_level_order_before_assembly(fine_level, monkeypatch):
+    # The fine space was once assembled, and its direct eigensolve run,
+    # before run_sipg refused the level pair.
+    def no_assembly(space):
+        raise AssertionError("assembled before validating the level order")
+
+    monkeypatch.setattr("wgeig.analysis.assemble", no_assembly)
+    with pytest.raises(LevelOrderError,
+                       match=rf"fine level {fine_level} must exceed every coarse level \[2\]"):
+        sipg_study("laplacian", 1, 0.1, [2], fine_level, 2, include_direct=True)
 
 
 def test_sipg_study_rows():

@@ -13,7 +13,7 @@ import pytest
 import scipy.io as sio
 from hypothesis import example, given, settings, strategies as st
 
-from wgeig import analysis, twogrid, wg_core
+from wgeig import analysis, errors, twogrid, wg_core
 from wgeig.analysis import ROW_FIELDS
 from wgeig.cli import main
 from wgeig.mesh import build_uniform
@@ -104,7 +104,10 @@ def test_nonpositive_num_eigs_is_a_usage_error(capsys, tmp_path, problem, degree
      "requested 5 eigenpairs but the mass rank is 3"),
     (("sipg", "--coarse-level", "0", "--fine-level", "2", "--num-eigs", "5"),
      "requested 5 eigenpairs but the mass rank is 3"),
-], ids=["laplacian-k0", "biharmonic-k1", "solve-rank", "sipg-rank"])
+    (("study", "--levels=-1,3"), "level must be nonnegative"),
+    (("sipg", "--coarse-level=-1", "--fine-level", "2"), "level must be nonnegative"),
+], ids=["laplacian-k0", "biharmonic-k1", "solve-rank", "sipg-rank", "study-negative-level",
+        "sipg-negative-level"])
 @pytest.mark.parametrize("dump", ["--dump-mesh", "--dump-matrices"])
 def test_refused_study_dumps_nothing(capsys, tmp_path, argv, message, dump):
     # Each of these once wrote its --dump-mesh file, and the mass-rank cases
@@ -114,6 +117,26 @@ def test_refused_study_dumps_nothing(capsys, tmp_path, argv, message, dump):
     assert code == 2 and out == ""
     assert message in err
     assert list(tmp_path.iterdir()) == []
+
+
+ERROR_TYPES = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.WgeigError)]
+
+
+@pytest.mark.parametrize("error", ERROR_TYPES, ids=lambda c: c.__name__)
+def test_exit_status_follows_the_error_type(capsys, monkeypatch, error):
+    # ZeroMassError, EmptyClusterError and NonPositiveError were once in
+    # neither of main's lists of error names and ended in a traceback.
+    args = {errors.NoConvergenceError: (4, 1.0), errors.NearSingularError: (1.0,)}
+
+    def failing_study(*_, **__):
+        raise error(*args.get(error, ("injected",)))
+
+    monkeypatch.setattr(analysis, "direct_study", failing_study)
+    code, out, err = run_cli(capsys, "solve", "--level", "1", "--num-eigs", "1")
+    usage = issubclass(error, ValueError)
+    assert code == (2 if usage else 3) and out == ""
+    assert err.startswith("error: " if usage else "solver failure: ")
 
 
 @pytest.mark.parametrize("key", ["tol", "epsilon"])

@@ -3,7 +3,7 @@ from functools import cache
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.sparse.linalg import LinearOperator
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
 import wgeig as wg
 from wgeig.eigsolve import rayleigh_quotient, smallest_eigs, solve_shifted
@@ -164,11 +164,19 @@ def test_request_validation(lap_L2_k1):
         smallest_eigs(forms, forms.n_interior_dofs + 1)
 
 
-def test_no_convergence_error(lap_L3_k1):
+def test_no_convergence_error(lap_L3_k1, monkeypatch):
     _, forms = lap_L3_k1
+
+    def stalled_eigsh(op, k, **kwargs):
+        for _ in range(4):
+            op.matvec(np.ones(op.shape[0]))
+        raise ArpackNoConvergence("stalled", np.empty(0), np.empty((op.shape[0], 0)))
+
+    monkeypatch.setattr(eigsolve, "eigsh", stalled_eigsh)
     with pytest.raises(NoConvergenceError) as info:
-        smallest_eigs(forms, 6, maxiter=4)
-    assert info.value.iterations <= 4
+        smallest_eigs(forms, 6)
+    assert info.value.iterations == 4
+    assert info.value.worst_residual == np.inf
 
 
 def test_factorization_failure_on_indefinite():
