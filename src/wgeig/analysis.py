@@ -188,10 +188,11 @@ def _study_row(kind: str, degree: int, epsilon: float, H_level: int, h_level: in
 
 
 def _check_study(kind: str, degree: int, num_eigs: int, levels, fine_levels=()) -> None:
-    """Refuse, before any mesh is assembled, a study that cannot run: no level,
-    a coarse or fine level outside [0, MAX_LEVEL], a fine level not above every
-    coarse level, num_eigs below 1 or above the mass rank 4^level dim P_k of
-    the coarsest level, or a kind or degree that WgSpace refuses."""
+    """Refuse, before any mesh is assembled, a study that cannot run: a kind
+    or degree that WgSpace refuses, no level, a coarse or fine level outside
+    [0, MAX_LEVEL], a fine level not above every coarse level, or num_eigs
+    below 1 or above the mass rank 4^level dim P_k of the coarsest level."""
+    _check_kind_and_degree(kind, degree)
     if not levels:
         raise ValueError("a study needs at least one level")
     for level in (*levels, *fine_levels):
@@ -204,7 +205,6 @@ def _check_study(kind: str, degree: int, num_eigs: int, levels, fine_levels=()) 
     rank = 4 ** min(levels) * dim_pk(degree)
     if num_eigs > rank:
         raise ValueError(f"requested {num_eigs} eigenpairs but the mass rank is {rank}")
-    _check_kind_and_degree(kind, degree)
 
 
 def _exact_values(kind: str, num_eigs: int):

@@ -104,25 +104,18 @@ class MeshLevel:
         n = self.n
         return np.concatenate([(vi == 0) | (vi == n), (hj == 0) | (hj == n)])
 
+    def edge_id(self, horizontal, i, j):
+        """The id of the vertical (horizontal = 0) or horizontal (1) edge at
+        cell (i, j), in the integer type of i and j (see _edge_cells)."""
+        n = self.n
+        return horizontal * n * (n + 1) + j * (n + 1 - horizontal) + i
+
     @property
     def elem_edges(self) -> np.ndarray:
         """(Ne, 4) edge ids in (left, right, bottom, top) order."""
-        n, ix, iy = self.n, self.elem_ix, self.elem_iy
-        left = iy * (n + 1) + ix
-        bottom = n * (n + 1) + iy * n + ix
-        return np.column_stack([left, left + 1, bottom, bottom + n])
-
-    @property
-    def interior_edges(self) -> np.ndarray:
-        return np.nonzero(~self.boundary_flags)[0]
-
-    @property
-    def interior_index(self) -> np.ndarray:
-        """Position among the interior edges, -1 on the boundary."""
-        index = np.full(self.num_edges, -1, dtype=np.int64)
-        inner = self.interior_edges
-        index[inner] = np.arange(inner.size)
-        return index
+        ix, iy = self.elem_ix, self.elem_iy
+        return np.column_stack([self.edge_id(0, ix, iy), self.edge_id(0, ix + 1, iy),
+                                self.edge_id(1, ix, iy), self.edge_id(1, ix, iy + 1)])
 
     def to_debug_dict(self) -> dict:
         return {

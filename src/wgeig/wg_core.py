@@ -17,11 +17,10 @@ Every level then holds its crosses as one contiguous range of dofs, the dofs
 its boxes touch as the tail after it, and its perimeters as 32-bit offsets
 into that tail; the dof map is level 0, each element's interior and then its
 perimeter.  A weak function is its coefficient vector, a plain array of
-length ndof in this order.  Only qh_project builds coefficients in the
-edge-major layout (the interiors, then edge dofs by component, interior edge
-and basis function), and it returns them with the edge part permuted by
-``order``, which maps each edge dof to its layout id; an interior's layout id
-is its own id.
+length ndof in this order.  The quadtree names an edge dof by the mesh's own
+edge numbering, (component * num_edges + edge) * dim_trace + basis function,
+boundary edges included, and ``Quadtree.order`` maps each edge dof to that
+mesh id.
 
 A space holds the stiffness form A and the mass form B of its pencil, applied
 and never assembled on the solve path (WgSpace.operator, WgSpace.mass).
@@ -56,8 +55,9 @@ and every field integral, uses the element rule and the edge rule of the kit.
 qh_project projects only the exact Laplacian eigenfunctions, which name
 factors fx, fy with f = fx(x) * fy(y): the tensor Gauss rule then runs through
 1D moments per grid line, and two GEMMs by the inverse Gram blocks Gk^-1 and
-Ge^-1 give the coefficients.  The tests keep a general projection of any
-field, by 2D quadrature, as its oracle.
+Ge^-1 give the coefficients.  Its trace rows are the mesh's edge ids, so one
+gather by ``order`` puts them in dof order.  The tests keep a general
+projection of any field, by 2D quadrature, as its oracle.
 """
 
 from __future__ import annotations
@@ -255,7 +255,8 @@ class BoxLevel:
     the dofs of the higher levels.  Box-local positions run over the cross,
     then the perimeter, and ``merge[q]`` places the perimeter of child q
     (level l - 1) among them as runs (source, target, length), one set for
-    every box.
+    every box.  A level keeps no mesh id: _box_levels matches the children's
+    perimeters by mesh id, and only Quadtree.order keeps one.
     """
 
     start: int
@@ -271,32 +272,21 @@ class BoxLevel:
 
 class Quadtree(NamedTuple):
     """The box levels of the nested-dissection factor and ``order``, which
-    maps edge dof n_int + i to its id ``order[i]`` in the edge-major layout
-    of qh_project.  The interiors are numbered alike in both, so ``order``
-    holds no entry for them."""
+    maps edge dof n_int + i to its mesh id ``order[i]`` (_edge_ids).  An
+    interior's dof is its own id, so ``order`` holds no entry for it."""
 
     levels: list[BoxLevel]
     order: np.ndarray
 
 
-def _edge_dofs(space: WgSpace, edges: np.ndarray, interior_index: np.ndarray) -> np.ndarray:
-    """Layout ids of each row of edges' dofs (Quadtree), ``ndof`` on the
-    boundary, from the mesh's interior_index and in its integer type."""
-    k, dtype = space.dim_trace, interior_index.dtype
+def _edge_ids(space: WgSpace, edges: np.ndarray) -> np.ndarray:
+    """The mesh ids of each row of edges' dofs, (component * num_edges +
+    edge) * dim_trace + basis function, in the edges' integer type: one id
+    for every edge dof, boundary or not."""
+    k, dtype = space.dim_trace, edges.dtype
     comp = np.arange(space.num_edge_components, dtype=dtype)[:, None, None]
-    ii = interior_index[edges[:, None, :, None]]
-    ids = np.where(ii >= 0, space.n_interior_dofs + (comp * space.mesh.num_interior_edges + ii)
-                   * k + np.arange(k, dtype=dtype), space.ndof)
+    ids = (comp * space.mesh.num_edges + edges[:, None, :, None]) * k + np.arange(k, dtype=dtype)
     return ids.reshape(len(edges), -1)
-
-
-def _blind_ids(space: WgSpace, edges: np.ndarray) -> np.ndarray:
-    """The ids of _edge_dofs as if no edge were on the boundary: distinct
-    for every dof, so a lookup table can place them."""
-    comp = np.arange(space.num_edge_components)[:, None, None]
-    k = space.dim_trace
-    blind = (comp * space.mesh.num_edges + edges[:, None, :, None]) * k + np.arange(k)
-    return blind.reshape(len(edges), -1)
 
 
 def _runs(child: np.ndarray, size: int) -> tuple:
@@ -312,41 +302,38 @@ def _runs(child: np.ndarray, size: int) -> tuple:
 
 def _box_levels(space: WgSpace) -> Quadtree:
     """George's nested dissection of the uniform mesh (SIAM J. Numer. Anal.
-    1973).  Perimeter edges run left, right, bottom, top, each side by
-    increasing coordinate (at level 0 the local order of WgSpace); a cross
-    runs along its vertical midline, then its horizontal one."""
-    n, ndof = space.mesh.n, space.ndof
-    # 32-bit dofs and layout ids where they fit, as in _scatter_symmetric.
-    # Every index array is built in that type, so no level's transients are
-    # twice the size of what it keeps.
+    1973), on the mesh ids of the edge dofs (_edge_ids).  Perimeter edges
+    run left, right, bottom, top, each side by increasing coordinate (at
+    level 0 the local order of WgSpace); a cross runs along its vertical
+    midline, then its horizontal one."""
+    mesh, ndof, n_int = space.mesh, space.ndof, space.n_interior_dofs
+    n, edge = mesh.n, mesh.edge_id
+    # 32-bit dofs and mesh ids where the dofs fit, as in _scatter_symmetric:
+    # from n = 4 on there are fewer mesh ids than dofs (the 4n boundary edges'
+    # dofs are fewer than the n^2 interiors'), and below that both counts are
+    # tiny.  Every index array is built in that type, so no level's
+    # transients are twice the size of what it keeps.
     ids = np.int32 if ndof < 2**31 else np.int64
-    interior_index = space.mesh.interior_index.astype(ids)  # rebuilt on every read
-
-    def edge(horizontal, i, j):
-        return horizontal * n * (n + 1) + j * (n + 1 - horizontal) + i
-
-    n_int = space.n_interior_dofs
     order = np.empty(ndof - n_int, dtype=ids)  # the crosses above level 0, level after level
     shapes, perimeters, merges, below, start = [], [], [], None, 0
-    for level in range(space.mesh.level + 1):
+    for level in range(mesh.level + 1):
         m = 1 << level
         y0, x0 = np.divmod(np.arange((n // m) ** 2, dtype=ids), n // m)
         y0, x0, t = m * y0[:, None], m * x0[:, None], np.arange(m, dtype=ids)
         sides = np.hstack([edge(0, x0, y0 + t), edge(0, x0 + m, y0 + t),
                            edge(1, x0 + t, y0), edge(1, x0 + t, y0 + m)])
-        perimeter = _edge_dofs(space, sides[:, :0] if 0 < level == space.mesh.level else sides,
-                               interior_index)
+        perimeter = _edge_ids(space, sides[:, :0] if 0 < level == mesh.level else sides)
         if level == 0:
             shapes.append((len(sides), space.dim_interior))
             merge = None
         else:
-            # Box 0's cross and sides, and its four children's sides, by blind id.
-            middle = np.hstack([edge(0, x0 + m // 2, y0 + t), edge(1, x0 + t, y0 + m // 2)])
-            cross = _edge_dofs(space, middle, interior_index)
-            own = np.concatenate([_blind_ids(space, middle[:1])[0],
-                                  _blind_ids(space, sides[:1])[0]])
-            children = _blind_ids(space, below[[0, 1, n // m * 2, n // m * 2 + 1]])
-            local = np.empty(own.max() + 1, dtype=ids)  # box 0's position by id
+            # Box 0's positions by id: its cross, then its sides; its four
+            # children's sides are placed among them.
+            cross = _edge_ids(space, np.hstack([edge(0, x0 + m // 2, y0 + t),
+                                                edge(1, x0 + t, y0 + m // 2)]))
+            own = np.concatenate([cross[0], _edge_ids(space, sides[:1])[0]])
+            children = _edge_ids(space, below[[0, 1, n // m * 2, n // m * 2 + 1]])
+            local = np.empty(own.max() + 1, dtype=ids)
             local[own] = np.arange(own.size)
             size = cross.shape[1] + perimeter.shape[1]
             merge = tuple(_runs(child, size) for child in local[children])
@@ -356,15 +343,14 @@ def _box_levels(space: WgSpace) -> Quadtree:
         below = sides
         perimeters.append(perimeter)
         merges.append(merge)
-    # position maps each edge layout id to its dof, the sink to itself; each
-    # perimeter becomes tail offsets in place.
-    position = np.empty(ndof + 1 - n_int, dtype=ids)
-    position[order - n_int] = np.arange(n_int, ndof, dtype=ids)
-    position[-1] = ndof
+    # position maps each mesh id to its dof, every boundary id to the sink;
+    # each perimeter becomes tail offsets in place.
+    position = np.full(space.num_edge_components * mesh.num_edges * space.dim_trace, ndof,
+                       dtype=ids)
+    position[order] = np.arange(n_int, ndof, dtype=ids)
     levels, start = [], 0
     for (boxes, n_cross), perimeter, merge in zip(shapes, perimeters, merges):
         stop = start + boxes * n_cross
-        np.subtract(perimeter, n_int, out=perimeter)
         np.subtract(position[perimeter], stop, out=perimeter)
         levels.append(BoxLevel(start, boxes, n_cross, perimeter, merge))
         start = stop
@@ -539,7 +525,8 @@ def assemble(space: WgSpace) -> WgSpace:
 
 
 def _separable_projection(space: WgSpace, fx, fy):
-    """Interior and trace coefficients of f(x, y) = fx(x) * fy(y).
+    """Interior and trace coefficients of f(x, y) = fx(x) * fy(y), the trace
+    rows by mesh edge id: on every grid line, boundary edges included.
 
     On the tensor Gauss rule of DEFAULT_FIELD_QUAD points a side, the moment
     against t^a s^b on element (i, j) is Mx[i, a] * My[j, b]; an edge moment
@@ -555,11 +542,12 @@ def _separable_projection(space: WgSpace, fx, fy):
     Mx = np.asarray(fx(cells), dtype=float) @ P
     My = np.asarray(fy(cells), dtype=float) @ P
     a, b = np.array(pk_exponents(space.degree)).T
-    # Elements are ordered by (iy, ix); interior vertical edges by (j, i) at
-    # x = i*h, then horizontal ones by (j, i) at y = j*h.
+    # Elements are ordered by (iy, ix); edges as the mesh numbers them,
+    # vertical ones by (j, i) at x = i*h, then horizontal ones by (j, i) at
+    # y = j*h, boundary edges included.
     moments = (My[:, None, b] * Mx[None, :, a]).reshape(-1, a.size)
-    vertical = np.asarray(fx(nodes[1:n]), dtype=float)[None, :, None] * My[:, None, :kt]
-    horizontal = np.asarray(fy(nodes[1:n]), dtype=float)[:, None, None] * Mx[None, :, :kt]
+    vertical = np.asarray(fx(nodes), dtype=float)[None, :, None] * My[:, None, :kt]
+    horizontal = np.asarray(fy(nodes), dtype=float)[:, None, None] * Mx[None, :, :kt]
     rhs = np.concatenate([vertical.reshape(-1, kt), horizontal.reshape(-1, kt)])
     return moments @ kit.Gk_inv, rhs @ kit.Ge_inv  # both inverses are symmetric
 
@@ -572,9 +560,9 @@ def qh_project(space: WgSpace, f) -> np.ndarray:
     sine modes of analysis do; its interior and trace moments come from 1D
     moments on the kit's Gauss rule (_separable_projection).  A field without
     factors, or a fourth-order space, raises ValueError before any work.
-    Returns the coefficient vector: built in the edge-major layout, whose
-    interiors are already in dof order, and then only its edge part permuted
-    by Quadtree.order.
+    Returns the coefficient vector: the interiors, already in dof order, then
+    the traces gathered from their mesh edge ids by Quadtree.order, which
+    drops the boundary edges.
     """
     if space.kind != LAPLACIAN:
         raise ValueError("qh_project projects into the second-order space only")
@@ -583,6 +571,4 @@ def qh_project(space: WgSpace, f) -> np.ndarray:
         raise ValueError("qh_project needs a separable field: "
                          "f.factors = (fx, fy) with f(x, y) = fx(x) * fy(y)")
     interior, trace = _separable_projection(space, *factors)
-    coeffs = np.concatenate([interior.ravel(), trace.ravel()])  # the edge-major layout
-    coeffs[space.n_interior_dofs:] = coeffs[space.quadtree.order]  # a gather copies first
-    return coeffs
+    return np.concatenate([interior.ravel(), trace.ravel()[space.quadtree.order]])

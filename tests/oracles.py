@@ -346,7 +346,7 @@ def quadrature_qh_project(space: WgSpace, f, grad=None,
     fourth order): the parts of interpolate_all_elements without the
     boundary edges, in the edge-major layout, put in dof order by layout_ids."""
     interior, edges = _field_parts(space, f, grad, npts)
-    inner = space.mesh.interior_edges
+    inner = reference_mesh(space.mesh.level)["interior_edges"]
     layout = np.concatenate([interior.ravel()] + [e[inner].ravel() for e in edges])
     return layout[layout_ids(space)]
 
@@ -466,7 +466,7 @@ def vnorm_error(space: WgSpace, coeffs: np.ndarray, u, grad_u, lap_u,
     layout[layout_ids(space)] = coeffs
     trace_c = np.zeros((mesh.num_edges, k))
     normal_c = np.zeros((mesh.num_edges, k))
-    ii = mesh.interior_index
+    ii = reference_mesh(mesh.level)["interior_index"]
     inter = ii >= 0
     base = space.n_interior_dofs
     trace_c[inter] = layout[base : base + mesh.num_interior_edges * k].reshape(-1, k)[ii[inter]]
@@ -619,12 +619,14 @@ class IdBoxLevel(NamedTuple):
 
 
 def id_edge_dofs(space: WgSpace, edges: np.ndarray):
-    """Global ids (``ndof`` on the boundary) and boundary-blind ids of every
-    row of edges' dofs, component, then edge, then basis function."""
+    """Layout ids (``ndof`` on the boundary) and mesh ids, the boundary-blind
+    ids of Quadtree.order, of every row of edges' dofs, component, then
+    edge, then basis function.  The layout numbers only the interior edges,
+    by reference_mesh's interior_index."""
     mesh, k = space.mesh, space.dim_trace
     comp = np.arange(space.num_edge_components)[:, None, None]
     e = edges[:, None, :, None]
-    ii = mesh.interior_index[e]
+    ii = reference_mesh(mesh.level)["interior_index"][e]
     ids = np.where(ii >= 0, space.n_interior_dofs
                    + (comp * mesh.num_interior_edges + ii) * k + np.arange(k), space.ndof)
     blind = (comp * mesh.num_edges + e) * k + np.arange(k)
@@ -632,14 +634,19 @@ def id_edge_dofs(space: WgSpace, edges: np.ndarray):
 
 
 def layout_ids(space: WgSpace) -> np.ndarray:
-    """Every dof's id in the edge-major layout of qh_project: the interiors
-    keep their own, and Quadtree.order names the edge dofs'."""
-    return np.concatenate([np.arange(space.n_interior_dofs), space.quadtree.order])
+    """Every dof's id in the edge-major layout (the interiors, then the edge
+    dofs by component, interior edge and basis function): the interiors
+    keep their own, and the edge dofs' mesh ids in Quadtree.order map to
+    theirs through id_edge_dofs over every edge."""
+    layout, mesh_ids = id_edge_dofs(space, np.arange(space.mesh.num_edges)[None, :])
+    table = np.empty(mesh_ids.size, dtype=np.int64)
+    table[mesh_ids[0]] = layout[0]
+    return np.concatenate([np.arange(space.n_interior_dofs), table[space.quadtree.order]])
 
 
 def id_dof_map(space: WgSpace) -> np.ndarray:
-    """The dof map in the edge-major layout of qh_project, Quadtree.order's
-    ids: the interiors, then each element's edge ids."""
+    """The dof map in the edge-major layout (layout_ids): the interiors, then
+    each element's edge layout ids, ``ndof`` on the boundary."""
     edges = id_edge_dofs(space, space.mesh.elem_edges)[0]
     return np.hstack([np.arange(space.n_interior_dofs).reshape(-1, space.dim_interior), edges])
 
@@ -684,8 +691,8 @@ class IdNestedLU:
     """The nested-dissection factor of M = A - shift B on layout ids: four
     children merged by np.ix_ scatters, every cross gathered and scattered
     by id.  Same arithmetic as linalg.NestedLU, so the same bits, its
-    vectors' edge parts permuted by Quadtree.order.  Unlike linalg.NestedLU
-    it keeps every level's cross block, from which inertia() counts."""
+    vectors permuted by layout_ids.  Unlike linalg.NestedLU it keeps every
+    level's cross block, from which inertia() counts."""
 
     def __init__(self, space: WgSpace, shift: float):
         kit, nb = space.kit(), space.dim_interior

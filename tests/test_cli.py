@@ -106,12 +106,17 @@ def test_nonpositive_num_eigs_is_a_usage_error(capsys, tmp_path, problem, degree
      "requested 5 eigenpairs but the mass rank is 3"),
     (("study", "--levels=-1,3"), "level must be nonnegative"),
     (("sipg", "--coarse-level=-1", "--fine-level", "2"), "level must be nonnegative"),
+    (("solve", "--level", "0", "--degree", "0"), "laplacian requires degree >= 1, got 0"),
+    (("solve", "--level", "2", "--problem", "biharmonic", "--degree", "-2"),
+     "biharmonic requires degree >= 2, got -2"),
 ], ids=["laplacian-k0", "biharmonic-k1", "solve-rank", "sipg-rank", "study-negative-level",
-        "sipg-negative-level"])
+        "sipg-negative-level", "laplacian-k0-level0", "biharmonic-k-2"])
 @pytest.mark.parametrize("dump", ["--dump-mesh", "--dump-matrices"])
 def test_refused_study_dumps_nothing(capsys, tmp_path, argv, message, dump):
     # Each of these once wrote its --dump-mesh file, and the mass-rank cases
-    # their --dump-matrices files, before the same error.
+    # their --dump-matrices files, before the same error.  The kind and
+    # degree are checked first: a bad degree was once refused by a mass rank
+    # computed from it.
     target = tmp_path / "dump"
     code, out, err = run_cli(capsys, *argv, dump, str(target))
     assert code == 2 and out == ""

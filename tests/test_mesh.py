@@ -105,9 +105,14 @@ def test_ordering_reproducible(tmp_path):
 @pytest.mark.parametrize("level", range(7))
 def test_arrays_match_the_stored_construction(level):
     # Each index array is rebuilt on every read, with the values and dtypes
-    # the mesh once stored; the edge counts are closed forms.
+    # the mesh once stored; the edge counts are closed forms.  The interior
+    # edges and their index are the oracles' alone: the mesh numbers every
+    # edge once, and nothing reads a second numbering of the interior ones.
     m = build_uniform(level)
     for name, want in reference_mesh(level).items():
+        if name in ("interior_edges", "interior_index"):
+            assert not hasattr(m, name), name
+            continue
         got = getattr(m, name)
         if isinstance(want, np.ndarray):
             assert got.dtype == want.dtype, name

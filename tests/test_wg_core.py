@@ -12,6 +12,7 @@ from oracles import (
     element_mass_matrix,
     id_box_levels,
     id_dof_map,
+    id_edge_dofs,
     l2_error,
     layout_ids,
     l2_project_element,
@@ -20,6 +21,7 @@ from oracles import (
     monomial_field,
     norm1_matrix,
     quadrature_qh_project,
+    reference_mesh,
     solve_source,
     stabilizer_matrix,
     vnorm_error,
@@ -174,13 +176,13 @@ def test_biharmonic_dof_count(bih_L2_k2):
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
 def test_fill_reducing_order_is_a_permutation(kind, degree, level):
     # The quadtree eliminates every dof exactly once: its level-major order
-    # (the interiors, which keep their layout ids, then ``order``, the edge
-    # dofs') is a permutation of the dofs, and the crosses of the levels
-    # partition the positions 0..ndof-1 level by level, one contiguous range
-    # each.  A perimeter entry is the offset from stop of a cross position of a higher
-    # level, or the Dirichlet sink ndof - stop, and the offsets off the
-    # boundary are exactly the tail 0..ndof-stop-1, each in exactly two boxes
-    # of its level.
+    # (the interiors, which keep their layout ids, then the edge dofs',
+    # read through ``order`` by layout_ids) is a permutation of the dofs,
+    # and the crosses of the levels partition the positions 0..ndof-1 level
+    # by level, one contiguous range each.  A perimeter entry is the offset
+    # from stop of a cross position of a higher level, or the Dirichlet sink
+    # ndof - stop, and the offsets off the boundary are exactly the tail
+    # 0..ndof-stop-1, each in exactly two boxes of its level.
     space = wg.WgSpace(build_uniform(level), degree, kind=kind, epsilon=0.1)
     levels, ndof, n_int = space.quadtree.levels, space.ndof, space.n_interior_dofs
     order = layout_ids(space)
@@ -205,7 +207,12 @@ def test_fill_reducing_order_is_a_permutation(kind, degree, level):
     if level >= 1:
         # The last cross is the edge dofs on the lines x = 1/2 and y = 1/2.
         mesh, k = space.mesh, space.dim_trace
-        inner = mesh.interior_edges  # a vertical edge lies at x = i*h, a horizontal one at y = j*h
+        inner = reference_mesh(level)["interior_edges"]
+        # ``order`` names each edge dof by its mesh id, (component * num_edges
+        # + edge) * dim_trace + basis: exactly the interior edges' dofs.
+        assert np.array_equal(np.sort(space.quadtree.order),
+                              np.sort(id_edge_dofs(space, inner[None, :])[1].ravel()))
+        # A vertical edge lies at x = i*h, a horizontal one at y = j*h.
         line = np.where(mesh.edge_orient[inner] == 0, mesh.edge_i[inner], mesh.edge_j[inner])
         ii = np.flatnonzero(line == mesh.n // 2)
         starts = space.n_interior_dofs + k * mesh.num_interior_edges * np.arange(
@@ -245,7 +252,7 @@ def test_level_major_quadtree_matches_the_id_oracle(kind, degree, level):
 def test_quadtree_keeps_one_permutation_and_32_bit_positions(kind, degree, level):
     # Below 2**31 dofs every quadtree index array is 32-bit, the rule of the
     # assembly scatter, and no level keeps global ids or a pair-sum operator:
-    # the one permutation ``order`` maps the edge dofs to layout ids (an
+    # the one permutation ``order`` maps the edge dofs to mesh ids (an
     # interior's is its own id), and each level
     # keeps only its perimeters as offsets into its tail.  At h=1/256, k=1
     # these arrays take 3.4 MB, and the int64 id arrays of the oracle's
