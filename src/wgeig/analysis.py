@@ -187,11 +187,13 @@ def _study_row(kind: str, degree: int, epsilon: float, H_level: int, h_level: in
     )
 
 
-def _check_study(kind: str, degree: int, num_eigs: int, levels, fine_levels=()) -> None:
+def _check_study(kind: str, degree: int, num_eigs: int, levels, fine_levels=(), *,
+                 tol: float) -> None:
     """Refuse, before any mesh is assembled, a study that cannot run: a kind
     or degree that WgSpace refuses, no level, a coarse or fine level outside
-    [0, MAX_LEVEL], a fine level not above every coarse level, or num_eigs
-    below 1 or above the mass rank 4^level dim P_k of the coarsest level."""
+    [0, MAX_LEVEL], a fine level not above every coarse level, num_eigs
+    below 1 or above the mass rank 4^level dim P_k of the coarsest level, or
+    a residual tolerance outside (0, 1), NaN included."""
     _check_kind_and_degree(kind, degree)
     if not levels:
         raise ValueError("a study needs at least one level")
@@ -205,6 +207,8 @@ def _check_study(kind: str, degree: int, num_eigs: int, levels, fine_levels=()) 
     rank = 4 ** min(levels) * dim_pk(degree)
     if num_eigs > rank:
         raise ValueError(f"requested {num_eigs} eigenpairs but the mass rank is {rank}")
+    if not 0.0 < tol < 1.0:  # NaN fails both comparisons
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
 
 
 def _exact_values(kind: str, num_eigs: int):
@@ -225,7 +229,7 @@ def direct_study(kind: str, degree: int, epsilon: float, levels, num_eigs: int,
                  tol: float = 1e-10) -> StudyResult:
     """Direct eigensolves over a sweep of levels, with fitted convergence orders."""
     levels = list(levels)
-    _check_study(kind, degree, num_eigs, levels)
+    _check_study(kind, degree, num_eigs, levels, tol=tol)
     exact = _exact_values(kind, num_eigs)
     rows: list[StudyRow] = []
     for level in levels:
@@ -267,7 +271,7 @@ def sipg_study(kind: str, degree: int, epsilon: float, coarse_levels, fine_level
     target is dropped before the next one is computed.
     """
     coarse_levels = list(coarse_levels)
-    _check_study(kind, degree, num_eigs, coarse_levels, [fine_level])
+    _check_study(kind, degree, num_eigs, coarse_levels, [fine_level], tol=tol)
     exact = _exact_values(kind, num_eigs)
     with _stage(f"assembly level {fine_level}"):
         fine_space = assemble(WgSpace(build_uniform(fine_level), degree, kind=kind,

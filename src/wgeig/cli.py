@@ -271,7 +271,7 @@ def _cmd_direct(args) -> int:
         levels = _required(args, "levels")
         meta["levels"] = ",".join(map(str, levels))
     # The study's own checks, run here so that a refused study dumps nothing.
-    _check_study(meta["problem"], meta["degree"], meta["num_eigs"], levels)
+    _check_study(meta["problem"], meta["degree"], meta["num_eigs"], levels, tol=meta["tol"])
     _maybe_dump(args, meta, max(levels))
     result = direct_study(
         meta["problem"], meta["degree"], meta["epsilon"], levels,
@@ -297,7 +297,8 @@ def _cmd_twogrid(args) -> int:
         meta["coarse_levels"] = ",".join(map(str, coarse_levels))
         meta["fine_levels"] = ",".join(map(str, fine_levels))
         include_direct = args.with_direct
-    _check_study(meta["problem"], meta["degree"], meta["num_eigs"], coarse_levels, fine_levels)
+    _check_study(meta["problem"], meta["degree"], meta["num_eigs"], coarse_levels, fine_levels,
+                 tol=meta["tol"])
     _maybe_dump(args, meta, max(fine_levels))
     result = StudyResult(rows=[])
     for fl in fine_levels:

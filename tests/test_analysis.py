@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -295,6 +297,24 @@ def test_studies_reject_num_eigs_below_one_before_assembly(kind, degree, study, 
             direct_study(kind, degree, 0.1, [1], num_eigs)
         else:
             sipg_study(kind, degree, 0.1, [1], 2, num_eigs)
+
+
+@pytest.mark.parametrize("kind,degree", [("laplacian", 1), ("biharmonic", 2)])
+@pytest.mark.parametrize("study", ["direct", "sipg"])
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, 1.0, 5.0])
+def test_studies_reject_a_tol_outside_zero_one_before_assembly(kind, degree, study, tol,
+                                                               monkeypatch):
+    # tol = 0, -1 and NaN once ran the whole eigensolve, with its m + 1
+    # retry, and raised NoConvergenceError; tol = 5 let any residual pass.
+    def no_assembly(space):
+        raise AssertionError("assembled before validating tol")
+
+    monkeypatch.setattr("wgeig.analysis.assemble", no_assembly)
+    with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
+        if study == "direct":
+            direct_study(kind, degree, 0.1, [5], 6, tol=tol)
+        else:
+            sipg_study(kind, degree, 0.1, [1], 2, 2, tol=tol)
 
 
 @pytest.mark.parametrize("study", ["direct", "sipg"])

@@ -251,6 +251,93 @@ def test_every_operator_application_is_one_counted_solve(monkeypatch):
     assert factors[0].shapes == [(forms.n_interior_dofs,)] * (len(applications) + len(pairs))
 
 
+# -- the multilevel correction route ----------------------------------------------
+
+
+def _arpack_pairs(degree, level, m=6):
+    """A Laplacian space and the ARPACK route's pairs on it."""
+    forms = wg.assemble(wg.WgSpace(build_uniform(level), degree, kind="laplacian"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(eigsolve, "_ROUTE_LEVEL", level + 1)
+        return forms, eigsolve.smallest_eigs(forms, m)
+
+
+def _watch_route(monkeypatch):
+    """The levels ARPACK runs on and the inertia of every certificate."""
+    seen = {"arpack": [], "inertia": []}
+
+    def arpack(space, m, tol):
+        seen["arpack"].append(space.mesh.level)
+        return plain_arpack(space, m, tol)
+
+    def counted(self, *args, **kwargs):
+        plain_init(self, *args, **kwargs)
+        if self.inertia is not None:
+            seen["inertia"].append(self.inertia)
+
+    plain_arpack, plain_init = eigsolve._arpack, linalg.NestedLU.__init__
+    monkeypatch.setattr(eigsolve, "_arpack", arpack)
+    monkeypatch.setattr(linalg.NestedLU, "__init__", counted)
+    return seen
+
+
+@pytest.mark.parametrize("steps,counted", [(3, []), (4, [10])])
+def test_a_refused_route_returns_the_arpack_pairs(monkeypatch, steps, counted):
+    # From level 2 the Rayleigh-quotient steps on level 5 lose λ₄ (76.87)
+    # and converge, by the fourth step, to a wrong set with tiny residuals.
+    # Three steps end on the step budget; four end on the certificate, which
+    # counts ten eigenvalues below σ⁺ in place of six.  Either way ARPACK runs.
+    forms, want = _arpack_pairs(1, 5)
+    seen = _watch_route(monkeypatch)
+    monkeypatch.setattr(eigsolve, "_ROUTE_LEVEL", 5)
+    monkeypatch.setattr(eigsolve, "_MAX_STEPS", steps)
+    got = smallest_eigs(forms, 6)
+    assert seen["arpack"] == [2, 5]
+    assert seen["inertia"] == counted
+    for p, q in zip(got, want):
+        assert p.value == q.value and np.array_equal(p.vector, q.vector)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("level", [eigsolve._ROUTE_LEVEL, 7])
+def test_the_route_agrees_with_arpack(monkeypatch, degree, level):
+    forms, want = _arpack_pairs(degree, level)
+    seen = _watch_route(monkeypatch)
+    got = smallest_eigs(forms, 6)
+    # ARPACK ran on the coarse level alone, and the certificate counted six.
+    assert seen["arpack"] == [level - eigsolve._LEVELS_DOWN] and seen["inertia"] == [6]
+    lam, ref = np.array([p.value for p in got]), np.array([p.value for p in want])
+    assert np.all(np.abs(lam - ref) <= 1e-11 * ref), (lam - ref) / ref
+    assert all(p.residual <= 1e-10 for p in got)
+    X = np.column_stack([p.vector for p in got])
+    assert np.abs(X.T @ (forms.mass @ X) - np.eye(6)).max() < 1e-10
+
+
+@pytest.mark.parametrize("m", [2, 5])
+def test_the_route_carries_a_cut_multiple_eigenvalue_whole(monkeypatch, m):
+    # m = 2 and m = 5 cut λ₂ = λ₃ and λ₅ = λ₆: the cut copy lies below σ⁺,
+    # so the route solves m + 1 pairs, counts m + 1 and returns m.
+    forms, want = _arpack_pairs(1, eigsolve._ROUTE_LEVEL, m)
+    seen = _watch_route(monkeypatch)
+    got = smallest_eigs(forms, m)
+    assert seen["arpack"] == [eigsolve._ROUTE_LEVEL - eigsolve._LEVELS_DOWN]
+    assert seen["inertia"] == [m + 1] and len(got) == m
+    lam, ref = np.array([p.value for p in got]), np.array([p.value for p in want])
+    assert np.all(np.abs(lam - ref) <= 1e-11 * ref), (lam - ref) / ref
+    assert all(p.residual <= 1e-10 for p in got)
+
+
+def test_the_route_is_bitwise_deterministic(monkeypatch):
+    level = eigsolve._ROUTE_LEVEL
+    forms = wg.assemble(wg.WgSpace(build_uniform(level), 1, kind="laplacian"))
+    seen = _watch_route(monkeypatch)
+    a, b = smallest_eigs(forms, 6), smallest_eigs(forms, 6)
+    assert seen["arpack"] == [level - eigsolve._LEVELS_DOWN] * 2
+    for pa, pb in zip(a, b):
+        assert pa.value == pb.value and pa.residual == pb.residual
+        assert np.array_equal(pa.vector, pb.vector)
+
+
 def test_cluster_grouping():
     pairs = [
         wg.EigenPair(value=v, vector=np.zeros(1), residual=0.0)

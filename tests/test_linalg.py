@@ -354,6 +354,26 @@ def test_inertia_matches_dense_count_above_the_local_spectrum(kind, degree):
             np.sum(np.linalg.eigvalsh(M.toarray()) < 0)), sigma
 
 
+@pytest.mark.parametrize("kind,degree", [("laplacian", 1), ("laplacian", 2), ("biharmonic", 2)])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_factor_counts_the_oracle_inertia(kind, degree, level):
+    # The factor counts ν(σ) by dsytrf on each cross block, the oracle by the
+    # same blocks' dense eigenvalues; both must count the pencil eigenvalues
+    # below σ: below λ₁, between λ₁ and the double λ₂ = λ₃, on both sides of
+    # it, and between it and λ₄.
+    forms = wg.assemble(wg.WgSpace(build_uniform(level), degree, kind=kind, epsilon=0.1))
+    lam = dense_pencil_eigs(forms, 4)
+    assert lam[2] - lam[1] <= 1e-9 * lam[1]
+    shifts = [0.5 * lam[0], 0.5 * (lam[0] + lam[1]), lam[1] - 1e-3 * (lam[1] - lam[0]),
+              lam[2] + 1e-3 * (lam[3] - lam[2]), 0.5 * (lam[2] + lam[3])]
+    for sigma, below in zip(shifts, [0, 1, 1, 3, 3]):
+        lu = linalg.NestedLU(forms, sigma, NearSingularError, count_inertia=True)
+        assert lu.inertia == IdNestedLU(forms, sigma).inertia() == below, sigma
+    # Counted only when asked: the factors of the solves run no dsytrf.
+    assert linalg.factor_indefinite(forms, shifts[1])[0].inertia is None
+    assert linalg.factor_spd(forms).inertia is None
+
+
 def test_biharmonic_box_eigenvalue_never_gives_a_silent_wrong_solution():
     # The clamped quadrant of the level 3 mesh has the eigenvalue 1501.80,
     # which (A, B) does not have (nearest 1347.18): the level 2 cross block is

@@ -1,6 +1,6 @@
 """Memory contracts of the direct eigensolve and of the two-grid study,
-measured with tracemalloc, which sees numpy's buffers.  No test reads
-ARPACK's own arrays."""
+measured with tracemalloc, which sees numpy's buffers, ARPACK's included.
+No test reads ARPACK's own arrays one by one."""
 
 import tracemalloc
 
@@ -35,6 +35,8 @@ def _factor_bytes(lu) -> int:
 
 
 def test_arpack_runs_beside_the_quadtree_the_factor_and_one_vector(monkeypatch):
+    # Level 7 would take the multilevel correction route first.
+    monkeypatch.setattr(eigsolve, "_ROUTE_LEVEL", 8)
     factors, seen = [], {}
 
     def recorded_factor(space):
@@ -61,6 +63,27 @@ def test_arpack_runs_beside_the_quadtree_the_factor_and_one_vector(monkeypatch):
     assert seen["dof_map"] is None  # built by the first product, after ARPACK
     assert space._dof_map is not None
     assert seen["live"] <= seen["allowed"], (seen["live"], seen["allowed"])
+
+
+def _eigensolve_peak(space) -> int:
+    tracemalloc.start()
+    try:
+        eigsolve.smallest_eigs(space, 6)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_correction_route_peaks_below_arpack(monkeypatch):
+    # The route holds the m solutions and the m Ritz vectors, not ARPACK's
+    # Lanczos basis and its n × ncv eigenvector block.
+    space = wg.assemble(wg.WgSpace(build_uniform(7), 1, kind="laplacian"))
+    space.local_dof_map()  # built by either route; before the trace
+    assert space.mesh.level >= eigsolve._ROUTE_LEVEL
+    route = _eigensolve_peak(space)
+    monkeypatch.setattr(eigsolve, "_ROUTE_LEVEL", 8)
+    arpack = _eigensolve_peak(space)
+    assert route < arpack, (route, arpack)
 
 
 @pytest.mark.parametrize("kind,degree,level", [("laplacian", 1, 7), ("biharmonic", 2, 5)])
