@@ -88,10 +88,16 @@ def laplacian_eigenvalues(num: int) -> list[tuple[float, ExactEigen]]:
 
 
 def _span_distance(basis: np.ndarray, w: np.ndarray, M) -> float:
-    """min over the span of the basis columns of the M-norm distance to w."""
-    MB = M @ basis
-    gram = basis.T @ MB
-    r = MB.T @ w
+    """min over the span of the basis columns of the M-norm distance to w.
+
+    M b_j is formed one basis column at a time, and each product leaves only
+    its Gram column and its entry of r, so no block of products is held."""
+    k = basis.shape[1]
+    gram, r = np.empty((k, k)), np.empty(k)
+    for j in range(k):
+        column = M @ basis[:, j]
+        gram[:, j], r[j] = basis.T @ column, column @ w
+        del column  # before the next product
     try:
         sol = cho_solve(cho_factor(gram), r)
     except np.linalg.LinAlgError:

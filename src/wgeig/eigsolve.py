@@ -34,16 +34,26 @@ upper bound of its λ_i,h (Poincaré separation).  Every pair must pass the
 same residual gate within _MAX_STEPS steps, and the pairs are certified as
 the n smallest by spectrum slicing (Ericsson and Ruhe, Math. Comp. 1980):
 exactly n pencil eigenvalues lie below σ⁺ = θ_n (1 + √tol), counted as the
-inertia ν(A − σ⁺B) of one more factor.  The first m are returned.  Any
-failure (a step budget spent, ν ≠ n, a singular factor) runs ARPACK
-instead, so no uncertified pair is returned.  Below _ROUTE_LEVEL, and for
-the biharmonic problem, whose coarse pairs start too far off (from H = 1/8
-to h = 1/64 three steps and 15 factors, 0.37 s against 0.10 s of ARPACK),
-ARPACK alone runs.
+inertia ν(A − σ⁺B) of one more factor.  The first m are returned.  The
+route works in one (n, ndof) array X: the coarse space and pairs go once
+their transfers fill it, each solution overwrites its right-hand side, and
+the Ritz vectors overwrite the solutions in column chunks; each row is then
+b-normalized in place, its residual taken from transient products, and its
+next right-hand side B y formed just before its solve.  So beside the
+quadtree and the dof map the route holds that block, one factor with its
+workspace at a time and one product's temporaries, and the returned vectors
+are rows of X.  Any failure (a step budget spent, ν ≠ n, a solve that is
+not finite, a singular factor, a failed coarse solve, a B-singular Ritz
+basis) runs ARPACK instead, so no uncertified pair is returned; one INFO
+line on the wgeig logger (``wgeig -v``) gives the level, m and the reason.
+Below _ROUTE_LEVEL, and for the biharmonic problem, whose coarse pairs
+start too far off (from H = 1/8 to h = 1/64 three steps and 15 factors,
+0.37 s against 0.10 s of ARPACK), ARPACK alone runs.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +70,7 @@ from .errors import (
 from .mesh import build_uniform
 from .wg_core import LAPLACIAN, WgSpace, assemble
 
+_LOG = logging.getLogger(__name__)
 _START_SEED = 20240901
 # The lowest level whose Laplacian eigensolve starts from the pairs of
 # _LEVELS_DOWN levels below; see the README for the measured crossover.
@@ -70,6 +81,8 @@ _MAX_STEPS = 3
 # closer than this are one multiple eigenvalue: the two copies of a double
 # eigenvalue differ by 4e-16 to 2e-15.
 _CLUSTER_TOL = 1e-6
+# The columns of X that one GEMM of the Rayleigh–Ritz update rewrites.
+_RITZ_COLUMNS = 4096
 
 
 @dataclass
@@ -81,11 +94,23 @@ class EigenPair:
     residual: float
 
 
-def _b_normalized(space: WgSpace, x: np.ndarray) -> np.ndarray:
-    """x scaled to unit b-norm, its largest interior entry made positive."""
-    x = x / np.sqrt(x @ (space.mass @ x))
-    lead = int(np.argmax(np.abs(x[:space.n_interior_dofs])))
-    return -x if x[lead] < 0.0 else x
+class _Refused(Exception):
+    """The correction route cannot certify its pairs; the message says why."""
+
+
+def _b_normalize(space: WgSpace, x: np.ndarray) -> np.ndarray:
+    """x scaled in place to unit b-norm, its largest interior entry made
+    positive; returns x."""
+    x /= np.sqrt(x @ (space.mass @ x))
+    if x[np.argmax(np.abs(x[:space.n_interior_dofs]))] < 0.0:
+        np.negative(x, out=x)
+    return x
+
+
+def _residual(A, B, x: np.ndarray, value) -> float:
+    """‖A x − value B x‖ / ‖A x‖, from one A and one B product."""
+    ax = A @ x
+    return float(np.linalg.norm(ax - value * (B @ x)) / np.linalg.norm(ax))
 
 
 def smallest_eigs(space: WgSpace, m: int, tol: float = 1e-10) -> list[EigenPair]:
@@ -97,82 +122,104 @@ def smallest_eigs(space: WgSpace, m: int, tol: float = 1e-10) -> list[EigenPair]
         raise ValueError(f"requested {m} eigenpairs but the mass rank is {n_int}")
     if space.kind == LAPLACIAN and space.mesh.level >= _ROUTE_LEVEL:
         try:
-            pairs = _corrected(space, m, tol)
-        except (NoConvergenceError, NearSingularError, np.linalg.LinAlgError):
-            pairs = None  # a failed coarse solve, a singular factor or a B-singular basis
-        if pairs is not None:
-            return pairs
+            return _corrected(space, m, tol)
+        except _Refused as refusal:
+            reason = str(refusal)
+        except NoConvergenceError as exc:
+            reason = f"the coarse solve failed: {exc}"
+        except NearSingularError as exc:
+            reason = f"a factor was singular: {exc}"
+        except np.linalg.LinAlgError:
+            reason = "the Ritz basis was B-singular"
+        _LOG.info("eigensolve level %d, m = %d: correction route refused, %s; ARPACK runs",
+                  space.mesh.level, m, reason)
     return _arpack(space, m, tol)
 
 
-def _corrected(space: WgSpace, m: int, tol: float) -> list[EigenPair] | None:
+def _corrected(space: WgSpace, m: int, tol: float) -> list[EigenPair]:
     """The m smallest pairs by Rayleigh-quotient steps from the pairs of level
-    L − _LEVELS_DOWN, once certified; None where they are not, or where the
-    coarse level has no m + 1 pairs."""
+    L − _LEVELS_DOWN, once certified; raises _Refused where they are not, or
+    where the coarse level has no m + 1 pairs.  One (n, ndof) array X holds the
+    first step's right-hand sides, then each step's solutions and Ritz
+    vectors, and the returned vectors are its rows."""
     from .twogrid import cross_mass_rhs  # twogrid imports this module
 
     coarse = assemble(WgSpace(build_uniform(space.mesh.level - _LEVELS_DOWN), space.degree,
                               kind=space.kind, epsilon=space.epsilon))
     if m >= coarse.n_interior_dofs:
-        return None
-    A, B = space.operator(), space.mass
+        raise _Refused(f"level {coarse.mesh.level} has {coarse.n_interior_dofs} pairs only")
     start = smallest_eigs(coarse, m + 1, tol)
     # A double eigenvalue that m cuts is carried whole (n = m + 1), since its
     # rest lies below σ⁺ too; otherwise the extra coarse pair only tells.
     cut = start[m].value - start[m - 1].value <= _CLUSTER_TOL * start[m - 1].value
     n = m + 1 if cut else m
     shifts = [p.value for p in start[:n]]
-    # One array holds each step's right-hand sides, then its solutions.
     X = np.empty((n, space.ndof))
-    for i, pair in enumerate(start[:n]):
-        X[i] = cross_mass_rhs(coarse, pair.vector, space)
+    for i in range(n):
+        X[i] = cross_mass_rhs(coarse, start[i].vector, space)
+    del coarse, start  # transferred
+    A, B = space.operator(), space.mass
+    mass = None  # the first step solves on X's rows as they are
     for _ in range(_MAX_STEPS):
-        _clustered_solves(space, shifts, X)
-        if not np.all(np.isfinite(X)):
-            return None
-        theta, Y = _rayleigh_ritz(A, B, X)
-        pairs = []
-        for i, y in enumerate(Y):
-            y[...] = _b_normalized(space, y)
-            ay, X[i] = A @ y, B @ y  # B y is the next step's right-hand side
-            resid = float(np.linalg.norm(ay - theta[i] * X[i]) / np.linalg.norm(ay))
-            pairs.append(EigenPair(value=float(theta[i]), vector=y, residual=resid))
-        if all(p.residual <= tol for p in pairs):  # False on a NaN
+        _clustered_solves(space, shifts, X, mass)
+        theta = _rayleigh_ritz(A, B, X)
+        residuals = [_residual(A, B, _b_normalize(space, x), t) for x, t in zip(X, theta)]
+        if all(r <= tol for r in residuals):  # False on a NaN
             sigma = theta[-1] * (1.0 + np.sqrt(tol))
             count = linalg.NestedLU(space, sigma, lambda msg: NearSingularError(sigma),
                                     count_inertia=True).inertia
-            return pairs[:m] if count == n else None
-        shifts = theta
-        del pairs, Y  # the next step's Ritz vectors replace them
-    return None
+            if count != n:
+                raise _Refused(f"nu = {count} pencil eigenvalues lie below sigma+ = "
+                               f"{sigma:.10g}, not n = {n}")
+            return [EigenPair(value=float(theta[i]), vector=X[i], residual=residuals[i])
+                    for i in range(m)]
+        shifts, mass = theta, B
+    raise _Refused(f"the step budget ran out: after {_MAX_STEPS} steps the worst residual "
+                   f"is {np.max(residuals):.3e}")
 
 
-def _clustered_solves(space: WgSpace, shifts, X: np.ndarray) -> None:
-    """X[i] ← (A − σB)⁻¹ X[i] in place, with one factor per cluster of the
-    ascending shifts, at the cluster's first shift.  No refinement: from the
-    second step a shift lies within rounding of λ_h, where refinement cannot
-    meet tol; the pair's residual gate judges the result instead."""
+def _clustered_solves(space: WgSpace, shifts, X: np.ndarray, B) -> None:
+    """X[j] ← (A − σB)⁻¹ X[j] in place, or (A − σB)⁻¹ B X[j] with a mass B,
+    whose product is formed just before the row's solve; one factor per
+    cluster of the ascending shifts, at the cluster's first shift.  No
+    refinement: from the second step a shift lies within rounding of λ_h,
+    where refinement cannot meet tol; the pair's residual gate judges the
+    result instead.  A solve that is not finite refuses the route."""
     first = 0
     for i in range(1, len(shifts) + 1):
         if i == len(shifts) or shifts[i] - shifts[first] > _CLUSTER_TOL * shifts[first]:
             lu, _ = linalg.factor_indefinite(space, shifts[first])
             for j in range(first, i):
-                X[j] = lu.solve(X[j])
+                X[j] = lu.solve(X[j] if B is None else B @ X[j])
+                if not np.all(np.isfinite(X[j])):
+                    raise _Refused(f"the solve of pair {j + 1} at shift "
+                                   f"{shifts[first]:.10g} was not finite")
             del lu  # before the next cluster's factor is built
             first = i
 
 
-def _rayleigh_ritz(A, B, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending Ritz values of (A, B) on the span of X's rows, and the Ritz
-    vectors as the rows of Y = Sᵀ X; one A and one B product per row.  X's
-    rows are scaled to unit length in place first."""
+def _rayleigh_ritz(A, B, X: np.ndarray) -> np.ndarray:
+    """Ascending Ritz values of (A, B) on the span of X's rows, whose Ritz
+    vectors Sᵀ X replace the rows in place, _RITZ_COLUMNS columns at a time;
+    one A and one B product per row.  The rows are scaled to unit length
+    first."""
+    # norm's square is one more (n, ndof) block, but a transient one, taken
+    # while no factor is live, so the route's peak stays at its solves.
+    # Freeing it lifts glibc's dynamic mmap and trim thresholds above the
+    # products' temporaries, which are then reused instead of trimmed and
+    # faulted in again: row by row norms cost 120,000 more page faults and
+    # 0.15 s at h = 1/256 (glibc, one thread of a 2-vCPU Xeon).
     X /= np.linalg.norm(X, axis=1)[:, None]
     m = len(X)
     XAX, XBX = np.empty((m, m)), np.empty((m, m))
     for i, x in enumerate(X):
         XAX[:, i], XBX[:, i] = X @ (A @ x), X @ (B @ x)
     theta, S = scipy.linalg.eigh(XAX, XBX)
-    return theta, S.T @ X
+    # ndof is even, so no chunk is one column wide, which numpy would hand
+    # to gemv with other rounding than the whole product's gemm.
+    for c in range(0, X.shape[1], _RITZ_COLUMNS):
+        X[:, c:c + _RITZ_COLUMNS] = S.T @ X[:, c:c + _RITZ_COLUMNS]
+    return theta
 
 
 def _arpack(space: WgSpace, m: int, tol: float) -> list[EigenPair]:
@@ -219,10 +266,9 @@ def _arpack(space: WgSpace, m: int, tol: float) -> list[EigenPair]:
         A, B, pairs = space.operator(), space.mass, []
         for i in range(m):
             # One solve per pair keeps the work arrays at one vector of length n.
-            x = _b_normalized(space, lu.solve(blockwise(L, Z[:, i])))
-            ax = A @ x
-            resid = float(np.linalg.norm(ax - lam[i] * (B @ x)) / np.linalg.norm(ax))
-            pairs.append(EigenPair(value=float(lam[i]), vector=x, residual=resid))
+            x = _b_normalize(space, lu.solve(blockwise(L, Z[:, i])))
+            pairs.append(EigenPair(value=float(lam[i]), vector=x,
+                                   residual=_residual(A, B, x, lam[i])))
         worst = max(p.residual for p in pairs)
         if worst <= tol:
             return pairs

@@ -25,7 +25,7 @@ from math import comb
 import numpy as np
 
 from ._stages import _stage
-from .eigsolve import (EigenPair, _b_normalized, rayleigh_quotient, smallest_eigs,
+from .eigsolve import (EigenPair, _b_normalize, rayleigh_quotient, smallest_eigs,
                        solve_shifted)
 from .errors import ConfigError, LevelOrderError, NearSingularError
 from .mesh import build_uniform
@@ -130,6 +130,6 @@ def _target(coarse_space: WgSpace, fine_space: WgSpace, j: int, pair: EigenPair,
             x = exc.solution
         if x is not None:
             lam = float(rayleigh_quotient(fine_space, x))
-            xbar = _b_normalized(fine_space, x)
+            xbar = _b_normalize(fine_space, x)
         return SipgTarget(index=j, coarse_value=pair.value, rayleigh=lam, normalized=xbar,
                           seconds=time.perf_counter() - t0, warning=warning)

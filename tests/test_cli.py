@@ -265,6 +265,22 @@ def test_verbose_prints_one_stage_line_per_stage(capsys, argv, stages):
     assert run_cli(capsys, *argv)[2] == ""
 
 
+def test_verbose_says_why_the_correction_route_was_refused(capsys):
+    # At ε = 0.9 the level 6 route runs out of steps and ARPACK runs: -v
+    # says so within the eigensolve stage, and a quiet run prints nothing.
+    argv = ("solve", "--level", "6", "--epsilon", "0.9", "--output", "csv")
+    code, quiet, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    code, out, err = run_cli(capsys, *argv, "-v")
+    assert code == 0 and without_seconds(out) == without_seconds(quiet)
+    lines = err.splitlines()
+    assert len(lines) == 4, lines
+    assert [STAGE_LINE.fullmatch(lines[i])[1] for i in (0, 2, 3)] == [
+        "assembly level 6", "eigensolve level 6", "energy errors level 6"]
+    assert lines[1].startswith("eigensolve level 6, m = 6: correction route refused, "
+                               "the step budget ran out"), lines
+
+
 def test_config_file_and_flag_precedence(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -1,3 +1,5 @@
+import logging
+import re
 from functools import cache
 
 import numpy as np
@@ -281,21 +283,57 @@ def _watch_route(monkeypatch):
     return seen
 
 
+def _refusal(caplog, level, m):
+    """The reason of the one refusal logged, for the route at level and m."""
+    lines = [r.getMessage() for r in caplog.records if r.name.startswith("wgeig")]
+    head, tail = f"eigensolve level {level}, m = {m}: correction route refused, ", "; ARPACK runs"
+    assert len(lines) == 1 and lines[0].startswith(head) and lines[0].endswith(tail), lines
+    return lines[0][len(head):-len(tail)]
+
+
+def _worst_residual(reason, steps):
+    match = re.fullmatch(rf"the step budget ran out: after {steps} steps the worst "
+                         r"residual is (\S+)", reason)
+    assert match, reason
+    return float(match[1])
+
+
 @pytest.mark.parametrize("steps,counted", [(3, []), (4, [10])])
-def test_a_refused_route_returns_the_arpack_pairs(monkeypatch, steps, counted):
+def test_a_refused_route_returns_the_arpack_pairs(monkeypatch, caplog, steps, counted):
     # From level 2 the Rayleigh-quotient steps on level 5 lose λ₄ (76.87)
     # and converge, by the fourth step, to a wrong set with tiny residuals.
     # Three steps end on the step budget; four end on the certificate, which
-    # counts ten eigenvalues below σ⁺ in place of six.  Either way ARPACK runs.
+    # counts ten eigenvalues below σ⁺ in place of the seven pairs carried (m
+    # = 6 cuts the level 2 double λ₆ = λ₇).  Either way ARPACK runs, and one
+    # INFO line says why.
     forms, want = _arpack_pairs(1, 5)
     seen = _watch_route(monkeypatch)
     monkeypatch.setattr(eigsolve, "_ROUTE_LEVEL", 5)
     monkeypatch.setattr(eigsolve, "_MAX_STEPS", steps)
-    got = smallest_eigs(forms, 6)
+    with caplog.at_level(logging.INFO, logger="wgeig"):
+        got = smallest_eigs(forms, 6)
     assert seen["arpack"] == [2, 5]
     assert seen["inertia"] == counted
     for p, q in zip(got, want):
         assert p.value == q.value and np.array_equal(p.vector, q.vector)
+    reason = _refusal(caplog, 5, 6)
+    if counted:
+        assert reason.startswith("nu = 10 pencil eigenvalues lie below sigma+ = ")
+        assert reason.endswith(", not n = 7")
+    else:
+        assert _worst_residual(reason, 3) > 1e-10
+
+
+def test_a_route_that_runs_out_of_steps_says_so(monkeypatch, caplog):
+    # At ε = 0.9 the level 3 pairs start the level 6 steps too far off: the
+    # third step still leaves a residual above tol, and ARPACK runs.
+    forms = wg.assemble(wg.WgSpace(build_uniform(6), 1, kind="laplacian", epsilon=0.9))
+    seen = _watch_route(monkeypatch)
+    with caplog.at_level(logging.INFO, logger="wgeig"):
+        got = smallest_eigs(forms, 6)
+    assert seen["arpack"] == [3, 6] and seen["inertia"] == []
+    assert all(p.residual <= 1e-10 for p in got)
+    assert _worst_residual(_refusal(caplog, 6, 6), eigsolve._MAX_STEPS) > 1e-10
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])

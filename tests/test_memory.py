@@ -4,12 +4,14 @@ No test reads ARPACK's own arrays one by one."""
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import wgeig as wg
 import wgeig.eigsolve as eigsolve
 import wgeig.twogrid as twogrid
 from wgeig import linalg
+from wgeig.errors import NearSingularError
 from wgeig.mesh import build_uniform
 
 # What the space's kit, the small objects of the factor and of the solve, and
@@ -65,25 +67,91 @@ def test_arpack_runs_beside_the_quadtree_the_factor_and_one_vector(monkeypatch):
     assert seen["live"] <= seen["allowed"], (seen["live"], seen["allowed"])
 
 
-def _eigensolve_peak(space) -> int:
+def _traced_peak(work) -> int:
+    """The traced peak of work(), counting only what it allocates."""
     tracemalloc.start()
     try:
-        eigsolve.smallest_eigs(space, 6)
+        work()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_the_correction_route_peaks_below_arpack(monkeypatch):
-    # The route holds the m solutions and the m Ritz vectors, not ARPACK's
-    # Lanczos basis and its n × ncv eigenvector block.
+    # The route holds one block of n fine vectors, not ARPACK's Lanczos
+    # basis and its n × ncv eigenvector block.
     space = wg.assemble(wg.WgSpace(build_uniform(7), 1, kind="laplacian"))
     space.local_dof_map()  # built by either route; before the trace
     assert space.mesh.level >= eigsolve._ROUTE_LEVEL
-    route = _eigensolve_peak(space)
+    route = _traced_peak(lambda: eigsolve.smallest_eigs(space, 6))
     monkeypatch.setattr(eigsolve, "_ROUTE_LEVEL", 8)
-    arpack = _eigensolve_peak(space)
+    arpack = _traced_peak(lambda: eigsolve.smallest_eigs(space, 6))
     assert route < arpack, (route, arpack)
+
+
+def _product_bytes(space) -> int:
+    """One product of A: its input vector, its gathers and its result."""
+    A = space.operator()
+    return _traced_peak(lambda: A @ np.ones(space.ndof))
+
+
+def _one_factor_bytes(space, shift) -> int:
+    """A shifted factor with its workspace and one solve, or one that counts
+    its inertia, whichever peaks higher."""
+    def solved():
+        lu, _ = linalg.factor_indefinite(space, shift)
+        lu.solve(np.ones(space.ndof))
+
+    def counted():
+        linalg.NestedLU(space, shift, lambda msg: NearSingularError(shift), count_inertia=True)
+
+    return max(_traced_peak(solved), _traced_peak(counted))
+
+
+def test_the_correction_route_holds_one_block_of_fine_vectors(monkeypatch):
+    # The route works in one (n, ndof) array: the first right-hand sides,
+    # then each step's solutions and Ritz vectors.  Step 2 ran beside two
+    # more blocks, the stale step-1 Ritz vectors and the new ones.
+    probe = wg.assemble(wg.WgSpace(build_uniform(7), 1, kind="laplacian"))
+    probe.local_dof_map()
+    product, factor = _product_bytes(probe), _one_factor_bytes(probe, 30.0)
+    live = []
+
+    def watched_factor(space, shift):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return factor_indefinite(space, shift)
+
+    factor_indefinite = linalg.factor_indefinite
+    monkeypatch.setattr(linalg, "factor_indefinite", watched_factor)
+    tracemalloc.start()
+    try:
+        space = wg.assemble(wg.WgSpace(build_uniform(7), 1, kind="laplacian"))
+        space.local_dof_map()
+        tracemalloc.reset_peak()
+        pairs = eigsolve.smallest_eigs(space, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Two steps of one factor per cluster: λ₁, λ₂ = λ₃, λ₄ and λ₅ = λ₆.
+    assert len(pairs) == 6 and len(live) == 8, live
+    block = 6 * 8 * space.ndof
+    fixed = _quadtree_bytes(space.quadtree) + space.local_dof_map().nbytes + SLACK_BYTES
+    assert max(live) <= block + fixed, (live, block, fixed)
+    assert peak <= block + fixed + factor + product, (peak, block, fixed, factor, product)
+
+
+def test_energy_error_holds_no_block_of_products():
+    # M b_j is formed one basis column at a time; M @ basis, one more block
+    # of the basis's size, stayed live beside the residual's own product.
+    space = wg.assemble(wg.WgSpace(build_uniform(7), 1, kind="laplacian"))
+    space.local_dof_map()
+    cluster = wg.exact_laplacian_spectrum(2)[1]
+    assert cluster.multiplicity == 2
+    w = np.random.default_rng(0).standard_normal(space.ndof)
+    product = _product_bytes(space)
+    peak = _traced_peak(lambda: wg.energy_error(space, w, cluster.generators))
+    basis = 2 * 8 * space.ndof
+    assert peak <= basis + product + SLACK_BYTES, (peak, basis, product)
 
 
 @pytest.mark.parametrize("kind,degree,level", [("laplacian", 1, 7), ("biharmonic", 2, 5)])
