@@ -144,7 +144,10 @@ def rate_fit(h_list, e_list) -> float:
 
 @dataclass
 class StudyRow:
-    """One emitted row; the field order is the stable serialization schema."""
+    """One emitted row; the field order is the stable serialization schema.
+    The signed errors lambda_exact - lambda and the lower-bound verdict are
+    derived; the verdict judges the two-grid value on a two-grid row
+    (H_level < h_level) and the direct value on a direct row."""
 
     problem: str
     k: int
@@ -155,11 +158,18 @@ class StudyRow:
     lambda_exact: float | None
     lambda_h: float | None
     lambda_tilde: float | None
-    err_direct: float | None
-    err_sipg: float | None
+    err_direct: float | None = field(init=False)
+    err_sipg: float | None = field(init=False)
     energy_err: float | None
-    lower_bound: bool | None
+    lower_bound: bool | None = field(init=False)
     seconds: float | None
+
+    def __post_init__(self):
+        exact = self.lambda_exact
+        self.err_direct, self.err_sipg = (None if exact is None or lam is None else exact - lam
+                                          for lam in (self.lambda_h, self.lambda_tilde))
+        judged = self.err_sipg if self.H_level < self.h_level else self.err_direct
+        self.lower_bound = None if judged is None else bool(judged >= 0.0)
 
 
 ROW_FIELDS = tuple(StudyRow.__dataclass_fields__)
@@ -172,39 +182,22 @@ class StudyResult:
     warnings: list[str] = field(default_factory=list)
 
 
-def _study_row(kind: str, degree: int, epsilon: float, H_level: int, h_level: int,
-               index: int, lam_ex: float | None, lam_h: float | None,
-               lam_tilde: float | None, energy: float | None, seconds: float) -> StudyRow:
-    """One row with its signed errors lambda_exact - lambda.
-
-    The lower-bound verdict judges the two-grid value on a two-grid row
-    (H_level < h_level) and the direct value on a direct row.
-    """
-    def signed(lam):
-        return None if lam_ex is None or lam is None else lam_ex - lam
-
-    err_direct, err_sipg = signed(lam_h), signed(lam_tilde)
-    judged = err_sipg if H_level < h_level else err_direct
-    return StudyRow(
-        problem=kind, k=degree, epsilon=epsilon, H_level=H_level, h_level=h_level,
-        index=index, lambda_exact=lam_ex, lambda_h=lam_h, lambda_tilde=lam_tilde,
-        err_direct=err_direct, err_sipg=err_sipg, energy_err=energy,
-        lower_bound=None if judged is None else bool(judged >= 0.0), seconds=seconds,
-    )
-
-
 def _check_study(kind: str, degree: int, num_eigs: int, levels, fine_levels=(), *,
                  tol: float) -> None:
     """Refuse, before any mesh is assembled, a study that cannot run: a kind
-    or degree that WgSpace refuses, no level, a coarse or fine level outside
-    [0, MAX_LEVEL], a fine level not above every coarse level, num_eigs
-    below 1 or above the mass rank 4^level dim P_k of the coarsest level, or
-    a residual tolerance outside (0, 1), NaN included."""
+    or degree that WgSpace refuses, no level, a repeated coarse or fine
+    level, a coarse or fine level outside [0, MAX_LEVEL], a fine level not
+    above every coarse level, num_eigs below 1 or above the mass rank
+    4^level dim P_k of the coarsest level, or a residual tolerance outside
+    (0, 1), NaN included."""
     _check_kind_and_degree(kind, degree)
     if not levels:
         raise ValueError("a study needs at least one level")
-    for level in (*levels, *fine_levels):
-        MeshLevel(level)
+    for sweep in (levels, fine_levels):
+        for i, level in enumerate(sweep):
+            if level in sweep[:i]:
+                raise ValueError(f"level {level} is repeated in {list(sweep)}")
+            MeshLevel(level)
     for fl in fine_levels:
         if fl <= max(levels):
             raise LevelOrderError(f"fine level {fl} must exceed every coarse level {levels}")
@@ -251,8 +244,8 @@ def direct_study(kind: str, degree: int, epsilon: float, levels, num_eigs: int,
                 energy = None
                 if cluster is not None:
                     energy = energy_error(space, pair.vector, cluster.generators)
-                rows.append(_study_row(kind, degree, epsilon, level, level, j, lam_ex,
-                                       pair.value, None, energy, dt))
+                rows.append(StudyRow(kind, degree, epsilon, level, level, j, lam_ex,
+                                     pair.value, None, energy, dt))
     orders: dict[str, float] = {}
     if len(levels) >= 2:
         hs = [2.0 ** -level for level in levels]
@@ -301,8 +294,8 @@ def sipg_study(kind: str, degree: int, epsilon: float, coarse_levels, fine_level
                 with _stage(f"energy error {j} level {levels}"):
                     energy = energy_error(fine_space, t.normalized, cluster.generators)
             lam_tilde = t.rayleigh if np.isfinite(t.rayleigh) else None
-            rows.append(_study_row(kind, degree, epsilon, coarse_level, fine_level, j,
-                                   lam_ex, lam_h[j - 1], lam_tilde, energy, t.seconds))
+            rows.append(StudyRow(kind, degree, epsilon, coarse_level, fine_level, j,
+                                 lam_ex, lam_h[j - 1], lam_tilde, energy, t.seconds))
             # The loop variable would keep this target's vector live while the
             # next one is computed.
             del t

@@ -166,8 +166,7 @@ def _corrected(space: WgSpace, m: int, tol: float) -> list[EigenPair]:
         residuals = [_residual(A, B, _b_normalize(space, x), t) for x, t in zip(X, theta)]
         if all(r <= tol for r in residuals):  # False on a NaN
             sigma = theta[-1] * (1.0 + np.sqrt(tol))
-            count = linalg.NestedLU(space, sigma, lambda msg: NearSingularError(sigma),
-                                    count_inertia=True).inertia
+            count = linalg.NestedLU(space, sigma, count_inertia=True).inertia
             if count != n:
                 raise _Refused(f"nu = {count} pencil eigenvalues lie below sigma+ = "
                                f"{sigma:.10g}, not n = {n}")

@@ -26,7 +26,7 @@ class ConfigError(WgeigError, ValueError):
 
 
 class FactorizationFailureError(WgeigError):
-    """Sparse factorization failed (matrix singular or not positive definite)."""
+    """Sparse factorization failed: the matrix is not positive definite."""
 
 
 class NoConvergenceError(WgeigError):

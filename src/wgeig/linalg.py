@@ -20,15 +20,17 @@ with a stored K_CC⁻ᵀ where the boxes are no fewer than the cross dofs (level
 the LU of the cross block K_CC with its pivots, X = K_CC⁻¹ K_CP and, where a
 GEMM solves, K_CC⁻ᵀ; the cross block itself dies with its level.  A factor
 also keeps the solution vector and the level buffers of its solves, so a
-solve allocates only its result.  Pivoting stays inside each cross block.  A
-is SPD iff every cross block is, which factor_spd checks by dpotrf while it
-builds the factor.  ν(M), the number of negative eigenvalues of M, is the
-sum of boxes · ν(cross block) over the levels (Haynsworth); a factor asked
-for it counts each block by a Bunch–Kaufman dsytrf (Sylvester's law on D)
-while the block is live.  That second factorization only counts, so the
-solves keep the bits of their dgetrf.  For σ > 0, ν(A − σB) is the number of
-pencil eigenvalues below σ (spectrum slicing: Ericsson and Ruhe, Math. Comp.
-1980), which certifies the eigensolver's pairs (eigsolve).
+solve allocates only its result.  Pivoting stays inside each cross block;
+an exactly singular one raises NearSingularError.  ν(M), the number of
+negative eigenvalues of M, is the sum of boxes · ν(cross block) over the
+levels (Haynsworth); a factor asked for it counts each block by a
+Bunch–Kaufman dsytrf (Sylvester's law on D) while the block is live, and the
+solves keep the bits of their dgetrf.  A nonsingular symmetric A is SPD iff
+ν(A) = 0, which factor_spd checks; Bunch–Kaufman's 2 × 2 pivots all have a
+negative determinant, so it takes none on an SPD block.  For σ > 0,
+ν(A − σB) is the number of pencil eigenvalues below σ (spectrum slicing:
+Ericsson and Ruhe, Math. Comp. 1980), which certifies the eigensolver's
+pairs (eigsolve).
 
 No global matrix is read: the factor is built from the space's local
 matrices, and the refinement multiplies by M matrix-free (WgSpace.operator).
@@ -44,7 +46,7 @@ from collections import namedtuple
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dsytrf
+from scipy.linalg.lapack import dgetrf, dgetrs, dsytrf
 
 from .errors import FactorizationFailureError, NearSingularError
 
@@ -57,12 +59,11 @@ class NestedLU:
     """Factor of M = A − σB that solves with M itself.  Per level it keeps
     the LU of the cross block K_CC of the one box matrix K, with its pivots,
     and X = K_CC⁻¹ K_CP; ``L`` and ``U`` count the entries of the LUs and of
-    X, each once.  With ``spd`` a cross block that is not positive definite
-    raises on_failure as soon as its level is reached.  With
-    ``count_inertia``, ``inertia`` is ν(M), else None."""
+    X, each once.  An exactly singular cross block raises
+    NearSingularError(shift, pivot_ratio=0.0).  With ``count_inertia``,
+    ``inertia`` is ν(M), else None."""
 
-    def __init__(self, space, shift: float, on_failure, spd: bool = False,
-                 count_inertia: bool = False):
+    def __init__(self, space, shift: float, count_inertia: bool = False):
         self.levels = space.quadtree.levels
         self.ndof = space.ndof
         self.factors = []  # per level: the LU with its pivots, and X
@@ -81,9 +82,7 @@ class NestedLU:
                             K[p:p + m, q:q + n] += S[a:a + m, b:b + n]
             *lu, info = dgetrf(K[:n_c, :n_c])
             if info > 0:
-                raise on_failure(f"the level {len(self.factors)} cross block is exactly singular")
-            if spd and dpotrf(K[:n_c, :n_c])[1]:
-                raise on_failure("matrix is not positive definite (nonpositive pivot encountered)")
+                raise NearSingularError(shift, pivot_ratio=0.0)
             if count_inertia:
                 self.inertia += int(level.boxes) * _negatives(K[:n_c, :n_c])
             X = dgetrs(*lu, K[:n_c, n_c:])[0]
@@ -161,8 +160,13 @@ def _pair_sums(level, U: np.ndarray, ndof: int) -> np.ndarray:
 
 
 def factor_spd(space) -> NestedLU:
-    """Factor the stiffness matrix A of ``space``; raise if it is not SPD."""
-    return NestedLU(space, 0.0, FactorizationFailureError, spd=True)
+    """Factor the stiffness matrix A of ``space``; raise if ν(A) ≠ 0, that
+    is if A is not SPD."""
+    lu = NestedLU(space, 0.0, count_inertia=True)
+    if lu.inertia:
+        raise FactorizationFailureError(
+            "matrix is not positive definite (nonpositive pivot encountered)")
+    return lu
 
 
 def factor_indefinite(space, shift: float):
@@ -175,7 +179,7 @@ def factor_indefinite(space, shift: float):
     decide what a collapsed pivot ratio means for them.
     """
     scale = space.max_abs(shift)
-    lu = NestedLU(space, shift, lambda msg: NearSingularError(shift, pivot_ratio=0.0))
+    lu = NestedLU(space, shift)
     pivot = min(np.min(np.abs(np.diag(factor))) for (factor, _), _ in lu.factors)
     pivot_ratio = float(pivot / scale) if scale > 0 else 1.0
     return lu, pivot_ratio

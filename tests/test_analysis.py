@@ -328,6 +328,21 @@ def test_studies_refuse_an_empty_sweep(study):
             sipg_study("laplacian", 1, 0.1, [], 2, 2)
 
 
+@pytest.mark.parametrize("study", ["direct", "sipg"])
+def test_studies_refuse_a_repeated_level_before_assembly(study, monkeypatch):
+    # The direct study once solved level 3 twice, and only rate_fit raised
+    # then; the two-grid one returned each target twice and raised nothing.
+    def no_assembly(space):
+        raise AssertionError("assembled before refusing a repeated level")
+
+    monkeypatch.setattr("wgeig.analysis.assemble", no_assembly)
+    with pytest.raises(ValueError, match=r"level (\d) is repeated in \[\1, \1\]"):
+        if study == "direct":
+            direct_study("laplacian", 1, 0.1, [3, 3], 2)
+        else:
+            sipg_study("laplacian", 1, 0.1, [2, 2], 4, 2)
+
+
 @pytest.mark.parametrize("fine_level", [2, 1])
 def test_sipg_study_refuses_level_order_before_assembly(fine_level, monkeypatch):
     # The fine space was once assembled, and its direct eigensolve run,

@@ -367,11 +367,12 @@ def test_factor_counts_the_oracle_inertia(kind, degree, level):
     shifts = [0.5 * lam[0], 0.5 * (lam[0] + lam[1]), lam[1] - 1e-3 * (lam[1] - lam[0]),
               lam[2] + 1e-3 * (lam[3] - lam[2]), 0.5 * (lam[2] + lam[3])]
     for sigma, below in zip(shifts, [0, 1, 1, 3, 3]):
-        lu = linalg.NestedLU(forms, sigma, NearSingularError, count_inertia=True)
+        lu = linalg.NestedLU(forms, sigma, count_inertia=True)
         assert lu.inertia == IdNestedLU(forms, sigma).inertia() == below, sigma
-    # Counted only when asked: the factors of the solves run no dsytrf.
+    # Counted only when asked: the factors of the solves run no dsytrf.  The
+    # stiffness factor counts, and certifies A as SPD by ν(A) = 0.
     assert linalg.factor_indefinite(forms, shifts[1])[0].inertia is None
-    assert linalg.factor_spd(forms).inertia is None
+    assert linalg.factor_spd(forms).inertia == 0
 
 
 def test_biharmonic_box_eigenvalue_never_gives_a_silent_wrong_solution():
