@@ -18,9 +18,8 @@ from ._stages import _stage
 from .eigsolve import smallest_eigs
 from .errors import EmptyClusterError, LevelOrderError, NonPositiveError
 from .mesh import MeshLevel, build_uniform
-from .polyspace import dim_pk
 from .twogrid import run_sipg
-from .wg_core import LAPLACIAN, WgSpace, _check_kind_and_degree, assemble, qh_project
+from .wg_core import LAPLACIAN, WgSpace, assemble, qh_project
 from scipy.linalg import cho_factor, cho_solve
 
 # First clamped-plate eigenvalue on the unit square (literature reference).
@@ -182,15 +181,14 @@ class StudyResult:
     warnings: list[str] = field(default_factory=list)
 
 
-def _check_study(kind: str, degree: int, num_eigs: int, levels, fine_levels=(), *,
-                 tol: float) -> None:
-    """Refuse, before any mesh is assembled, a study that cannot run: a kind
-    or degree that WgSpace refuses, no level, a repeated coarse or fine
-    level, a coarse or fine level outside [0, MAX_LEVEL], a fine level not
-    above every coarse level, num_eigs below 1 or above the mass rank
-    4^level dim P_k of the coarsest level, or a residual tolerance outside
-    (0, 1), NaN included."""
-    _check_kind_and_degree(kind, degree)
+def _check_study(kind: str, degree: int, epsilon: float, num_eigs: int, levels,
+                 fine_levels=(), *, tol: float) -> None:
+    """Refuse, before any mesh is assembled, a study that cannot run, in this
+    order: no level, a repeated coarse or fine level, a coarse or fine level
+    outside [0, MAX_LEVEL], a fine level not above every coarse level, a
+    kind, degree or epsilon that the coarsest space refuses, num_eigs below
+    1 or above that space's mass rank (its interior dof count), or a
+    residual tolerance outside (0, 1), NaN included."""
     if not levels:
         raise ValueError("a study needs at least one level")
     for sweep in (levels, fine_levels):
@@ -201,9 +199,11 @@ def _check_study(kind: str, degree: int, num_eigs: int, levels, fine_levels=(), 
     for fl in fine_levels:
         if fl <= max(levels):
             raise LevelOrderError(f"fine level {fl} must exceed every coarse level {levels}")
+    # The coarsest space refuses a bad kind, degree or epsilon, and builds
+    # nothing: a bare MeshLevel, not build_uniform, and no kit or quadtree.
+    rank = WgSpace(MeshLevel(min(levels)), degree, kind=kind, epsilon=epsilon).n_interior_dofs
     if num_eigs < 1:
         raise ValueError(f"num_eigs must be at least 1, got {num_eigs}")
-    rank = 4 ** min(levels) * dim_pk(degree)
     if num_eigs > rank:
         raise ValueError(f"requested {num_eigs} eigenpairs but the mass rank is {rank}")
     if not 0.0 < tol < 1.0:  # NaN fails both comparisons
@@ -228,7 +228,7 @@ def direct_study(kind: str, degree: int, epsilon: float, levels, num_eigs: int,
                  tol: float = 1e-10) -> StudyResult:
     """Direct eigensolves over a sweep of levels, with fitted convergence orders."""
     levels = list(levels)
-    _check_study(kind, degree, num_eigs, levels, tol=tol)
+    _check_study(kind, degree, epsilon, num_eigs, levels, tol=tol)
     exact = _exact_values(kind, num_eigs)
     rows: list[StudyRow] = []
     for level in levels:
@@ -270,7 +270,7 @@ def sipg_study(kind: str, degree: int, epsilon: float, coarse_levels, fine_level
     target is dropped before the next one is computed.
     """
     coarse_levels = list(coarse_levels)
-    _check_study(kind, degree, num_eigs, coarse_levels, [fine_level], tol=tol)
+    _check_study(kind, degree, epsilon, num_eigs, coarse_levels, [fine_level], tol=tol)
     exact = _exact_values(kind, num_eigs)
     with _stage(f"assembly level {fine_level}"):
         fine_space = assemble(WgSpace(build_uniform(fine_level), degree, kind=kind,

@@ -12,8 +12,10 @@ its flag.  The file's values are checked when it is read: a flag key takes
 unknown or repeated key is a configuration error naming the file and line.
 Outputs are deterministic apart from the timing column.
 
-Exit status: 0 success, 2 usage error (any ValueError, an output or dump path
-that cannot be written among them), 3 solver failure (any other WgeigError).
+The run's numbers are refused, before any dump and in the library's words, by
+analysis._check_study.  main alone maps errors to the exit status: 0 success,
+2 usage error (any ValueError or OSError, an output or dump path that cannot
+be written among them), 3 solver failure (any other WgeigError).
 """
 
 from __future__ import annotations
@@ -195,23 +197,13 @@ def _stage_lines(verbose: bool):
         log.setLevel(level)
 
 
-@contextlib.contextmanager
-def _writing():
-    """An output or dump path that cannot be written is a configuration error."""
-    try:
-        yield
-    except OSError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _emit(result, meta: dict) -> None:
     fmt = meta["output"]
     out_file = meta.get("out_file")
-    with _writing():
-        with open(out_file, "w") if out_file else contextlib.nullcontext(sys.stdout) as stream:
-            _write_rows(result, fmt, stream, meta)
-            if meta["command"] == "table" and fmt == "human":
-                _write_table_grid(result, stream)
+    with open(out_file, "w") if out_file else contextlib.nullcontext(sys.stdout) as stream:
+        _write_rows(result, fmt, stream, meta)
+        if meta["command"] == "table" and fmt == "human":
+            _write_table_grid(result, stream)
 
 
 def _required(args, key: str):
@@ -222,13 +214,10 @@ def _required(args, key: str):
 
 
 def _common_meta(args) -> dict:
+    """The shared options; only an --out-file that cannot be written is refused
+    here, the numbers by _check_study."""
     meta = {key: getattr(args, key) for key in
             ("command", "problem", "degree", "epsilon", "num_eigs", "tol", "output")}
-    if meta["num_eigs"] < 1:
-        raise ValueError("--num-eigs must be at least 1")
-    for key in ("tol", "epsilon"):  # NaN fails both comparisons
-        if not 0.0 < meta[key] < 1.0:
-            raise ValueError(f"--{key} must lie in (0, 1), got {meta[key]}")
     if args.out_file:
         # Refused here, not after the whole solve has run.
         if os.path.isdir(args.out_file):
@@ -247,16 +236,15 @@ def _maybe_dump(args, meta: dict, level: int) -> None:
     from .wg_core import WgSpace
 
     mesh = build_uniform(level)
-    with _writing():
-        if args.dump_mesh:
-            mesh.dump_json(args.dump_mesh)
-        if args.dump_matrices:
-            import scipy.io as sio
+    if args.dump_mesh:
+        mesh.dump_json(args.dump_mesh)
+    if args.dump_matrices:
+        import scipy.io as sio
 
-            space = WgSpace(mesh, meta["degree"], kind=meta["problem"], epsilon=meta["epsilon"])
-            os.makedirs(args.dump_matrices, exist_ok=True)
-            sio.mmwrite(os.path.join(args.dump_matrices, "stiffness.mtx"), space.A)
-            sio.mmwrite(os.path.join(args.dump_matrices, "mass.mtx"), space.B)
+        space = WgSpace(mesh, meta["degree"], kind=meta["problem"], epsilon=meta["epsilon"])
+        os.makedirs(args.dump_matrices, exist_ok=True)
+        sio.mmwrite(os.path.join(args.dump_matrices, "stiffness.mtx"), space.A)
+        sio.mmwrite(os.path.join(args.dump_matrices, "mass.mtx"), space.B)
 
 
 def _cmd_direct(args) -> int:
@@ -271,7 +259,8 @@ def _cmd_direct(args) -> int:
         levels = _required(args, "levels")
         meta["levels"] = ",".join(map(str, levels))
     # The study's own checks, run here so that a refused study dumps nothing.
-    _check_study(meta["problem"], meta["degree"], meta["num_eigs"], levels, tol=meta["tol"])
+    _check_study(meta["problem"], meta["degree"], meta["epsilon"], meta["num_eigs"], levels,
+                 tol=meta["tol"])
     _maybe_dump(args, meta, max(levels))
     result = direct_study(
         meta["problem"], meta["degree"], meta["epsilon"], levels,
@@ -297,8 +286,8 @@ def _cmd_twogrid(args) -> int:
         meta["coarse_levels"] = ",".join(map(str, coarse_levels))
         meta["fine_levels"] = ",".join(map(str, fine_levels))
         include_direct = args.with_direct
-    _check_study(meta["problem"], meta["degree"], meta["num_eigs"], coarse_levels, fine_levels,
-                 tol=meta["tol"])
+    _check_study(meta["problem"], meta["degree"], meta["epsilon"], meta["num_eigs"],
+                 coarse_levels, fine_levels, tol=meta["tol"])
     _maybe_dump(args, meta, max(fine_levels))
     result = StudyResult(rows=[])
     for fl in fine_levels:
@@ -378,16 +367,11 @@ def main(argv=None) -> int:
             subparser, options = commands[args.command]
             subparser.set_defaults(**_load_config_file(args.config, options))
             args = parser.parse_args(argv)
+        with _stage_lines(args.verbose):
+            return args.handler(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        with _stage_lines(args.verbose):
-            return args.handler(args)
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except WgeigError as exc:

@@ -27,7 +27,7 @@ import numpy as np
 from ._stages import _stage
 from .eigsolve import (EigenPair, _b_normalize, rayleigh_quotient, smallest_eigs,
                        solve_shifted)
-from .errors import ConfigError, LevelOrderError, NearSingularError
+from .errors import LevelOrderError, NearSingularError
 from .mesh import build_uniform
 from .polyspace import pk_exponents
 from .wg_core import WgSpace, assemble
@@ -102,8 +102,8 @@ def run_sipg(fine_space: WgSpace, coarse_level: int, num_eigs: int,
     never silently ignored.
     """
     if fine_space.mesh.level <= coarse_level:
-        raise ConfigError(f"fine level ({fine_space.mesh.level}) must exceed coarse level "
-                          f"({coarse_level})")
+        raise LevelOrderError(f"fine level ({fine_space.mesh.level}) must exceed coarse level "
+                              f"({coarse_level})")
     coarse_space = WgSpace(build_uniform(coarse_level), fine_space.degree,
                            kind=fine_space.kind, epsilon=fine_space.epsilon)
     with _stage(f"coarse solve level {coarse_level}"):

@@ -80,16 +80,6 @@ BIHARMONIC = "biharmonic"
 KINDS = (LAPLACIAN, BIHARMONIC)
 
 
-def _check_kind_and_degree(kind: str, degree: int) -> None:
-    """Refuse an unknown problem kind, or a degree below the kind's least
-    (1 for the Laplacian, 2 for the biharmonic)."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown problem kind {kind!r}")
-    min_degree = 1 if kind == LAPLACIAN else 2
-    if degree < min_degree:
-        raise DegreeTooLowError(f"{kind} requires degree >= {min_degree}, got {degree}")
-
-
 # Outward normals of the (left, right, bottom, top) edges of any element.
 EDGE_NORMALS = ((-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0))
 # Derivative orders (dx, dy) of d/dx and d/dy.
@@ -113,6 +103,10 @@ class WgSpace:
     The space also holds the two forms of the pencil, applied matrix-free
     (``operator``, ``mass``; see the module docstring).  ``A`` and ``B`` are
     the CSR matrices, scattered on first access and kept.
+
+    A new space refuses an unknown kind, a degree below the kind's least (1
+    Laplacian, 2 biharmonic) or an epsilon outside (0, 1), and builds nothing:
+    kit, quadtree and dof map wait for their first read.
     """
 
     mesh: MeshLevel
@@ -121,7 +115,12 @@ class WgSpace:
     epsilon: float = 0.1
 
     def __post_init__(self):
-        _check_kind_and_degree(self.kind, self.degree)
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown problem kind {self.kind!r}")
+        min_degree = 1 if self.kind == LAPLACIAN else 2
+        if self.degree < min_degree:
+            raise DegreeTooLowError(
+                f"{self.kind} requires degree >= {min_degree}, got {self.degree}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         self._kit = None

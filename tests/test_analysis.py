@@ -318,6 +318,22 @@ def test_studies_reject_a_tol_outside_zero_one_before_assembly(kind, degree, stu
 
 
 @pytest.mark.parametrize("study", ["direct", "sipg"])
+@pytest.mark.parametrize("epsilon", [0.0, 1.0, 2.0, math.nan])
+def test_studies_refuse_a_bad_epsilon_before_any_mesh(study, epsilon, monkeypatch):
+    # Only the space checked epsilon once, so both studies built their mesh
+    # (levels 3 and 4) before refusing it.
+    def no_mesh(level):
+        raise AssertionError("a mesh was built before refusing epsilon")
+
+    monkeypatch.setattr("wgeig.analysis.build_uniform", no_mesh)
+    with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\)"):
+        if study == "direct":
+            direct_study("laplacian", 1, epsilon, [3], 2)
+        else:
+            sipg_study("laplacian", 1, epsilon, [3], 4, 2)
+
+
+@pytest.mark.parametrize("study", ["direct", "sipg"])
 def test_studies_refuse_an_empty_sweep(study):
     # An empty sweep once returned no rows, the two-grid one after
     # assembling its fine space.

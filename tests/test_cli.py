@@ -92,7 +92,7 @@ def test_nonpositive_num_eigs_is_a_usage_error(capsys, tmp_path, problem, degree
     code, out, err = run_cli(capsys, *command, "--problem", problem, "--degree", str(degree),
                              "--num-eigs", count, "--dump-mesh", str(dump))
     assert code == 2 and out == ""
-    assert "--num-eigs must be at least 1" in err
+    assert err == f"error: num_eigs must be at least 1, got {count}\n"
     assert not dump.exists()  # rejected before any mesh or assembly
 
 
@@ -114,9 +114,10 @@ def test_nonpositive_num_eigs_is_a_usage_error(capsys, tmp_path, problem, degree
 @pytest.mark.parametrize("dump", ["--dump-mesh", "--dump-matrices"])
 def test_refused_study_dumps_nothing(capsys, tmp_path, argv, message, dump):
     # Each of these once wrote its --dump-mesh file, and the mass-rank cases
-    # their --dump-matrices files, before the same error.  The kind and
-    # degree are checked first: a bad degree was once refused by a mass rank
-    # computed from it.
+    # their --dump-matrices files, before the same error.  The levels are
+    # checked first, then the kind, degree and epsilon by the coarsest space,
+    # then num_eigs against that space's mass rank, then tol: a bad degree
+    # was once refused by a mass rank computed from it.
     target = tmp_path / "dump"
     code, out, err = run_cli(capsys, *argv, dump, str(target))
     assert code == 2 and out == ""
@@ -160,7 +161,7 @@ def test_out_of_range_tol_or_epsilon_is_a_usage_error(capsys, tmp_path, key, val
         argv += [f"--{key}", value]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert f"--{key} must lie in (0, 1)" in err
+    assert err == f"error: {key} must lie in (0, 1), got {float(value)}\n"
     assert not dump.exists()  # rejected before any mesh or assembly
 
 
@@ -571,4 +572,4 @@ def test_module_entry_point_exits_with_the_status(argv, code):
     if code == 0:
         assert len(parse_csv(run.stdout)) == 1 and run.stderr == ""
     else:
-        assert run.stdout == "" and "--tol must lie in (0, 1)" in run.stderr
+        assert run.stdout == "" and run.stderr == "error: tol must lie in (0, 1), got 0.0\n"

@@ -336,6 +336,38 @@ def test_a_route_that_runs_out_of_steps_says_so(monkeypatch, caplog):
     assert _worst_residual(_refusal(caplog, 6, 6), eigsolve._MAX_STEPS) > 1e-10
 
 
+@pytest.mark.parametrize("failure,error,reason", [
+    ("coarse", NoConvergenceError(4, 1.0), "the coarse solve failed: {}"),
+    ("factor", NearSingularError(1.0, pivot_ratio=0.0), "a factor was singular: {}"),
+    ("ritz", np.linalg.LinAlgError("injected"), "the Ritz basis was B-singular"),
+])
+def test_a_route_that_fails_inside_returns_the_arpack_pairs(monkeypatch, caplog, failure, error,
+                                                            reason):
+    # A failure of the coarse solve, of a shifted factor or of the Ritz step
+    # refuses the route as _Refused does: ARPACK runs on the fine level, and
+    # one INFO line says why.
+    forms, want = _arpack_pairs(1, 6)
+    plain_arpack = eigsolve._arpack
+
+    def fail(*args, **kwargs):
+        raise error
+
+    def coarse_fails(space, m, tol):
+        return (plain_arpack if space.mesh.level == 6 else fail)(space, m, tol)
+
+    if failure == "coarse":
+        monkeypatch.setattr(eigsolve, "_arpack", coarse_fails)
+    elif failure == "factor":
+        monkeypatch.setattr(linalg, "factor_indefinite", fail)
+    else:
+        monkeypatch.setattr(eigsolve, "_rayleigh_ritz", fail)
+    with caplog.at_level(logging.INFO, logger="wgeig"):
+        got = smallest_eigs(forms, 6)
+    for p, q in zip(got, want, strict=True):
+        assert p.value == q.value and np.array_equal(p.vector, q.vector)
+    assert _refusal(caplog, 6, 6) == reason.format(error)
+
+
 @pytest.mark.parametrize("degree", [1, 2, 3])
 @pytest.mark.parametrize("level", [eigsolve._ROUTE_LEVEL, 7])
 def test_the_route_agrees_with_arpack(monkeypatch, degree, level):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import wgeig as wg
-from wgeig.errors import ConfigError, LevelOrderError, NearSingularError
+from wgeig.errors import LevelOrderError, NearSingularError
 from wgeig.mesh import build_uniform
 from wgeig.polyspace import gauss_rule
 from wgeig.twogrid import cross_mass_rhs, run_sipg
@@ -27,7 +27,7 @@ def fine_lap_k1(level):
 def test_config_validation():
     forms = fine_lap_k1(3)
     for coarse_level in (3, 4):
-        with pytest.raises(ConfigError, match="must exceed coarse level"):
+        with pytest.raises(LevelOrderError, match="must exceed coarse level"):
             run_sipg(forms, coarse_level, 1)
     with pytest.raises(ValueError):
         run_sipg(forms, 2, 0)
@@ -180,7 +180,7 @@ def test_run_sipg_rejects_equal_levels(monkeypatch):
 
     monkeypatch.setattr(tg, "assemble", coarse_work)
     monkeypatch.setattr(tg, "smallest_eigs", coarse_work)
-    with pytest.raises(ConfigError):
+    with pytest.raises(LevelOrderError, match=r"fine level \(3\) must exceed coarse level \(3\)"):
         run_sipg(forms, 3, 1)
 
 
