@@ -33,11 +33,9 @@ THREADS_ENV = "WGEIG_THREADS"
 
 
 def _pin_threads() -> None:
-    count = os.environ.get(THREADS_ENV)
-    if not count:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
+    """WGEIG_THREADS, or 1, for every BLAS/OpenMP variable not already set."""
+    count = os.environ.get(THREADS_ENV) or "1"
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, count)
 
 
@@ -309,7 +307,8 @@ def _build_parser():
         prog="wgeig",
         description="Weak Galerkin eigenvalue studies on the unit square "
                     "(direct and two-grid shifted-inverse-power).",
-        epilog=f"{THREADS_ENV} pins the BLAS/OpenMP thread count.",
+        epilog="OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and MKL_NUM_THREADS, where unset, "
+               f"are set to {THREADS_ENV} (default 1) before numpy loads.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     commands: dict[str, tuple[argparse.ArgumentParser, dict]] = {}

@@ -15,40 +15,39 @@ into one work vector that every application reuses.  While ARPACK runs, the
 quadtree, the stiffness factor with its solve workspace and that vector are
 all the eigensolve keeps: A is first multiplied after eigsh returns, so the
 space's dof map is built then.  The eigenvectors come back from the same
-solve, one per pair, x = A⁻¹ (L z), and every pair is certified by its
-residual; a failed gate asks ARPACK once more, for m + 1 pairs.  The
-residuals, the b-form normalization and the Rayleigh quotients multiply by A
-and B matrix-free (WgSpace.operator and WgSpace.mass), so no global matrix is
-built.
+solve, one per pair, x = A⁻¹ (L z), and a set that fails the gate below asks
+ARPACK once more, for m + 1 pairs.  One gate, _certified, serves both routes:
+it b-normalizes each vector in place, takes its residual ‖Ax − λBx‖/‖Ax‖ from
+one matrix-free product with A and one with B, and passes the set only if the
+worst residual, by np.max, is at most tol, so a NaN fails it.
 
 A Laplacian space of level L ≥ _ROUTE_LEVEL takes the multilevel correction
 route first (Lin and Xie, Math. Comp. 2015): the n pairs of level L − 3 (by
-either route) start Rayleigh-quotient steps on level L, with n = m, or
-m + 1 where the coarse pairs m and m + 1 share a cluster: m then cuts a
-multiple eigenvalue, whose rest is carried along.  A step groups the shifts
-into clusters, factors A − σB once per cluster (linalg) and solves once per
-pair, the first step on the nested-mesh transfer of the coarse vectors
+either route) start Rayleigh-quotient steps on level L, with n = m, or m + 1
+where the coarse pairs m and m + 1 share a cluster: m then cuts a multiple
+eigenvalue, whose rest is carried along.  A step groups the shifts into
+clusters, factors A − σB once per cluster (linalg) and solves once per pair,
+the first step on the nested-mesh transfer of the coarse vectors
 (twogrid.cross_mass_rhs), later ones on B y of the last Ritz vectors; then
 one Rayleigh–Ritz over all n solutions gives the Ritz pairs, each value an
-upper bound of its λ_i,h (Poincaré separation).  Every pair must pass the
-same residual gate within _MAX_STEPS steps, and the pairs are certified as
-the n smallest by spectrum slicing (Ericsson and Ruhe, Math. Comp. 1980):
-exactly n pencil eigenvalues lie below σ⁺ = θ_n (1 + √tol), counted as the
-inertia ν(A − σ⁺B) of one more factor.  The first m are returned.  The
-route works in one (n, ndof) array X: the coarse space and pairs go once
-their transfers fill it, each solution overwrites its right-hand side, and
-the Ritz vectors overwrite the solutions in column chunks; each row is then
-b-normalized in place, its residual taken from transient products, and its
-next right-hand side B y formed just before its solve.  So beside the
-quadtree and the dof map the route holds that block, one factor with its
-workspace at a time and one product's temporaries, and the returned vectors
-are rows of X.  Any failure (a step budget spent, ν ≠ n, a solve that is
-not finite, a singular factor, a failed coarse solve, a B-singular Ritz
-basis) runs ARPACK instead, so no uncertified pair is returned; one INFO
-line on the wgeig logger (``wgeig -v``) gives the level, m and the reason.
-Below _ROUTE_LEVEL, and for the biharmonic problem, whose coarse pairs
-start too far off (from H = 1/8 to h = 1/64 three steps and 15 factors,
-0.37 s against 0.10 s of ARPACK), ARPACK alone runs.
+upper bound of its λ_i,h (Poincaré separation).  The pairs must pass the gate
+within _MAX_STEPS steps, and are then certified as the n smallest by spectrum
+slicing (Ericsson and Ruhe, Math. Comp. 1980): exactly n pencil eigenvalues
+lie below σ⁺ = θ_n (1 + √tol), counted as the inertia ν(A − σ⁺B) of one more
+factor.  The first m are returned.  The route works in one (n, ndof) array X:
+the coarse space and pairs go once their transfers fill it, each solution
+overwrites its right-hand side, and the Ritz vectors overwrite the solutions
+in column chunks; each row then passes the gate, and its next right-hand side
+B y is formed just before its solve.  So beside the quadtree and the dof map
+the route holds that block, one factor with its workspace at a time and one
+product's temporaries, and the returned vectors are rows of X.  Any failure
+(a step budget spent, ν ≠ n, a solve that is not finite, a singular factor, a
+failed coarse solve, a B-singular Ritz basis) runs ARPACK instead, so no
+uncertified pair is returned; one INFO line on the wgeig logger
+(``wgeig -v``) gives the level, m and the reason.  Below _ROUTE_LEVEL, and
+for the biharmonic problem, whose coarse pairs start too far off (from
+H = 1/8 to h = 1/64 three steps and 15 factors, 0.37 s against 0.10 s of
+ARPACK), ARPACK alone runs.
 """
 
 from __future__ import annotations
@@ -107,10 +106,17 @@ def _b_normalize(space: WgSpace, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _residual(A, B, x: np.ndarray, value) -> float:
-    """‖A x − value B x‖ / ‖A x‖, from one A and one B product."""
-    ax = A @ x
-    return float(np.linalg.norm(ax - value * (B @ x)) / np.linalg.norm(ax))
+def _certified(space: WgSpace, A, values, vectors, tol: float):
+    """(pairs, worst): EigenPairs of the candidates, vectors b-normalized in
+    place, and their worst residual; pairs is None unless worst ≤ tol."""
+    pairs = []
+    for value, x in zip(values, vectors):
+        ax = A @ _b_normalize(space, x)
+        pairs.append(EigenPair(value=float(value), vector=x, residual=float(
+            np.linalg.norm(ax - value * (space.mass @ x)) / np.linalg.norm(ax))))
+        del ax  # not held through the next candidate's solve
+    worst = float(np.max([p.residual for p in pairs]))
+    return (pairs if worst <= tol else None), worst
 
 
 def smallest_eigs(space: WgSpace, m: int, tol: float = 1e-10) -> list[EigenPair]:
@@ -163,18 +169,17 @@ def _corrected(space: WgSpace, m: int, tol: float) -> list[EigenPair]:
     for _ in range(_MAX_STEPS):
         _clustered_solves(space, shifts, X, mass)
         theta = _rayleigh_ritz(A, B, X)
-        residuals = [_residual(A, B, _b_normalize(space, x), t) for x, t in zip(X, theta)]
-        if all(r <= tol for r in residuals):  # False on a NaN
+        pairs, worst = _certified(space, A, theta, X, tol)
+        if pairs:
             sigma = theta[-1] * (1.0 + np.sqrt(tol))
             count = linalg.NestedLU(space, sigma, count_inertia=True).inertia
             if count != n:
                 raise _Refused(f"nu = {count} pencil eigenvalues lie below sigma+ = "
                                f"{sigma:.10g}, not n = {n}")
-            return [EigenPair(value=float(theta[i]), vector=X[i], residual=residuals[i])
-                    for i in range(m)]
+            return pairs[:m]
         shifts, mass = theta, B
     raise _Refused(f"the step budget ran out: after {_MAX_STEPS} steps the worst residual "
-                   f"is {np.max(residuals):.3e}")
+                   f"is {worst:.3e}")
 
 
 def _clustered_solves(space: WgSpace, shifts, X: np.ndarray, B) -> None:
@@ -262,14 +267,10 @@ def _arpack(space: WgSpace, m: int, tol: float) -> list[EigenPair]:
             raise FactorizationFailureError(
                 "nonpositive pencil eigenvalue encountered; stiffness form is not SPD")
         lam = 1.0 / theta  # theta descending, so lam is ascending
-        A, B, pairs = space.operator(), space.mass, []
-        for i in range(m):
-            # One solve per pair keeps the work arrays at one vector of length n.
-            x = _b_normalize(space, lu.solve(blockwise(L, Z[:, i])))
-            pairs.append(EigenPair(value=float(lam[i]), vector=x,
-                                   residual=_residual(A, B, x, lam[i])))
-        worst = max(p.residual for p in pairs)
-        if worst <= tol:
+        # One solve per pair keeps the work arrays at one vector of length n.
+        pairs, worst = _certified(space, space.operator(), lam,
+                                  (lu.solve(blockwise(L, z)) for z in Z.T), tol)
+        if pairs:
             return pairs
     raise NoConvergenceError(applied, worst)
 

@@ -556,6 +556,13 @@ def test_every_configuration_exits_by_the_contract(argv):
             assert any(w.startswith(f"index {row['index']}:") for w in warned), (argv, row)
 
 
+def _src_env():
+    """This environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(wg_core.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
 @pytest.mark.parametrize("argv,code", [
     (("solve", "--level", "1", "--num-eigs", "1", "--output", "csv"), 0),
     (("solve", "--level", "1", "--num-eigs", "1", "--tol", "0"), 2),
@@ -563,13 +570,44 @@ def test_every_configuration_exits_by_the_contract(argv):
 def test_module_entry_point_exits_with_the_status(argv, code):
     # python -m wgeig runs main_entry, as the installed wgeig script does,
     # and hands main's status to sys.exit.
-    src = str(Path(wg_core.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     run = subprocess.run([sys.executable, "-m", "wgeig", *argv], capture_output=True,
-                         text=True, env=env, timeout=120)
+                         text=True, env=_src_env(), timeout=120)
     assert run.returncode == code, run.stderr
     if code == 0:
         assert len(parse_csv(run.stdout)) == 1 and run.stderr == ""
     else:
         assert run.stdout == "" and run.stderr == "error: tol must lie in (0, 1), got 0.0\n"
+
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+# A fresh process runs main, then prints its status, the thread variables and
+# its own thread count (- where /proc is missing).
+THREAD_PROBE = f"""
+import os, pathlib
+from wgeig.cli import main
+code = main(["solve", "--level", "1", "--num-eigs", "1", "--output", "csv"])
+status = pathlib.Path("/proc/self/status")
+lines = status.read_text().splitlines() if status.exists() else ["Threads: -"]
+threads = next(line.split()[1] for line in lines if line.startswith("Threads:"))
+print(code, *(os.environ[v] for v in {THREAD_VARS!r}), threads)
+"""
+
+
+@pytest.mark.parametrize("preset,want", [
+    ({}, ("1", "1", "1")),
+    ({"WGEIG_THREADS": "2"}, ("2", "2", "2")),
+    ({"OPENBLAS_NUM_THREADS": "2"}, ("1", "2", "1")),
+    ({"WGEIG_THREADS": "2", "OMP_NUM_THREADS": "3"}, ("3", "2", "2")),
+])
+def test_main_pins_one_blas_thread_unless_told_otherwise(preset, want):
+    # main sets every thread variable not already set to WGEIG_THREADS, or to
+    # 1 without it, before numpy loads.  Unpinned, OpenBLAS starts a thread
+    # per core; pinned to one, it starts none.
+    env = {k: v for k, v in _src_env().items() if k not in ("WGEIG_THREADS", *THREAD_VARS)}
+    run = subprocess.run([sys.executable, "-c", THREAD_PROBE], capture_output=True, text=True,
+                         env={**env, **preset}, timeout=120)
+    assert run.returncode == 0 and run.stderr == "", run.stderr
+    code, *pinned, threads = run.stdout.splitlines()[-1].split()
+    assert code == "0" and tuple(pinned) == want
+    if not preset:
+        assert threads in ("1", "-")

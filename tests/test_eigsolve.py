@@ -228,6 +228,35 @@ def test_failed_residual_gate_widens_the_request_once(monkeypatch):
     assert np.allclose([p.value for p in pairs], want, rtol=1e-10, atol=0)
 
 
+def test_a_nan_residual_is_never_certified(lap_L3_k1, monkeypatch):
+    # Level 3 runs ARPACK alone.  Each answer's second product with A, the
+    # residual product of pair 2, reads NaN: the gate must refuse both the
+    # first answer and the widened one, and report the NaN as the worst.
+    _, forms = lap_L3_k1
+    requests = []
+
+    def counted_eigsh(op, k, **kwargs):
+        requests.append(k)
+        return arpack(op, k=k, **kwargs)
+
+    def nan_on_second_product(space, shift=0.0):
+        A, products = plain_operator(space, shift), []
+
+        def matvec(x):
+            products.append(1)
+            return np.full(len(x), np.nan) if len(products) == 2 else A @ x
+
+        return LinearOperator(A.shape, matvec=matvec, dtype=float)
+
+    arpack, plain_operator = eigsolve.eigsh, wg.WgSpace.operator
+    monkeypatch.setattr(eigsolve, "eigsh", counted_eigsh)
+    monkeypatch.setattr(wg.WgSpace, "operator", nan_on_second_product)
+    with pytest.raises(NoConvergenceError) as info:
+        smallest_eigs(forms, 6)
+    assert requests == [6, 7]
+    assert np.isnan(info.value.worst_residual)
+
+
 def test_every_operator_application_is_one_counted_solve(monkeypatch):
     # Each ARPACK application of C and each recovered pair is one 1-D solve
     # with an interior-only right-hand side, visible to a proxy on the

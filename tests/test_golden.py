@@ -34,6 +34,10 @@ COMMANDS = {
     "lap-k3-solve-L4": ("solve", "--degree", "3", "--level", "4"),
     "lap-k4-solve-L2": ("solve", "--degree", "4", "--level", "2"),
     "lap-k5-solve-L2": ("solve", "--degree", "5", "--level", "2"),
+    # Level 6 and up solve by the multilevel correction route (eigsolve).  Its
+    # k = 2 twin is left out: four err_direct cells of `solve --degree 2
+    # --level 6` move in their last digits with the BLAS thread count.
+    "lap-k1-solve-L6": ("solve", "--level", "6"),
     "biharm-k3-solve-L2": ("solve", "--problem", "biharmonic", "--degree", "3", "--level", "2"),
     "biharm-k4-solve-L1": ("solve", "--problem", "biharmonic", "--degree", "4", "--level", "1"),
 }
